@@ -4,7 +4,7 @@
 //!
 //! * one **binary per paper artefact** (`fig1_fig2` … `fig8`, plus the
 //!   ablation binaries) that regenerates the corresponding figure's series
-//!   and prints it as a table/CSV — see `DESIGN.md` §4 for the index;
+//!   and prints it as a table/CSV (`src/bin/`, one file per artefact);
 //! * **criterion benches** (`cargo bench`) for the performance-critical
 //!   substrates: tableau simulator, blossom matching, decoders, transpiler
 //!   and the end-to-end injection engine.

@@ -46,7 +46,7 @@
 use super::mask::DecoderMask;
 use super::spacetime::{ReplicaState, SpaceTimeDecoder, SpaceTimeScratch, WindowConfig};
 use super::TierConfig;
-use crate::streaming::{CampaignReport, RoundSlice, StreamEngine, StreamFault, StreamFaultError};
+use crate::streaming::{RoundSlice, StreamEngine, StreamFault};
 use radqec_detect::{
     CountDetectorState, CusumDetector, EventAccumulator, Localizer, OnlineDetector, StrikeMask,
 };
@@ -222,27 +222,14 @@ impl<'e> StreamDecoder<'e> {
         &self.decoder
     }
 
-    /// Stream one campaign through the self-scheduling round driver and
-    /// aggregate the absolute streaming LER.
+    /// Stream one campaign through the supervised round driver and
+    /// aggregate the absolute streaming LER. Callers that want the
+    /// driver's [`CampaignReport`](crate::streaming::CampaignReport) run
+    /// [`StreamEngine::for_each_round_supervised`] with [`Self::ingest`]
+    /// as the sink, then read [`Self::report`].
     pub fn run(&self, fault: &StreamFault, noise: &NoiseSpec) -> StreamDecodeReport {
         self.engine.for_each_round(fault, noise, |slice| self.ingest(slice));
         self.report()
-    }
-
-    /// [`StreamDecoder::run`] under the supervised driver: chunk panics
-    /// are caught and retried, and the campaign report rides along.
-    pub fn run_supervised(
-        &self,
-        fault: &StreamFault,
-        noise: &NoiseSpec,
-    ) -> Result<(StreamDecodeReport, CampaignReport), StreamFaultError> {
-        let report = self.engine.for_each_round_supervised(
-            fault,
-            noise,
-            |_| false,
-            |slice| self.ingest(slice),
-        )?;
-        Ok((self.report(), report))
     }
 
     /// Consume one round slice (the `for_each_round` sink). Safe to call

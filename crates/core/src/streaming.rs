@@ -23,9 +23,9 @@
 //! Both shot samplers carry over:
 //!
 //! * **frame batch** — the memory circuit is replayed as bit-packed Pauli
-//!   frames against one extended [`ReferenceTrace`], with the evolving
-//!   fault expressed as a piecewise-constant segment timeline
-//!   ([`run_noisy_batch_segmented`]); per-round exactness properties are
+//!   frames against one extended [`ReferenceTrace`], one round's ops at a
+//!   time under that round's fault ([`run_noisy_ops_segmented`]);
+//!   per-round exactness properties are
 //!   identical to the offline sampler's (see `radqec_stabilizer`);
 //! * **tableau** — per-shot CHP replay through
 //!   [`run_noisy_shot_segmented`]: exact everywhere, the oracle
@@ -46,31 +46,32 @@
 //!   worker and reused across all rounds, chunks and sweep points
 //!   (re-initialisation replays the exact draw sequence of a fresh
 //!   buffer, so streams stay bit-identical; `tests/golden_stream.rs`).
-//! * **Decode-as-you-stream** — [`StreamEngine::round_stream`] is a
-//!   pull-based iterator that yields each syndrome round the moment its
-//!   ops have executed, and [`StreamEngine::for_each_round`] drives the
-//!   same incremental generator with self-scheduling workers over the
-//!   chunk grid (a work-stealing queue: idle workers pull the next
-//!   unclaimed chunk), overlapping generation of round `r+1` with the
-//!   consumer's processing of round `r`.
-//!   [`StreamEngine::stream_batches`] remains as a thin materialise-all
-//!   adapter over the same executor, so offline callers and the tableau
-//!   oracle path are untouched.
+//! * **Decode-as-you-stream** — one chunk generator hands out each
+//!   syndrome round the moment its ops have executed (the frame sampler
+//!   advances the executor one round at a time; the tableau oracle
+//!   replays the chunk's shots, then hands out its rounds), and one pool
+//!   of self-scheduling workers drives it over the chunk grid (a
+//!   work-stealing queue: idle workers pull the next unclaimed chunk),
+//!   overlapping generation of round `r+1` with the consumer's
+//!   processing of round `r`. Every public driver is a consumer of that
+//!   one path: [`StreamEngine::for_each_round`] and
+//!   [`StreamEngine::for_each_round_supervised`] slice each round into a
+//!   [`RoundSlice`], and [`StreamEngine::stream_batches`] collects each
+//!   chunk's finished record — on either sampler.
 //!
 //! ## Supervision
 //!
-//! Endurance campaigns (thousands of rounds, see
-//! [`crate::experiments::fleet`]) run on
-//! [`StreamEngine::for_each_round_supervised`], which wraps the same
-//! self-scheduling chunk driver in chunk-level fault isolation: a panic
-//! anywhere in one chunk's generation or sink is caught, the worker's
-//! workspace is quarantined (dropped, never pooled — a poisoned buffer
-//! cannot leak into later chunks), the chunk is retried once on a fresh
-//! workspace, and a second failure becomes a typed [`ChunkFailure`] in
-//! the returned [`CampaignReport`] instead of aborting the campaign.
-//! Chunk generation is deterministic per chunk index, so a clean retry
-//! is bit-identical to a never-failed run; the `skip` filter lets
-//! checkpointed campaigns replay exactly the missing chunks.
+//! Every chunk runs under chunk-level fault isolation: a panic anywhere
+//! in one chunk's generation or sink is caught, the worker's workspace is
+//! quarantined (dropped, never pooled — a poisoned buffer cannot leak
+//! into later chunks), and the chunk is retried once on a fresh
+//! workspace. A second failure becomes a typed [`ChunkFailure`] in the
+//! [`CampaignReport`] of [`StreamEngine::for_each_round_supervised`] —
+//! the driver endurance campaigns ([`crate::experiments::fleet`]) run on
+//! — and a panic carrying that failure's message from the drivers that
+//! return no report. Chunk generation is deterministic per chunk index,
+//! so a clean retry is bit-identical to a never-failed run; the `skip`
+//! filter lets checkpointed campaigns replay exactly the missing chunks.
 //!
 //! [`StreamEngine::stream_stats`] reports rounds generated, chunks stolen
 //! by secondary workers, workspace reuse rates, and the supervision
@@ -497,46 +498,30 @@ impl StreamEngineBuilder {
     /// process-wide context cache (one transpile per `(code, rounds,
     /// host)` target); custom topologies/placements build privately.
     pub fn build(self) -> StreamEngine {
-        let ctx = match self.host {
-            HostKind::Custom => Arc::new(StreamContext::build(
+        let cache = || context_cache().lock().unwrap_or_else(PoisonError::into_inner);
+        let key = (self.host != HostKind::Custom).then_some((
+            self.spec,
+            self.rounds,
+            self.final_readout,
+            self.host,
+        ));
+        let cached = key.and_then(|key| cache().get(&key).cloned());
+        let ctx = cached.unwrap_or_else(|| {
+            // Build outside the lock (transpilation is the slow part); last
+            // writer wins on a race, which only costs a duplicate build.
+            let ctx = Arc::new(StreamContext::build(
                 self.spec,
                 self.rounds,
                 self.final_readout,
                 self.topology,
                 self.initial_layout,
                 &self.transpile_opts,
-            )),
-            host => {
-                let key = (self.spec, self.rounds, self.final_readout, host);
-                let cached = context_cache()
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(&key)
-                    .cloned();
-                match cached {
-                    Some(ctx) => ctx,
-                    None => {
-                        // Build outside the lock (transpilation is the slow
-                        // part); last writer wins on a race, which only
-                        // costs a duplicate build.
-                        let ctx = Arc::new(StreamContext::build(
-                            self.spec,
-                            self.rounds,
-                            self.final_readout,
-                            self.topology,
-                            self.initial_layout,
-                            &self.transpile_opts,
-                        ));
-                        context_cache()
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .entry(key)
-                            .or_insert(ctx)
-                            .clone()
-                    }
-                }
+            ));
+            match key {
+                Some(key) => cache().entry(key).or_insert(ctx).clone(),
+                None => ctx,
             }
-        };
+        });
         // Resolve every metric handle once here: the hot path bumps the
         // returned `Arc<Counter>`s directly and never touches the
         // registry's name map again.
@@ -693,9 +678,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One syndrome round of one chunk, yielded by the incremental stream the
-/// moment its ops have executed: the raw (un-XORed) syndrome bit-planes
-/// of every stabilizer, 64 shots per word.
+/// One syndrome round of one chunk, handed to the round drivers' sinks
+/// the moment its ops have executed: the raw (un-XORed) syndrome
+/// bit-planes of every stabilizer, 64 shots per word.
 ///
 /// Rows are stabilizer-major and each `words()` long —
 /// `radqec_detect::EventAccumulator::push_round` consumes exactly this
@@ -995,37 +980,31 @@ impl StreamEngine {
         self.frame_chunk.min(self.shots - chunk * self.frame_chunk)
     }
 
-    /// Pop a pooled workspace (or start a fresh one). The pool lock
-    /// recovers from poisoning — a panicking worker caught by the
-    /// supervisor never pushes its (quarantined) workspace, so a poisoned
-    /// pool still holds only clean entries.
-    fn workspace(&self) -> StreamWorkspace {
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default()
-    }
-
-    /// Return a workspace to the pool — unless its chunk is still marked
-    /// in flight, in which case its owner abandoned it mid-stream (a
-    /// caught panic) and it is quarantined: dropped here, counted in
-    /// [`StreamStats::workspaces_quarantined`], never reused.
-    fn pool(&self, ws: StreamWorkspace) {
-        if ws.in_flight() {
-            self.workspaces_quarantined.inc();
-            return;
-        }
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).push(ws);
-    }
-
     /// Stream one campaign: every shot's full multi-round record, as
-    /// bit-packed batches on the engine's chunk grid (chunk-parallel on
-    /// the frame sampler, shot-parallel on the tableau oracle). A thin
-    /// materialise-everything adapter over the incremental generator —
-    /// batches are bit-identical to the round-by-round feed.
+    /// bit-packed batches on the engine's chunk grid. A collect over the
+    /// round driver — each chunk's record is taken once its last round
+    /// has run — so batches are bit-identical to the round-by-round feed.
+    ///
+    /// # Panics
+    /// Panics on an invalid `fault` (see [`StreamEngine::round_faults`])
+    /// and with the [`ChunkFailure`] message when a chunk fails twice.
     pub fn stream_batches(&self, fault: &StreamFault, noise: &NoiseSpec) -> Vec<ShotBatch> {
-        let faults = self.round_faults(fault);
-        match self.sampler {
-            SamplerKind::FrameBatch => self.frame_stream(&faults, noise),
-            SamplerKind::Tableau => self.tableau_stream(&faults, noise),
-        }
+        let last = self.rounds() - 1;
+        let batches = Mutex::new(vec![None; self.num_chunks()]);
+        let report = self.run_chunks(
+            &self.round_faults(fault),
+            noise,
+            |_| false,
+            |chunk, r, rec| {
+                if r == last {
+                    let rec = rec.clone();
+                    batches.lock().unwrap_or_else(PoisonError::into_inner)[chunk] = Some(rec);
+                }
+            },
+        );
+        expect_clean(&report);
+        let batches = batches.into_inner().unwrap_or_else(PoisonError::into_inner);
+        batches.into_iter().map(|b| b.expect("a clean campaign completes every chunk")).collect()
     }
 
     /// Segment timeline over the transpiled op stream. The first segment is
@@ -1088,73 +1067,64 @@ impl StreamEngine {
         }
     }
 
-    /// Generate every round of frame chunk `chunk` into `ws`, invoking
-    /// `sink` as each round's ops complete. Returns the finished record
-    /// by leaving it in the workspace (callers clone or slice it).
-    fn frame_chunk_rounds(
+    /// Generate chunk `chunk` round by round, handing `on_round` each
+    /// round's index and the chunk record as soon as that round is in it.
+    /// The frame sampler advances the executor one round's ops at a time
+    /// in `ws`, on the chunk's own RNG stream; the tableau oracle
+    /// (`reference == None`) replays the chunk's shots first, then hands
+    /// out its rounds. Every handed-out round is one `stream.round_ns`
+    /// sample, sink included.
+    fn chunk_rounds(
         &self,
         chunk: usize,
         faults: &[ActiveFault],
         noise: &NoiseSpec,
-        reference: &ReferenceTrace,
+        reference: Option<&ReferenceTrace>,
         ws: &mut StreamWorkspace,
-        mut sink: impl FnMut(RoundSlice),
+        mut on_round: impl FnMut(usize, &ShotBatch),
     ) {
-        let circuit = &self.ctx.transpiled.circuit;
-        let n_phys = self.ctx.topology.num_qubits() as usize;
-        let width = self.chunk_width(chunk);
-        let segments = self.segments(faults);
-        let mut rng = self.chunk_rng(chunk);
-        ws.begin_chunk(circuit, n_phys, width, &mut rng);
-        for r in 0..self.rounds() {
-            let round_span = SpanTimer::start(&self.round_ns);
-            let generate_span = SpanTimer::start(&self.generate_ns);
-            let (frame, record, mask) = ws.parts(width.div_ceil(64));
-            run_noisy_ops_segmented(
-                circuit,
-                reference,
-                frame,
-                noise,
-                &segments,
-                self.round_ops(r),
-                record,
-                mask,
-                &mut rng,
-            );
-            generate_span.finish();
-            sink(self.round_slice(chunk, r, record));
-            round_span.finish();
+        match reference {
+            Some(reference) => {
+                let circuit = &self.ctx.transpiled.circuit;
+                let n_phys = self.ctx.topology.num_qubits() as usize;
+                let width = self.chunk_width(chunk);
+                let mut rng = self.chunk_rng(chunk);
+                ws.begin_chunk(circuit, n_phys, width, &mut rng);
+                for (r, fault) in faults.iter().enumerate() {
+                    let round_span = SpanTimer::start(&self.round_ns);
+                    let generate_span = SpanTimer::start(&self.generate_ns);
+                    let (frame, record, mask) = ws.parts(width.div_ceil(64));
+                    // Every op of round `r` runs under that round's fault, so
+                    // a one-segment timeline replays the chunk's timeline
+                    // exactly, without rescanning all of it every round.
+                    run_noisy_ops_segmented(
+                        circuit,
+                        reference,
+                        frame,
+                        noise,
+                        &[(0, fault)],
+                        self.round_ops(r),
+                        record,
+                        mask,
+                        &mut rng,
+                    );
+                    generate_span.finish();
+                    on_round(r, record);
+                    round_span.finish();
+                }
+                ws.finish_chunk();
+            }
+            None => {
+                let batch = self.tableau_chunk(chunk, faults, noise);
+                for r in 0..self.rounds() {
+                    let round_span = SpanTimer::start(&self.round_ns);
+                    on_round(r, &batch);
+                    round_span.finish();
+                }
+            }
         }
-        ws.finish_chunk();
         self.rounds_generated.add(self.rounds() as u64);
         self.chunks_generated.inc();
-    }
-
-    /// Materialised frame path: chunk-parallel whole-circuit execution on
-    /// pooled workspaces (bit-identical to the incremental path).
-    fn frame_stream(&self, faults: &[ActiveFault], noise: &NoiseSpec) -> Vec<ShotBatch> {
-        let circuit = &self.ctx.transpiled.circuit;
-        let n_phys = self.ctx.topology.num_qubits() as usize;
-        let reference = self.ctx.reference(self.reference_seed());
-        (0..self.num_chunks())
-            .into_par_iter()
-            .map(|chunk| {
-                let width = self.chunk_width(chunk);
-                let segments = self.segments(faults);
-                let mut rng = self.chunk_rng(chunk);
-                let mut ws = self.workspace();
-                let batch =
-                    ws.run_chunk(circuit, &reference, noise, &segments, n_phys, width, &mut rng);
-                self.rounds_generated.add(self.rounds() as u64);
-                self.chunks_generated.inc();
-                self.pool(ws);
-                batch
-            })
-            .collect()
-    }
-
-    fn tableau_stream(&self, faults: &[ActiveFault], noise: &NoiseSpec) -> Vec<ShotBatch> {
-        (0..self.num_chunks()).map(|chunk| self.tableau_chunk(chunk, faults, noise)).collect()
     }
 
     /// One tableau-oracle chunk: per-shot CHP replay (shot-parallel).
@@ -1187,132 +1157,37 @@ impl StreamEngine {
                 }
             }
         }
-        self.rounds_generated.add(self.rounds() as u64);
-        self.chunks_generated.inc();
         batch
     }
 
-    /// The pull-based incremental stream: an iterator yielding each
-    /// chunk's rounds **as they are generated** (chunk-major, rounds in
-    /// order within a chunk). On the frame sampler each `next()` advances
-    /// the executor by exactly one round's ops; the tableau oracle
-    /// generates a chunk per shot on chunk entry and slices it (the
-    /// oracle is for cross-validation, not throughput). Streams are
-    /// bit-identical to [`StreamEngine::stream_batches`].
-    pub fn round_stream<'e>(&'e self, fault: &StreamFault, noise: &NoiseSpec) -> RoundStream<'e> {
-        RoundStream {
-            engine: self,
-            faults: self.round_faults(fault),
-            noise: *noise,
-            reference: match self.sampler {
-                SamplerKind::FrameBatch => Some(self.ctx.reference(self.reference_seed())),
-                SamplerKind::Tableau => None,
-            },
-            ws: self.workspace(),
-            rng: StdRng::seed_from_u64(0),
-            tableau_batch: None,
-            chunk: 0,
-            round: 0,
-        }
-    }
-
-    /// Drive the incremental stream with self-scheduling workers over the
-    /// chunk grid: each worker claims the next unclaimed chunk (a
-    /// work-stealing queue — no fixed pre-partition), generates it round
-    /// by round and hands every finished round to `sink` immediately, so
-    /// generation of round `r+1` overlaps the consumer's work on round
-    /// `r`. Rounds of one chunk arrive in order from one worker; rounds
-    /// of different chunks interleave arbitrarily.
-    ///
-    /// Frame sampler only — the tableau oracle materialises per shot, so
-    /// its round feed goes through [`StreamEngine::round_stream`].
-    pub fn for_each_round<F>(&self, fault: &StreamFault, noise: &NoiseSpec, sink: F)
-    where
-        F: Fn(RoundSlice) + Sync,
-    {
-        assert_eq!(
-            self.sampler,
-            SamplerKind::FrameBatch,
-            "for_each_round drives the frame sampler; use round_stream for the oracle"
-        );
-        let faults = self.round_faults(fault);
-        let reference = self.ctx.reference(self.reference_seed());
-        let chunks = self.num_chunks();
-        let next = AtomicUsize::new(0);
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(chunks);
-        let run_worker = |worker: usize| {
-            let mut ws = self.workspace();
-            let mut claimed = 0u64;
-            loop {
-                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                if chunk >= chunks {
-                    break;
-                }
-                claimed += 1;
-                self.frame_chunk_rounds(chunk, &faults, noise, &reference, &mut ws, &sink);
-            }
-            if worker > 0 {
-                self.chunks_stolen.add(claimed);
-            }
-            self.pool(ws);
-        };
-        if workers <= 1 {
-            run_worker(0);
-        } else {
-            std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(worker));
-                }
-            });
-        }
-    }
-
-    /// [`StreamEngine::for_each_round`] with chunk-level fault isolation:
-    /// a panic anywhere inside one chunk's generation or `sink` calls is
-    /// caught, the worker's workspace is quarantined (dropped, never
-    /// pooled), and the chunk is retried once on a fresh workspace before
-    /// being recorded as a [`ChunkFailure`] — one poisoned chunk costs its
-    /// own shots, not the campaign.
-    ///
-    /// A retried chunk **re-delivers its rounds from round 0**: sinks must
-    /// reset any per-chunk accumulation when `slice.round == 0` (the
-    /// natural shape for per-chunk consumers anyway). Chunk generation is
-    /// deterministic per chunk index ([`StreamEngine::chunk_rng`]), so the
-    /// retry replays identical shots and a clean retry is bit-identical to
-    /// a never-failed run.
-    ///
-    /// `skip` excludes chunks wholesale (they are counted, never
-    /// generated) — checkpoint resume passes the set of chunks already
-    /// merged, making a killed-and-resumed campaign replay exactly the
-    /// missing chunk indices.
-    pub fn for_each_round_supervised<F>(
+    /// The one worker loop behind every driver: self-scheduling workers
+    /// claim the next unclaimed chunk (a work-stealing queue, no fixed
+    /// pre-partition) and run [`StreamEngine::chunk_rounds`] on it under
+    /// the supervision of [`StreamEngine::for_each_round_supervised`],
+    /// handing `on_round` the chunk index, round index and chunk record.
+    fn run_chunks(
         &self,
-        fault: &StreamFault,
+        faults: &[ActiveFault],
         noise: &NoiseSpec,
         skip: impl Fn(usize) -> bool + Sync,
-        sink: F,
-    ) -> Result<CampaignReport, StreamFaultError>
-    where
-        F: Fn(RoundSlice) + Sync,
-    {
-        assert_eq!(
-            self.sampler,
-            SamplerKind::FrameBatch,
-            "for_each_round_supervised drives the frame sampler; use round_stream for the oracle"
-        );
-        let faults = self.try_round_faults(fault)?;
-        let reference = self.ctx.reference(self.reference_seed());
+        on_round: impl Fn(usize, usize, &ShotBatch) + Sync,
+    ) -> CampaignReport {
+        let reference = match self.sampler {
+            SamplerKind::FrameBatch => Some(self.ctx.reference(self.reference_seed())),
+            SamplerKind::Tableau => None,
+        };
         let chunks = self.num_chunks();
         let next = AtomicUsize::new(0);
-        let completed = AtomicU64::new(0);
         let skipped = AtomicU64::new(0);
-        let quarantined = AtomicU64::new(0);
         let retries: Mutex<Vec<RetryRecord>> = Mutex::new(Vec::new());
         let failures: Mutex<Vec<ChunkFailure>> = Mutex::new(Vec::new());
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(chunks);
+        // The pool lock recovers from poisoning: a workspace abandoned by
+        // a caught panic is dropped, never pushed, so the pool only ever
+        // holds clean entries.
+        let pool = || self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
         let run_worker = |worker: usize| {
-            let mut ws = Some(self.workspace());
+            let mut ws = pool().pop();
             let mut claimed = 0u64;
             loop {
                 let chunk = next.fetch_add(1, Ordering::Relaxed);
@@ -1330,15 +1205,21 @@ impl StreamEngine {
                     // panic can be stamped with the round it interrupted.
                     let rounds_delivered = Cell::new(0u64);
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        self.frame_chunk_rounds(chunk, &faults, noise, &reference, &mut w, |s| {
-                            sink(s);
-                            rounds_delivered.set(rounds_delivered.get() + 1);
-                        });
+                        self.chunk_rounds(
+                            chunk,
+                            faults,
+                            noise,
+                            reference.as_deref(),
+                            &mut w,
+                            |round, record| {
+                                on_round(chunk, round, record);
+                                rounds_delivered.set(rounds_delivered.get() + 1);
+                            },
+                        );
                     }));
                     match outcome {
                         Ok(()) => {
                             ws = Some(w);
-                            completed.fetch_add(1, Ordering::Relaxed);
                             break;
                         }
                         Err(payload) => {
@@ -1346,7 +1227,6 @@ impl StreamEngine {
                             // quarantine it (drop, never pool).
                             drop(w);
                             let round = rounds_delivered.get();
-                            quarantined.fetch_add(1, Ordering::Relaxed);
                             self.workspaces_quarantined.inc();
                             self.recorder.record(round, FlightEvent::ChunkQuarantined { chunk });
                             if attempt == 0 {
@@ -1372,110 +1252,93 @@ impl StreamEngine {
             if worker > 0 {
                 self.chunks_stolen.add(claimed);
             }
-            if let Some(w) = ws {
-                self.pool(w);
-            }
+            pool().extend(ws); // `None` after a final failed attempt
         };
-        if workers <= 1 {
+        // The calling thread is worker 0; the rest are spawned.
+        std::thread::scope(|scope| {
+            for worker in 1..workers {
+                let run_worker = &run_worker;
+                scope.spawn(move || run_worker(worker));
+            }
             run_worker(0);
-        } else {
-            std::thread::scope(|scope| {
-                for worker in 0..workers {
-                    let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(worker));
-                }
-            });
-        }
+        });
         let mut failures = failures.into_inner().unwrap_or_else(PoisonError::into_inner);
         failures.sort_by_key(|f| f.chunk);
         let mut retries = retries.into_inner().unwrap_or_else(PoisonError::into_inner);
         retries.sort_by_key(|r| r.chunk);
-        Ok(CampaignReport {
-            chunks_completed: completed.into_inner(),
-            chunks_skipped: skipped.into_inner(),
+        // Every non-skipped chunk completes or fails, and every caught
+        // panic quarantined one workspace and became a retry or a failure.
+        let skipped = skipped.into_inner();
+        CampaignReport {
+            chunks_completed: chunks as u64 - skipped - failures.len() as u64,
+            chunks_skipped: skipped,
             chunk_retries: retries.len() as u64,
-            workspaces_quarantined: quarantined.into_inner(),
+            workspaces_quarantined: (retries.len() + failures.len()) as u64,
             retries,
             failures,
-        })
+        }
+    }
+
+    /// Stream one campaign round by round: every finished round of every
+    /// chunk goes to `sink` as a [`RoundSlice`] the moment its ops have
+    /// run, so generation of round `r+1` overlaps the consumer's work on
+    /// round `r`. Rounds of one chunk arrive in order from one worker;
+    /// rounds of different chunks interleave arbitrarily. Serves both
+    /// samplers, bit-identical to [`StreamEngine::stream_batches`]. This
+    /// is [`StreamEngine::for_each_round_supervised`] with nothing skipped.
+    ///
+    /// # Panics
+    /// Panics on an invalid `fault` (see [`StreamEngine::round_faults`])
+    /// and with the [`ChunkFailure`] message when a chunk fails twice.
+    pub fn for_each_round<F>(&self, fault: &StreamFault, noise: &NoiseSpec, sink: F)
+    where
+        F: Fn(RoundSlice) + Sync,
+    {
+        let report = self
+            .for_each_round_supervised(fault, noise, |_| false, sink)
+            .unwrap_or_else(|e| panic!("{e}"));
+        expect_clean(&report);
+    }
+
+    /// [`StreamEngine::for_each_round`] with its supervision made visible:
+    /// a panic anywhere inside one chunk's generation or `sink` calls is
+    /// caught, the worker's workspace is quarantined (dropped, never
+    /// pooled), and the chunk is retried once on a fresh workspace before
+    /// being recorded as a [`ChunkFailure`] in the returned report.
+    ///
+    /// A retried chunk **re-delivers its rounds from round 0**: sinks must
+    /// reset any per-chunk accumulation when `slice.round == 0` (the
+    /// natural shape for per-chunk consumers anyway). Chunk generation is
+    /// deterministic per chunk index (one RNG stream per chunk), so the
+    /// retry replays identical shots and a clean retry is bit-identical to
+    /// a never-failed run.
+    ///
+    /// `skip` excludes chunks wholesale (they are counted, never
+    /// generated) — checkpoint resume passes the set of chunks already
+    /// merged, making a killed-and-resumed campaign replay exactly the
+    /// missing chunk indices.
+    pub fn for_each_round_supervised<F>(
+        &self,
+        fault: &StreamFault,
+        noise: &NoiseSpec,
+        skip: impl Fn(usize) -> bool + Sync,
+        sink: F,
+    ) -> Result<CampaignReport, StreamFaultError>
+    where
+        F: Fn(RoundSlice) + Sync,
+    {
+        let faults = self.try_round_faults(fault)?;
+        Ok(self.run_chunks(&faults, noise, skip, |chunk, round, record| {
+            sink(self.round_slice(chunk, round, record))
+        }))
     }
 }
 
-/// Iterator over the rounds of a streaming campaign (see
-/// [`StreamEngine::round_stream`]).
-pub struct RoundStream<'e> {
-    engine: &'e StreamEngine,
-    faults: Vec<ActiveFault>,
-    noise: NoiseSpec,
-    /// Frame path only; `None` on the tableau oracle.
-    reference: Option<Arc<ReferenceTrace>>,
-    ws: StreamWorkspace,
-    rng: StdRng,
-    /// Tableau path: the current chunk's materialised batch.
-    tableau_batch: Option<ShotBatch>,
-    chunk: usize,
-    round: usize,
-}
-
-impl Iterator for RoundStream<'_> {
-    type Item = RoundSlice;
-
-    fn next(&mut self) -> Option<RoundSlice> {
-        let engine = self.engine;
-        if self.chunk >= engine.num_chunks() {
-            return None;
-        }
-        let slice = match &self.reference {
-            Some(reference) => {
-                let circuit = &engine.ctx.transpiled.circuit;
-                let width = engine.chunk_width(self.chunk);
-                if self.round == 0 {
-                    self.rng = engine.chunk_rng(self.chunk);
-                    let n_phys = engine.ctx.topology.num_qubits() as usize;
-                    self.ws.begin_chunk(circuit, n_phys, width, &mut self.rng);
-                }
-                let segments = engine.segments(&self.faults);
-                let (frame, record, mask) = self.ws.parts(width.div_ceil(64));
-                run_noisy_ops_segmented(
-                    circuit,
-                    reference,
-                    frame,
-                    &self.noise,
-                    &segments,
-                    engine.round_ops(self.round),
-                    record,
-                    mask,
-                    &mut self.rng,
-                );
-                engine.rounds_generated.inc();
-                engine.round_slice(self.chunk, self.round, record)
-            }
-            None => {
-                if self.tableau_batch.is_none() {
-                    self.tableau_batch =
-                        Some(engine.tableau_chunk(self.chunk, &self.faults, &self.noise));
-                }
-                let batch = self.tableau_batch.as_ref().expect("chunk just materialised");
-                engine.round_slice(self.chunk, self.round, batch)
-            }
-        };
-        self.round += 1;
-        if self.round == engine.rounds() {
-            self.round = 0;
-            self.chunk += 1;
-            self.tableau_batch = None;
-            if self.reference.is_some() {
-                self.ws.finish_chunk();
-                engine.chunks_generated.inc();
-            }
-        }
-        Some(slice)
-    }
-}
-
-impl Drop for RoundStream<'_> {
-    fn drop(&mut self) {
-        self.engine.pool(std::mem::take(&mut self.ws));
+/// The reportless drivers' contract for a chunk that failed both of its
+/// attempts: panic with the failure's message.
+fn expect_clean(report: &CampaignReport) {
+    if let Some(failure) = report.failures.first() {
+        panic!("{failure}");
     }
 }
 
@@ -1664,13 +1527,18 @@ mod tests {
         }
     }
 
-    /// Reassemble batches from a round feed and compare bit-for-bit with
-    /// the materialised path.
-    fn assert_feed_matches_batches(engine: &StreamEngine, fault: &StreamFault, noise: &NoiseSpec) {
-        let batches = engine.stream_batches(fault, noise);
+    /// Compare a round feed bit-for-bit with the materialised batches:
+    /// each of `copies` runs delivered every round of every chunk, with
+    /// identical syndrome rows.
+    fn assert_feed_matches_batches(
+        engine: &StreamEngine,
+        batches: &[ShotBatch],
+        feed: Vec<RoundSlice>,
+        copies: usize,
+    ) {
         let spec = engine.stream_spec();
         let mut seen = vec![0usize; batches.len()];
-        for slice in engine.round_stream(fault, noise) {
+        for slice in feed {
             let batch = &batches[slice.chunk];
             assert_eq!(slice.shots, batch.shots());
             assert_eq!(slice.words(), batch.words());
@@ -1685,12 +1553,12 @@ mod tests {
             }
             seen[slice.chunk] += 1;
         }
-        assert!(seen.iter().all(|&n| n == engine.rounds()), "rounds missing: {seen:?}");
+        assert!(seen.iter().all(|&n| n == copies * engine.rounds()), "rounds missing: {seen:?}");
     }
 
     #[test]
     fn round_stream_is_bit_identical_to_materialised_batches() {
-        let fault = StreamFault::Strike { model: RadiationModel::default(), root: 2 };
+        let strike = StreamFault::Strike { model: RadiationModel::default(), root: 2 };
         let noise = NoiseSpec::paper_default();
         for sampler in [SamplerKind::FrameBatch, SamplerKind::Tableau] {
             let engine = StreamEngine::builder(XxzzCode::new(3, 3).into(), 5)
@@ -1700,8 +1568,18 @@ mod tests {
                 .sampler(sampler)
                 .native()
                 .build();
-            assert_feed_matches_batches(&engine, &fault, &noise);
-            assert_feed_matches_batches(&engine, &StreamFault::None, &noise);
+            for fault in [&strike, &StreamFault::None] {
+                let batches = engine.stream_batches(fault, &noise);
+                // Both round drivers feed one collector.
+                let feed = Mutex::new(Vec::new());
+                let sink = |slice: RoundSlice| feed.lock().unwrap().push(slice);
+                engine.for_each_round(fault, &noise, sink);
+                let report = engine.for_each_round_supervised(fault, &noise, |_| false, sink);
+                let report = report.unwrap();
+                assert!(report.is_clean() && report.chunk_retries == 0, "{sampler:?}: {report:?}");
+                assert_eq!(report.chunks_completed, batches.len() as u64);
+                assert_feed_matches_batches(&engine, &batches, feed.into_inner().unwrap(), 2);
+            }
         }
     }
 

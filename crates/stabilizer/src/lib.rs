@@ -7,7 +7,7 @@
 //! under depolarizing Pauli noise and radiation-induced reset faults — is a
 //! Clifford circuit, so this backend simulates them *exactly*, with `O(n)`
 //! cost per gate and `O(n²)` per measurement. This is the substitution for
-//! the Qiskit Aer simulator used by the paper (see `DESIGN.md` §1).
+//! the Qiskit Aer simulator used by the paper.
 //!
 //! The crate exposes:
 //! * [`Tableau`] — the raw CHP tableau with per-gate methods;

@@ -2,7 +2,7 @@
 //! analysis (Sec. V-D, Fig. 8).
 //!
 //! Edge lists are reconstructed from the publicly documented coupling maps
-//! of the retired IBM Quantum backends (see `DESIGN.md` §1, substitutions).
+//! of the retired IBM Quantum backends.
 //! What the experiments consume is the degree/distance structure:
 //! * Almaden / Johannesburg — 20-qubit "Penguin" grids with sparse verticals;
 //! * Cairo — 27-qubit Falcon heavy-hex;

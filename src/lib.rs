@@ -5,9 +5,9 @@
 //! *"On the Efficacy of Surface Codes in Compensating for Radiation Events
 //! in Superconducting Devices"* (Vallero et al., SC 2024).
 //!
-//! Re-exports every sub-crate under a stable module path. See the workspace
-//! `README.md` for the architecture overview and `DESIGN.md` for the full
-//! system inventory.
+//! Re-exports the library crates under a stable module path. The dense
+//! state-vector simulator (`radqec-statevector`) is a test oracle only and
+//! is not re-exported.
 //!
 //! ```
 //! use radqec::prelude::*;
@@ -32,7 +32,6 @@ pub use radqec_detect as detect;
 pub use radqec_matching as matching;
 pub use radqec_noise as noise;
 pub use radqec_stabilizer as stabilizer;
-pub use radqec_statevector as statevector;
 pub use radqec_telemetry as telemetry;
 pub use radqec_topology as topology;
 pub use radqec_transpiler as transpiler;

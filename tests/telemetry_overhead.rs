@@ -75,21 +75,20 @@ fn streams_are_bit_identical_with_telemetry_on_and_off() {
     assert_eq!(on, 0x96537066b4044398, "stream drifted from the golden digest");
 }
 
-#[test]
-fn warm_campaigns_allocate_no_workspaces_with_telemetry_on() {
+/// Run one cold and three warm campaigns through `campaign` with
+/// telemetry on, then check the warm ones allocated zero new workspace
+/// buffers and every generated round landed one sample in the round
+/// histogram.
+fn assert_warm_campaigns_are_instrumented(campaign: impl Fn(&StreamEngine)) {
     let _lock = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = EnabledGuard;
     radqec_telemetry::set_enabled(true);
     let engine = engine();
-    let fault = StreamFault::Strike { model: RadiationModel::default(), root: 2 };
-    let noise = NoiseSpec::paper_default();
-    // The incremental round driver is the instrumented hot path (round +
-    // generate spans per chunk-round); drive it for every campaign.
-    engine.for_each_round(&fault, &noise, |_slice| {});
+    campaign(&engine);
     let warm = engine.stream_stats().workspace_allocations;
     assert!(warm > 0, "first campaign must allocate the pool");
     for _ in 0..3 {
-        engine.for_each_round(&fault, &noise, |_slice| {});
+        campaign(&engine);
     }
     let after = engine.stream_stats();
     assert_eq!(
@@ -97,13 +96,31 @@ fn warm_campaigns_allocate_no_workspaces_with_telemetry_on() {
         "telemetry-on warm campaigns must allocate exactly zero new buffers"
     );
     assert!(after.workspace_reuses > 0, "warm campaigns reuse the pool");
-    // The instrumented campaigns actually recorded: every generated round
-    // landed one sample in the round histogram.
     let snap = engine.metrics_snapshot();
     let rounds = snap.counter(names::STREAM_ROUNDS_GENERATED);
     assert!(rounds > 0);
     let hist = snap.histogram(names::STREAM_ROUND_NS).expect("round spans recorded");
     assert_eq!(hist.count(), rounds, "one round-latency sample per generated round");
+}
+
+#[test]
+fn warm_campaigns_allocate_no_workspaces_with_telemetry_on() {
+    let fault = StreamFault::Strike { model: RadiationModel::default(), root: 2 };
+    let noise = NoiseSpec::paper_default();
+    assert_warm_campaigns_are_instrumented(|engine| {
+        engine.for_each_round(&fault, &noise, |_slice| {});
+    });
+}
+
+#[test]
+fn warm_stream_batches_campaigns_are_instrumented_like_the_round_feed() {
+    // `stream_batches` collects over the same round driver, so it samples
+    // every round and reuses the pool exactly like `for_each_round`.
+    let fault = StreamFault::Strike { model: RadiationModel::default(), root: 2 };
+    let noise = NoiseSpec::paper_default();
+    assert_warm_campaigns_are_instrumented(|engine| {
+        std::hint::black_box(engine.stream_batches(&fault, &noise));
+    });
 }
 
 #[test]
