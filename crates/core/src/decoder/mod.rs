@@ -39,16 +39,19 @@
 //! 4. **Cross-batch cache** — wider patterns: an engine-owned, sharded,
 //!    approximately-LRU map from defect pattern to `flip`, shared across
 //!    batches, rayon chunks and temporal samples of a campaign.
-//! 5. **Blossom fallback** — anything still unanswered runs the exact
-//!    matcher via the same [`matching_flip`](MwpmDecoder) core
+//! 5. **Exact-matcher fallback** — anything still unanswered runs the
+//!    exact matcher via the same [`matching_flip`](MwpmDecoder) core
 //!    `MwpmDecoder` uses, with a scratch arena
 //!    ([`radqec_matching::MatchingArena`]) so repeated solves stop
-//!    allocating; the result populates the LUT/cache.
+//!    allocating; the result populates the LUT/cache. The arena solves
+//!    small defect sets (up to a dozen) by subset DP and the rest, or any
+//!    tied optimum, by blossom; a unique optimum is the same whichever
+//!    solver finds it, so this tier returns blossom's answer either way.
 //!
 //! # Decode deadlines and graceful degradation
 //!
 //! Fleet endurance campaigns cannot let one pathological syndrome stall a
-//! round stream, so the blossom fallback runs under a per-shot budget
+//! round stream, so the exact-matcher fallback runs under a per-shot budget
 //! ([`TierConfig::deadline`], scaled to `deadline × shots` per batch).
 //! While the budget lasts, every heavy shot gets the exact matcher and its
 //! solve time is charged against the pool; once spent, remaining heavy
@@ -110,7 +113,9 @@ pub use bulk::{
 pub use graph::{DetectorGraph, DetectorNode, EdgeKind};
 pub use mask::{DecoderMask, MASK_BASE_WEIGHT, MASK_REF_PROB};
 pub use mwpm::MwpmDecoder;
-pub use spacetime::{ReplicaState, SpaceTimeDecoder, SpaceTimeScratch, WindowConfig};
+pub use spacetime::{
+    ReplicaState, SpaceTimeDecoder, SpaceTimeScratch, WindowConfig, WindowConfigError,
+};
 pub use stream::{StreamDecodeReport, StreamDecoder, StreamDecoderConfig};
 pub use union_find::UnionFindDecoder;
 

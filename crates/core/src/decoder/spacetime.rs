@@ -13,7 +13,9 @@
 //! Defects (detection events) enter a replica's pending set as rounds
 //! arrive. Whenever the pending window spans `W` layers — and more rounds
 //! are still to come — the decoder solves that window with the exact
-//! blossom matcher and *commits the oldest `C` layers*:
+//! matcher ([`MatchingArena::match_defects`]: subset DP for small defect
+//! sets with a unique optimum, blossom otherwise, the same answer either
+//! way) and *commits the oldest `C` layers*:
 //!
 //! * every defect inside the commit region has its match **finalized** —
 //!   boundary matches and commit–commit pairs contribute their crossing
@@ -43,7 +45,7 @@
 //!
 //! Window solves run on [`SolveCore`]s over multi-layer
 //! [`DetectorGraph::space_time`] graphs — the same LUT / analytic /
-//! sharded-cache / blossom cascade as the bulk decoder, interned per
+//! sharded-cache / exact-matcher cascade as the bulk decoder, interned per
 //! `(window layers, mask)` pair, so warm windows decode from a table
 //! lookup. Mid-stream windows (which must also report *survivors*, not
 //! just a flip) memoise full outcomes per defect pattern in a per-context
@@ -58,6 +60,7 @@
 //!
 //! [`BulkDecoder`]: crate::decoder::BulkDecoder
 //! [`MatchingArena`]: radqec_matching::MatchingArena
+//! [`MatchingArena::match_defects`]: radqec_matching::MatchingArena::match_defects
 
 use super::bulk::{Ctx, LocalStats, SolveCore, StatCells};
 use super::graph::DetectorGraph;
@@ -68,6 +71,7 @@ use crate::codes::MemoryCircuit;
 use radqec_matching::DefectMatch;
 use radqec_telemetry::MetricsRegistry;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Ceiling on memoised mid-stream window outcomes per context; reaching
@@ -84,15 +88,56 @@ pub struct WindowConfig {
     pub commit: usize,
 }
 
+/// A `(window, commit)` pair [`WindowConfig::try_new`] rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowConfigError {
+    /// `commit` is zero: a solve that retires no layer never advances.
+    ZeroCommit,
+    /// `commit` exceeds `window`: a solve cannot retire layers it did not
+    /// see.
+    CommitExceedsWindow {
+        /// The requested commit region `C`.
+        commit: usize,
+        /// The requested window `W`.
+        window: usize,
+    },
+}
+
+impl fmt::Display for WindowConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WindowConfigError::ZeroCommit => {
+                write!(f, "commit region must span at least one layer")
+            }
+            WindowConfigError::CommitExceedsWindow { commit, window } => {
+                write!(f, "commit {commit} exceeds window {window}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WindowConfigError {}
+
 impl WindowConfig {
     /// A `(window, commit)` configuration.
     ///
     /// # Panics
-    /// Panics unless `1 ≤ commit ≤ window`.
+    /// Panics unless `1 ≤ commit ≤ window`; [`WindowConfig::try_new`]
+    /// returns the reason as a typed error instead.
     pub fn new(window: usize, commit: usize) -> Self {
-        assert!(commit >= 1, "commit region must span at least one layer");
-        assert!(commit <= window, "commit {commit} exceeds window {window}");
-        WindowConfig { window, commit }
+        Self::try_new(window, commit).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A `(window, commit)` configuration, or the reason it is invalid
+    /// unless `1 ≤ commit ≤ window`.
+    pub fn try_new(window: usize, commit: usize) -> Result<Self, WindowConfigError> {
+        if commit == 0 {
+            return Err(WindowConfigError::ZeroCommit);
+        }
+        if commit > window {
+            return Err(WindowConfigError::CommitExceedsWindow { commit, window });
+        }
+        Ok(WindowConfig { window, commit })
     }
 
     /// The whole-history configuration (`W = C = detector_rounds`): one
@@ -582,6 +627,28 @@ mod tests {
         (0..detector_rounds)
             .map(|_| (0..primary).filter(|_| rng.gen_bool(density)).collect())
             .collect()
+    }
+
+    #[test]
+    fn window_config_rejects_bad_geometry_with_typed_errors() {
+        assert_eq!(WindowConfig::try_new(4, 0), Err(WindowConfigError::ZeroCommit));
+        let err = WindowConfig::try_new(4, 5).unwrap_err();
+        assert_eq!(err, WindowConfigError::CommitExceedsWindow { commit: 5, window: 4 });
+        assert_eq!(err.to_string(), "commit 5 exceeds window 4");
+        assert_eq!(WindowConfig::try_new(4, 4), Ok(WindowConfig { window: 4, commit: 4 }));
+        assert_eq!(WindowConfig::try_new(6, 2), Ok(WindowConfig::new(6, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "commit region must span at least one layer")]
+    fn window_config_new_panics_on_zero_commit() {
+        WindowConfig::new(4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "commit 5 exceeds window 4")]
+    fn window_config_new_panics_when_commit_exceeds_window() {
+        WindowConfig::new(4, 5);
     }
 
     #[test]

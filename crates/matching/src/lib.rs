@@ -7,12 +7,27 @@
 //!   `max_weight_matching` used by the paper via qtcodes), with integer
 //!   weights and exact integral duals;
 //! * [`min_weight_perfect_matching`] — MWPM by weight reflection;
-//! * [`match_defects`] — the virtual-boundary reduction that pairs
-//!   surface-code defects with each other or the lattice boundary;
+//! * [`match_defects`] — pairs surface-code defects with each other or the
+//!   lattice boundary, by subset DP for small defect sets and by the
+//!   virtual-boundary blossom reduction otherwise (see below);
 //! * [`min_weight_perfect_matching_dp`] — an independent `O(2ⁿ·n)` oracle
 //!   used to validate the blossom solver in property tests;
 //! * [`MatchingArena`] / [`BlossomScratch`] — allocation-reusing variants of
 //!   the entry points above for decoding hot loops (bit-identical results).
+//!
+//! ## Small defect sets
+//!
+//! Decoders call [`MatchingArena::match_defects`] mostly on a handful of
+//! defects, where blossom's `2k`-vertex reduction costs far more than the
+//! problem needs. Up to a dozen defects the arena first runs an exact
+//! subset DP: the minimum weight `f(S)` of a defect set `S` is the best of
+//! sending its lowest defect `i` to the boundary, `b(i) + f(S∖i)`, or
+//! pairing it with some `j ∈ S`, `w(i, j) + f(S∖{i, j})`. The DP also
+//! checks that its optimum is unique. A unique optimum is the answer of
+//! every exact solver, blossom included, so returning it changes no
+//! result. On a tie, or if a DP sum would overflow `i64`, the call runs the
+//! unchanged blossom reduction, so tie-breaking, and hence every decoder
+//! built on this crate, stays bit-identical to a blossom-only matcher.
 //!
 //! ```
 //! use radqec_matching::min_weight_perfect_matching;

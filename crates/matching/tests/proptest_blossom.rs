@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use radqec_matching::{
     is_valid_matching, match_defects, matching_size, matching_weight, max_weight_matching,
     max_weight_matching_in, min_weight_perfect_matching, min_weight_perfect_matching_dp,
-    BlossomScratch, MatchingArena, WeightedEdge,
+    BlossomScratch, DefectMatch, MatchingArena, WeightedEdge,
 };
 
 /// Strategy: a random simple graph on `n ≤ 12` vertices with i64 weights in
@@ -65,8 +65,83 @@ fn brute_force_max_weight(n: usize, edges: &[WeightedEdge], max_cardinality: boo
     }
 }
 
+/// The virtual-boundary reduction of `match_defects` solved by blossom
+/// alone: defects `0..k`, one virtual boundary node `k + a` per defect,
+/// zero-weight edges between virtual nodes, built in the same edge order.
+fn blossom_reduction(
+    k: usize,
+    pair: impl Fn(usize, usize) -> i64,
+    bdry: impl Fn(usize) -> i64,
+) -> Vec<DefectMatch> {
+    let mut edges = Vec::new();
+    for a in 0..k {
+        for b in a + 1..k {
+            edges.push((a as u32, b as u32, pair(a, b)));
+        }
+        edges.push((a as u32, (k + a) as u32, bdry(a)));
+    }
+    for a in 0..k {
+        for b in a + 1..k {
+            edges.push(((k + a) as u32, (k + b) as u32, 0));
+        }
+    }
+    let mate = min_weight_perfect_matching(2 * k, &edges).expect("always perfectly matchable");
+    (0..k)
+        .map(|a| if mate[a] >= k { DefectMatch::Boundary } else { DefectMatch::Peer(mate[a]) })
+        .collect()
+}
+
+/// Strategy: a defect count on both sides of the DP threshold, a
+/// symmetric pair-weight table and boundary weights, all drawn from
+/// `weights`.
+fn defect_instance(
+    weights: std::ops::RangeInclusive<i64>,
+) -> impl Strategy<Value = (usize, Vec<i64>, Vec<i64>)> {
+    (
+        0usize..=14,
+        proptest::collection::vec(weights.clone(), 196),
+        proptest::collection::vec(weights, 14),
+    )
+}
+
+/// Symmetric pair weight from a 14 × 14 table.
+fn sym(table: &[i64], a: usize, b: usize) -> i64 {
+    table[a.min(b) * 14 + a.max(b)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Wide-range weights make the optimum unique almost surely, so up to
+    /// the DP threshold the subset DP answers: it must return exactly
+    /// blossom's matching.
+    #[test]
+    fn match_defects_equals_blossom_reduction_on_wide_weights(
+        (k, pair, bdry) in defect_instance(-1_000_000_000..=1_000_000_000),
+    ) {
+        let got = match_defects(k, |a, b| sym(&pair, a, b), |a| bdry[a]);
+        prop_assert_eq!(got, blossom_reduction(k, |a, b| sym(&pair, a, b), |a| bdry[a]));
+    }
+
+    /// Weights in `1..=4` tie often; a tied optimum must fall through to
+    /// blossom and return its choice.
+    #[test]
+    fn match_defects_equals_blossom_reduction_on_tied_weights(
+        (k, pair, bdry) in defect_instance(1..=4),
+    ) {
+        let got = match_defects(k, |a, b| sym(&pair, a, b), |a| bdry[a]);
+        prop_assert_eq!(got, blossom_reduction(k, |a, b| sym(&pair, a, b), |a| bdry[a]));
+    }
+
+    /// Weights near `i64::MAX / 4` overflow the DP's sums from eight
+    /// defects on; it must defer to blossom, never panic or wrap.
+    #[test]
+    fn match_defects_defers_to_blossom_on_overflow(
+        (k, pair, bdry) in defect_instance(i64::MAX / 4 - 1_000_000..=i64::MAX / 4),
+    ) {
+        let got = match_defects(k, |a, b| sym(&pair, a, b), |a| bdry[a]);
+        prop_assert_eq!(got, blossom_reduction(k, |a, b| sym(&pair, a, b), |a| bdry[a]));
+    }
 
     #[test]
     fn blossom_matches_brute_force_weight((n, edges) in graph_strategy()) {
@@ -145,6 +220,17 @@ proptest! {
             (b, d) => prop_assert!(false, "feasibility disagreement: blossom={:?} dp={:?}", b.is_some(), d.is_some()),
         }
     }
+}
+
+/// Two optima of weight 3: defect 2, far from the boundary, pairs with
+/// defect 0 or with defect 1 while the other takes the boundary. The
+/// result must be blossom's choice.
+#[test]
+fn two_optimum_instance_returns_blossom_choice() {
+    let bdry = |a: usize| if a == 2 { 9 } else { 1 };
+    let got = match_defects(3, |_, _| 2, bdry);
+    assert_eq!(got, blossom_reduction(3, |_, _| 2, bdry));
+    assert_eq!(got, vec![DefectMatch::Peer(2), DefectMatch::Boundary, DefectMatch::Peer(0)]);
 }
 
 #[test]
