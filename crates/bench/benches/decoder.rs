@@ -1,4 +1,4 @@
-//! Criterion bench: end-to-end MWPM and union-find decode latency per shot
+//! Criterion bench: end-to-end MWPM decode latency per shot
 //! on realistic syndromes (noisy shots of the paper's codes), plus the
 //! batch pipeline — legacy memoised per-record decoding vs. the tiered
 //! bulk decoder, cold (fresh LUT/cache) and warm (engine-lifetime cache).
@@ -6,17 +6,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
-use radqec_core::decoder::{BulkDecoder, Decoder, MwpmDecoder, UnionFindDecoder};
+use radqec_core::decoder::{BulkDecoder, Decoder, MwpmDecoder};
 use radqec_noise::{run_noisy_shot, ActiveFault, NoiseSpec};
 use radqec_stabilizer::StabilizerBackend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn sample_shots(spec: CodeSpec, count: usize) -> (Vec<ShotRecord>, MwpmDecoder, UnionFindDecoder) {
+fn sample_shots(spec: CodeSpec, count: usize) -> (Vec<ShotRecord>, MwpmDecoder) {
     let code = spec.build();
     let mwpm = MwpmDecoder::new(&code);
-    let uf = UnionFindDecoder::new(&code);
     let mut rng = StdRng::seed_from_u64(3);
     let noise = NoiseSpec::depolarizing(0.03);
     let fault = ActiveFault::none(code.total_qubits() as usize);
@@ -26,7 +25,7 @@ fn sample_shots(spec: CodeSpec, count: usize) -> (Vec<ShotRecord>, MwpmDecoder, 
             run_noisy_shot(&code.circuit, &mut backend, &noise, &fault, &mut rng)
         })
         .collect();
-    (shots, mwpm, uf)
+    (shots, mwpm)
 }
 
 fn bench_decoders(c: &mut Criterion) {
@@ -36,18 +35,11 @@ fn bench_decoders(c: &mut Criterion) {
         ("xxzz33", CodeSpec::from(XxzzCode::new(3, 3))),
         ("xxzz55", CodeSpec::from(XxzzCode::new(5, 5))),
     ] {
-        let (shots, mwpm, uf) = sample_shots(spec, 64);
+        let (shots, mwpm) = sample_shots(spec, 64);
         group.bench_with_input(BenchmarkId::new("mwpm", name), &(), |b, _| {
             b.iter(|| {
                 for s in &shots {
                     black_box(mwpm.decode(s));
-                }
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("union_find", name), &(), |b, _| {
-            b.iter(|| {
-                for s in &shots {
-                    black_box(uf.decode(s));
                 }
             });
         });
@@ -76,7 +68,7 @@ fn bench_batch_pipeline(c: &mut Criterion) {
         ("xxzz55", CodeSpec::from(XxzzCode::new(5, 5))),
     ] {
         let code = spec.build();
-        let (shots, mwpm, _) = sample_shots(spec, 256);
+        let (shots, mwpm) = sample_shots(spec, 256);
         let batch = to_batch(code.circuit.num_clbits(), &shots);
         group.bench_with_input(BenchmarkId::new("legacy", name), &(), |b, _| {
             b.iter(|| black_box(Decoder::decode_batch(&mwpm, &batch)));

@@ -12,14 +12,16 @@
 //! Strike-aware decoding adds a second axis: a [`DecoderMask`] reweights
 //! the detector graph inside a struck region, which changes `flip` — so
 //! each distinct mask (keyed by its quantised integer edge weights) interns
-//! its own [`SolveCore`]: a reweighted graph plus a private syndrome
-//! LUT/cache. Warm-path throughput survives because a sweep reuses a
-//! handful of mask keys, each with its own fully warmed cache, and a no-op
-//! mask takes the unmasked path outright (`tests/strike_aware_decoding.rs`
-//! pins both the tier bit-identity per mask and the no-op handoff).
+//! its own [`SolveCore`] in a [`ContextTable`], the table type the
+//! space-time decoder interns its window contexts in too. Warm-path
+//! throughput survives because a sweep reuses a handful of mask keys, each
+//! with its own fully warmed cache, and a no-op mask takes the lock-free
+//! unmasked path outright (`tests/strike_aware_decoding.rs` pins both the
+//! tier bit-identity per mask and the no-op handoff).
 
 use crate::codes::CodeCircuit;
 use crate::decoder::cache::{SyndromeCache, DEFAULT_CACHE_CAPACITY, LUT_MAX_BITS};
+use crate::decoder::contexts::ContextTable;
 use crate::decoder::graph::DetectorGraph;
 use crate::decoder::mask::DecoderMask;
 use crate::decoder::mwpm::{extract_defects, matching_flip, weight_of};
@@ -29,7 +31,7 @@ use radqec_matching::MatchingArena;
 use radqec_telemetry::{names, Counter, Histogram, MetricsRegistry, SpanTimer};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default per-shot decode deadline (see [`TierConfig::deadline`]): three
@@ -161,7 +163,7 @@ pub(crate) struct StatCells {
     analytic: Arc<Counter>,
     matchings: Arc<Counter>,
     degraded: Arc<Counter>,
-    mask_hits: Arc<Counter>,
+    pub(crate) mask_hits: Arc<Counter>,
     /// Wall time per decode call (`stage.decode_ns`).
     decode_ns: Arc<Histogram>,
 }
@@ -216,14 +218,6 @@ pub(crate) struct Ctx {
     /// Blossom time spent so far; once `spent >= budget` the heavy tier
     /// answers greedily.
     spent: Duration,
-}
-
-impl Ctx {
-    /// Split-borrow the arena and defect buffer (the space-time decoder's
-    /// window solves feed the arena a closure over the defect list).
-    pub(crate) fn parts(&mut self) -> (&mut MatchingArena, &mut Vec<usize>) {
-        (&mut self.arena, &mut self.defects)
-    }
 }
 
 /// How a `u128` defect key's bit index maps onto detector-graph nodes.
@@ -311,37 +305,46 @@ impl SolveCore {
     /// LUT/cache lookup, analytic, arena blossom matcher — populating the
     /// cache on the way out (degraded answers excepted: they are not
     /// values of the exact `flip` function, so they never enter a cache).
-    ///
-    /// In sharded mode the analytic tier runs *before* the cache probe:
-    /// 1–2-defect syndromes (the dominant non-trivial class at realistic
-    /// noise) are never inserted, so probing first would take the shard
-    /// mutex for a guaranteed miss on every such shot.
     #[inline]
     pub(crate) fn flip_of_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
-        debug_assert_ne!(key, 0);
-        if !self.cache.is_direct() && self.tiers.analytic && key.count_ones() <= 2 {
-            if let Some(flip) = self.analytic_flip(key) {
-                local.analytic += 1;
-                return flip;
-            }
-        }
-        if let Some(flip) = self.cache.get(key) {
-            local.cache_hits += 1;
+        if let Some(flip) = self.cheap_flip(key, local) {
             return flip;
-        }
-        if self.cache.is_direct() && self.tiers.analytic && key.count_ones() <= 2 {
-            // LUT miss: the closed form is exact, so the table may keep it.
-            if let Some(flip) = self.analytic_flip(key) {
-                local.analytic += 1;
-                self.cache.insert(key, flip);
-                return flip;
-            }
         }
         let (flip, exact) = self.heavy_flip(key, ctx, local);
         if exact {
             self.cache.insert(key, flip);
         }
         flip
+    }
+
+    /// The cheap tiers — LUT/cache lookup and the analytic closed form —
+    /// or `None` when the pattern needs the matcher. In sharded mode the
+    /// analytic tier runs *before* the cache probe: 1–2-defect syndromes
+    /// (the dominant non-trivial class at realistic noise) are never
+    /// inserted, so probing first would take the shard mutex for a
+    /// guaranteed miss on every such shot. On a LUT miss the closed form
+    /// is exact, so the table keeps it.
+    #[inline]
+    fn cheap_flip(&self, key: u128, local: &mut LocalStats) -> Option<bool> {
+        debug_assert_ne!(key, 0);
+        if !self.cache.is_direct() && self.tiers.analytic && key.count_ones() <= 2 {
+            if let Some(flip) = self.analytic_flip(key) {
+                local.analytic += 1;
+                return Some(flip);
+            }
+        }
+        if let Some(flip) = self.cache.get(key) {
+            local.cache_hits += 1;
+            return Some(flip);
+        }
+        if self.cache.is_direct() && self.tiers.analytic && key.count_ones() <= 2 {
+            if let Some(flip) = self.analytic_flip(key) {
+                local.analytic += 1;
+                self.cache.insert(key, flip);
+                return Some(flip);
+            }
+        }
+        None
     }
 
     /// The heavy tier under the decode budget: run the exact blossom
@@ -425,39 +428,6 @@ impl SolveCore {
         flip
     }
 
-    /// Solve a defect pattern from scratch: analytic when eligible, else
-    /// the exact blossom matcher.
-    fn solve_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
-        if self.tiers.analytic && key.count_ones() <= 2 {
-            if let Some(flip) = self.analytic_flip(key) {
-                local.analytic += 1;
-                return flip;
-            }
-        }
-        self.match_key(key, ctx, local)
-    }
-
-    /// Run the exact blossom matcher on a defect pattern —
-    /// [`matching_flip`], the very routine behind
-    /// [`MwpmDecoder::decode_shot`] (and, through
-    /// [`MwpmDecoder::masked`], behind the masked reference decoder).
-    ///
-    /// [`MwpmDecoder::decode_shot`]: crate::decoder::MwpmDecoder::decode_shot
-    /// [`MwpmDecoder::masked`]: crate::decoder::MwpmDecoder::masked
-    fn match_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
-        ctx.defects.clear();
-        let mut k = key;
-        while k != 0 {
-            let plane = k.trailing_zeros() as usize;
-            k &= k - 1;
-            // Plane → node under this core's layout; in stab-major order the
-            // ascending plane index reproduces MwpmDecoder::defects order.
-            ctx.defects.push(self.node_of_plane(plane));
-        }
-        local.matchings += 1;
-        matching_flip(&self.graph, &ctx.defects, &mut ctx.arena)
-    }
-
     /// Closed-form flip parity for 1–2-defect patterns, straight from the
     /// detector graph's distance/parity tables.
     ///
@@ -490,30 +460,6 @@ impl SolveCore {
     }
 }
 
-/// Mask-context key: the quantised integer edge weights of a
-/// [`DecoderMask`] (see [`DecoderMask::weight_key`]).
-type MaskKey = (Vec<u32>, Vec<u32>);
-
-/// One interned mask context with its LRU access stamp.
-struct MaskSlot {
-    core: Arc<SolveCore>,
-    stamp: u64,
-}
-
-/// The bounded mask-context table: interned [`SolveCore`]s keyed by
-/// quantised edge weights, capped at [`TierConfig::mask_capacity`] by
-/// exact least-recently-used eviction. An evicted context's `Arc` keeps
-/// any in-flight batch alive until it finishes; re-interning rebuilds the
-/// same pure function, so eviction never changes decode results.
-#[derive(Default)]
-struct MaskContexts {
-    map: HashMap<MaskKey, MaskSlot>,
-    /// Monotonic access counter stamping slots for LRU.
-    tick: u64,
-    /// Contexts dropped by the ceiling so far.
-    evictions: u64,
-}
-
 /// Tiered bulk decoder, bit-identical to [`MwpmDecoder`].
 ///
 /// [`Decoder::decode_batch`] extracts defect bit-planes straight from the
@@ -536,7 +482,7 @@ pub struct BulkDecoder {
     /// Interned mask contexts, keyed by quantised edge weights — the
     /// mask-keyed cache dimension. Shared by every batch of the engine,
     /// bounded by [`TierConfig::mask_capacity`].
-    masked: Mutex<MaskContexts>,
+    masked: ContextTable<(), SolveCore>,
     /// Per-decoder metrics registry (the `decode.*` family), shareable
     /// via [`Self::try_with_tiers_metrics`].
     metrics: Arc<MetricsRegistry>,
@@ -546,7 +492,14 @@ pub struct BulkDecoder {
 impl BulkDecoder {
     /// Build the tiered decoder for `code` with default tiers.
     pub fn new(code: &CodeCircuit) -> Self {
-        Self::with_tiers(code, TierConfig::default())
+        Self::with_metrics(code, Arc::new(MetricsRegistry::new()))
+    }
+
+    /// Build with default tiers, recording its `decode.*` counters and
+    /// `stage.decode_ns` spans into `metrics` (the injection engine
+    /// passes its own registry so one snapshot covers the pipeline).
+    pub fn with_metrics(code: &CodeCircuit, metrics: Arc<MetricsRegistry>) -> Self {
+        Self::build(code, TierConfig::default(), metrics)
     }
 
     /// Build with an explicit [`TierConfig`]. Panics on an invalid config;
@@ -578,16 +531,21 @@ impl BulkDecoder {
         if tiers.mask_capacity == 0 {
             return Err(TierError::ZeroMaskCapacity);
         }
-        Ok(BulkDecoder {
+        Ok(Self::build(code, tiers, metrics))
+    }
+
+    fn build(code: &CodeCircuit, tiers: TierConfig, metrics: Arc<MetricsRegistry>) -> Self {
+        let stats = StatCells::new(&metrics);
+        BulkDecoder {
             core: SolveCore::new(DetectorGraph::new(code), tiers),
             cbits_round1: code.primary_stabilizers().iter().map(|s| s.cbit_round1).collect(),
             cbits_round2: code.primary_stabilizers().iter().map(|s| s.cbit_round2).collect(),
             readout_cbit: code.readout_cbit,
             name: format!("mwpm[{}]", code.name),
-            masked: Mutex::new(MaskContexts::default()),
-            stats: StatCells::new(&metrics),
+            masked: ContextTable::new(tiers.mask_capacity, Arc::clone(&stats.mask_hits)),
+            stats,
             metrics,
-        })
+        }
     }
 
     /// This decoder's metrics registry.
@@ -616,46 +574,16 @@ impl BulkDecoder {
         let mut ctx = Ctx::default();
         let mut discard = LocalStats::default();
         for key in 1..(1u128 << self.core.planes) {
-            if self.core.cache.get(key).is_none() {
-                let flip = self.core.solve_key(key, &mut ctx, &mut discard);
-                self.core.cache.insert(key, flip);
-            }
+            self.core.flip_of_key(key, &mut ctx, &mut discard);
         }
     }
 
     /// Resolve the solve context of `mask`: `None` for a no-op mask (the
-    /// unmasked path answers, bit-identically to unaware decoding), an
-    /// interned per-weight-key [`SolveCore`] otherwise. Interning counts
-    /// as a mask-cache hit when the key was already present; admitting a
-    /// new key past [`TierConfig::mask_capacity`] evicts the
-    /// least-recently-used context first. The lock recovers from poisoning
-    /// (a supervised worker panic mid-decode must not wedge the table for
-    /// the rest of the campaign — the map holds only interned pure
-    /// functions, which cannot be left half-updated).
+    /// unmasked path answers, bit-identically to unaware decoding), the
+    /// interned per-weight-key [`SolveCore`] otherwise.
     fn masked_core(&self, mask: &DecoderMask) -> Option<Arc<SolveCore>> {
-        if mask.is_noop() {
-            return None;
-        }
-        let key = mask.weight_key();
-        let mut ctxs = self.masked.lock().unwrap_or_else(PoisonError::into_inner);
-        ctxs.tick += 1;
-        let tick = ctxs.tick;
-        if let Some(slot) = ctxs.map.get_mut(&key) {
-            slot.stamp = tick;
-            self.stats.mask_hits.inc();
-            return Some(slot.core.clone());
-        }
-        if ctxs.map.len() >= self.core.tiers.mask_capacity {
-            if let Some(oldest) =
-                ctxs.map.iter().min_by_key(|(_, slot)| slot.stamp).map(|(k, _)| k.clone())
-            {
-                ctxs.map.remove(&oldest);
-                ctxs.evictions += 1;
-            }
-        }
-        let core = Arc::new(SolveCore::new(mask.reweight(&self.core.graph), self.core.tiers));
-        ctxs.map.insert(key, MaskSlot { core: core.clone(), stamp: tick });
-        Some(core)
+        let build = || SolveCore::new(mask.reweight(&self.core.graph), self.core.tiers);
+        (!mask.is_noop()).then(|| self.masked.intern((), Some(mask.weight_key()), build))
     }
 
     /// Defect bit pattern of a single record: bit `2i` = round-1 syndrome
@@ -722,7 +650,7 @@ impl BulkDecoder {
             };
             out.push(raw ^ flip);
         }
-        self.flush(local);
+        self.stats.flush(local);
         out
     }
 
@@ -772,36 +700,25 @@ impl BulkDecoder {
     /// Decode one record against `core` (the per-shot path shared by the
     /// unmasked and masked entry points).
     fn decode_in(&self, shot: &ShotRecord, core: &SolveCore) -> bool {
+        if core.planes > 128 {
+            // Wider than the u128 key (P > 64 primary stabilizers): a
+            // one-shot batch through the wide path.
+            let mut batch = ShotBatch::new(shot.len() as u32, 1);
+            for (c, _) in shot.bits().iter().enumerate().filter(|(_, &b)| b) {
+                batch.flip(c as u32, 0);
+            }
+            return self.decode_batch_wide(&batch, core)[0];
+        }
         let raw = shot.get(self.readout_cbit);
+        let key = self.key_of_record(shot);
         let mut local = LocalStats { shots: 1, ..Default::default() };
-        let mut ctx = core.budget_ctx(1);
-        let v = if core.planes > 128 {
-            // Wider than the u128 key (P > 64 primary stabilizers): decode
-            // via the defect list directly; batch decoding still dedupes
-            // (see `decode_batch_wide`).
-            extract_defects(
-                &core.graph,
-                &self.cbits_round1,
-                &self.cbits_round2,
-                shot,
-                &mut ctx.defects,
-            );
-            if ctx.defects.is_empty() {
-                local.trivial += 1;
-                raw
-            } else {
-                raw ^ core.heavy_flip_defects(&mut ctx, &mut local).0
-            }
+        let v = if key == 0 {
+            local.trivial += 1;
+            raw
         } else {
-            let key = self.key_of_record(shot);
-            if key == 0 {
-                local.trivial += 1;
-                raw
-            } else {
-                raw ^ core.flip_of_key(key, &mut ctx, &mut local)
-            }
+            raw ^ core.flip_of_key(key, &mut core.budget_ctx(1), &mut local)
         };
-        self.flush(local);
+        self.stats.flush(local);
         v
     }
 
@@ -809,6 +726,7 @@ impl BulkDecoder {
     /// by the unmasked and masked entry points (see
     /// [`Decoder::decode_batch`] for the tier walk).
     fn decode_batch_in(&self, batch: &ShotBatch, core: &SolveCore) -> Vec<bool> {
+        let _span = SpanTimer::start(&self.stats.decode_ns);
         if core.planes > 128 {
             return self.decode_batch_wide(batch, core);
         }
@@ -862,32 +780,21 @@ impl BulkDecoder {
                 } else if defer {
                     // Cheap tiers and cache hits inline; only cache
                     // *misses* join their pattern group.
-                    if core.tiers.analytic && key.count_ones() <= 2 {
-                        if let Some(flip) = core.analytic_flip(key) {
-                            local.analytic += 1;
-                            out.push(raw ^ flip);
-                            continue;
+                    match core.cheap_flip(key, &mut local) {
+                        Some(flip) => out.push(raw ^ flip),
+                        None => {
+                            pending.entry(key).or_default().push(out.len());
+                            out.push(raw);
                         }
                     }
-                    if let Some(flip) = core.cache.get(key) {
-                        local.cache_hits += 1;
-                        out.push(raw ^ flip);
-                        continue;
-                    }
-                    pending.entry(key).or_default().push(out.len());
-                    out.push(raw);
                 } else {
                     out.push(raw ^ core.flip_of_key(key, &mut ctx, &mut local));
                 }
             }
         }
         self.solve_deferred(pending, &mut out, &mut ctx, &mut local, core);
-        self.flush(local);
-        out
-    }
-
-    fn flush(&self, local: LocalStats) {
         self.stats.flush(local);
+        out
     }
 }
 
@@ -915,40 +822,31 @@ impl Decoder for BulkDecoder {
     /// many shots, so this collapses its matcher work to one solve per
     /// *distinct* syndrome per batch instead of racing per-shot solves.
     fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
-        let _span = SpanTimer::start(&self.stats.decode_ns);
         self.decode_batch_in(batch, &self.core)
     }
 
     /// Strike-aware per-shot decode: the tier cascade against `mask`'s
     /// interned reweighted context (no-op masks take the unaware path).
     fn decode_masked(&self, shot: &ShotRecord, mask: &DecoderMask) -> bool {
-        match self.masked_core(mask) {
-            Some(core) => self.decode_in(shot, &core),
-            None => self.decode(shot),
-        }
+        self.decode_in(shot, self.masked_core(mask).as_deref().unwrap_or(&self.core))
     }
 
     /// Strike-aware batch decode — the same bit-plane pipeline as
     /// [`Decoder::decode_batch`], answered from the mask's interned
     /// context so repeated masked sweeps stay on a warm per-mask cache.
     fn decode_batch_masked(&self, batch: &ShotBatch, mask: &DecoderMask) -> Vec<bool> {
-        match self.masked_core(mask) {
-            Some(core) => {
-                let _span = SpanTimer::start(&self.stats.decode_ns);
-                self.decode_batch_in(batch, &core)
-            }
-            None => self.decode_batch(batch),
-        }
+        self.decode_batch_in(batch, self.masked_core(mask).as_deref().unwrap_or(&self.core))
     }
 
     /// A thin view over the `decode.*` registry counters (plus cache and
     /// mask-table occupancy, derived on read and mirrored into gauges).
     fn decode_stats(&self) -> Option<DecoderStats> {
-        let ctxs = self.masked.lock().unwrap_or_else(PoisonError::into_inner);
-        self.metrics.gauge("decode.cache_entries").set(self.core.cache.len() as u64);
-        self.metrics.gauge("decode.cache_evictions").set(self.core.cache.evictions());
-        self.metrics.gauge("decode.mask_contexts").set(ctxs.map.len() as u64);
-        self.metrics.gauge("decode.mask_evictions").set(ctxs.evictions);
+        let (_, mask_contexts) = self.masked.counts();
+        let mask_evictions = self.masked.evictions();
+        self.metrics.gauge(names::DECODE_CACHE_ENTRIES).set(self.core.cache.len() as u64);
+        self.metrics.gauge(names::DECODE_CACHE_EVICTIONS).set(self.core.cache.evictions());
+        self.metrics.gauge(names::DECODE_MASK_CONTEXTS).set(mask_contexts as u64);
+        self.metrics.gauge(names::DECODE_MASK_EVICTIONS).set(mask_evictions);
         Some(DecoderStats {
             shots: self.stats.shots.get(),
             trivial: self.stats.trivial.get(),
@@ -958,9 +856,9 @@ impl Decoder for BulkDecoder {
             degraded: self.stats.degraded.get(),
             cache_evictions: self.core.cache.evictions(),
             cache_entries: self.core.cache.len(),
-            mask_contexts: ctxs.map.len(),
+            mask_contexts,
             mask_hits: self.stats.mask_hits.get(),
-            mask_evictions: ctxs.evictions,
+            mask_evictions,
         })
     }
 }

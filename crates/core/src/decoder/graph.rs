@@ -36,8 +36,8 @@ pub struct DetectorGraph {
     /// adj[v] = (neighbour, crosses_logical_readout).
     adj: Vec<Vec<(u32, bool)>>,
     /// Edge kind per adjacency entry, aligned with `adj` (kept separate so
-    /// [`Self::neighbors`]'s layout stays stable for the union-find
-    /// decoder).
+    /// the BFS walks stay over plain `(neighbour, crossing)` pairs; only
+    /// [`Self::reweighted`] reads it).
     edge_kinds: Vec<Vec<EdgeKind>>,
     /// All-pairs shortest-path distances (unit BFS in the unweighted
     /// build; weighted Dijkstra after [`Self::reweighted`]).
@@ -257,11 +257,6 @@ impl DetectorGraph {
         self.interior_parity[a][b]
     }
 
-    /// Adjacency of node `v` (for the union-find decoder and tests).
-    pub fn neighbors(&self, v: DetectorNode) -> &[(u32, bool)] {
-        &self.adj[v]
-    }
-
     /// Total node count (including the boundary).
     pub fn num_nodes(&self) -> usize {
         self.adj.len()
@@ -401,7 +396,7 @@ mod tests {
         let row0: Vec<u32> = code.logical_readout_support.clone();
         let mut crossing_edges = 0;
         for v in 0..g.num_nodes() {
-            for &(_, cross) in g.neighbors(v) {
+            for &(_, cross) in &g.adj[v] {
                 if cross {
                     crossing_edges += 1;
                 }

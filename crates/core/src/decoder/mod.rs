@@ -6,15 +6,16 @@
 //!
 //! * [`MwpmDecoder`] — the reference path: build the defect list from a
 //!   [`ShotRecord`], run one blossom matching per shot.
-//! * [`BulkDecoder`] — the production path (what [`DecoderKind::Mwpm`]
-//!   instantiates): extracts defect **bit-planes** directly from a
+//! * [`BulkDecoder`] — the production path (what the injection engine
+//!   builds): extracts defect **bit-planes** directly from a
 //!   [`ShotBatch`]'s words (64 shots per operation) and answers each
 //!   syndrome from a cascade of solve tiers.
 //!
-//! [`UnionFindDecoder`] implements the cited alternative decoder for
-//! ablation studies. All decoders operate on the same [`DetectorGraph`] and
-//! read only a shot's classical record, so they work identically on logical
-//! and transpiled circuits.
+//! Both operate on the same [`DetectorGraph`] and read only a shot's
+//! classical record, so they work identically on logical and transpiled
+//! circuits. Memory streams are decoded by the sliding-window
+//! [`SpaceTimeDecoder`] over multi-layer graphs of the same kind, with
+//! the same tier cascade.
 //!
 //! # Tier selection ([`BulkDecoder`])
 //!
@@ -96,15 +97,23 @@
 //! above is weight-agnostic, so it covers every masked context unchanged.
 //! A no-op mask (zero radius, decayed to background) hands off to the
 //! unaware path bit-identically.
+//!
+//! # One context table
+//!
+//! The bulk decoder's per-mask cores and the space-time decoder's
+//! per-`(window layers, mask)` cores are interned in one LRU table type
+//! (`contexts::ContextTable`, capped at [`TierConfig::mask_capacity`]).
+//! The bulk decoder's unmasked core is a plain field, so its unaware
+//! per-shot and batch paths take no lock.
 
 mod bulk;
 mod cache;
+mod contexts;
 mod graph;
 mod mask;
 mod mwpm;
 mod spacetime;
 mod stream;
-mod union_find;
 
 pub use bulk::{
     BulkDecoder, DecoderStats, TierConfig, TierError, DEFAULT_DECODE_DEADLINE,
@@ -114,13 +123,12 @@ pub use graph::{DetectorGraph, DetectorNode, EdgeKind};
 pub use mask::{DecoderMask, MASK_BASE_WEIGHT, MASK_REF_PROB};
 pub use mwpm::MwpmDecoder;
 pub use spacetime::{
-    ReplicaState, SpaceTimeDecoder, SpaceTimeScratch, WindowConfig, WindowConfigError,
+    ReplicaState, SpaceTimeDecoder, SpaceTimeError, SpaceTimeScratch, WindowConfig,
+    WindowConfigError,
 };
 pub use stream::{StreamDecodeReport, StreamDecoder, StreamDecoderConfig};
-pub use union_find::UnionFindDecoder;
 
 use radqec_circuit::{ShotBatch, ShotRecord};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A syndrome decoder: maps one shot's classical record to the corrected
@@ -138,10 +146,25 @@ pub trait Decoder: Send + Sync {
     /// Decoders are pure functions of the classical record (enforced by the
     /// decoder-invariant property tests), and realistic noise rates produce
     /// heavily repeated syndromes across a batch, so decoding runs once per
-    /// *distinct* record instead of once per shot. [`BulkDecoder`]
+    /// *distinct* record instead of once per shot. The memo keys whole
+    /// packed records, so codes of any width dedupe. [`BulkDecoder`]
     /// overrides this with the tiered bit-plane pipeline.
     fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
-        decode_batch_memoised(self, batch)
+        let mut memo: HashMap<Vec<u64>, bool> = HashMap::new();
+        let mut key = Vec::new();
+        let mut scratch = ShotRecord::new(batch.num_clbits());
+        (0..batch.shots())
+            .map(|s| {
+                batch.packed_shot_words(s, &mut key);
+                if let Some(&v) = memo.get(&key) {
+                    return v;
+                }
+                batch.fill_record(s, &mut scratch);
+                let v = self.decode(&scratch);
+                memo.insert(key.clone(), v);
+                v
+            })
+            .collect()
     }
 
     /// Strike-aware decode: like [`Decoder::decode`], with a
@@ -162,82 +185,6 @@ pub trait Decoder: Send + Sync {
     /// tiered [`BulkDecoder`]); `None` otherwise.
     fn decode_stats(&self) -> Option<DecoderStats> {
         None
-    }
-}
-
-/// The [`Decoder::decode_batch`] default: per-batch memoised per-shot
-/// decoding. Records up to 128 bits key a `u128` map; wider records key a
-/// `Vec<u64>` word map (so e.g. repetition codes beyond distance 64 still
-/// dedupe instead of silently decoding every shot).
-pub(crate) fn decode_batch_memoised<D: Decoder + ?Sized>(dec: &D, batch: &ShotBatch) -> Vec<bool> {
-    let mut out = Vec::with_capacity(batch.shots());
-    let mut scratch = ShotRecord::new(batch.num_clbits());
-    if batch.num_clbits() <= 128 {
-        let mut cache: HashMap<u128, bool> = HashMap::new();
-        for s in 0..batch.shots() {
-            let v = match cache.entry(batch.packed_shot(s)) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    batch.fill_record(s, &mut scratch);
-                    *e.insert(dec.decode(&scratch))
-                }
-            };
-            out.push(v);
-        }
-    } else {
-        let mut cache: HashMap<Vec<u64>, bool> = HashMap::new();
-        let mut key: Vec<u64> = Vec::new();
-        for s in 0..batch.shots() {
-            batch.packed_shot_words(s, &mut key);
-            let v = match cache.get(&key) {
-                Some(&v) => v,
-                None => {
-                    batch.fill_record(s, &mut scratch);
-                    let v = dec.decode(&scratch);
-                    cache.insert(key.clone(), v);
-                    v
-                }
-            };
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// Which decoder the injection engine instantiates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecoderKind {
-    /// Minimum-weight perfect matching (paper default), served by the
-    /// tiered [`BulkDecoder`].
-    #[default]
-    Mwpm,
-    /// Union-find (ablation alternative).
-    UnionFind,
-}
-
-impl DecoderKind {
-    /// Instantiate the decoder for `code`.
-    pub fn build(&self, code: &crate::codes::CodeCircuit) -> Box<dyn Decoder> {
-        self.build_with_metrics(code, std::sync::Arc::new(radqec_telemetry::MetricsRegistry::new()))
-    }
-
-    /// Instantiate the decoder for `code`, recording its `decode.*`
-    /// counters and `stage.decode_ns` spans into `metrics` (engines pass
-    /// their own registry so one snapshot covers the whole pipeline).
-    /// The union-find ablation decoder tracks no tier stats and ignores
-    /// the registry.
-    pub fn build_with_metrics(
-        &self,
-        code: &crate::codes::CodeCircuit,
-        metrics: std::sync::Arc<radqec_telemetry::MetricsRegistry>,
-    ) -> Box<dyn Decoder> {
-        match self {
-            DecoderKind::Mwpm => Box::new(
-                BulkDecoder::try_with_tiers_metrics(code, TierConfig::default(), metrics)
-                    .unwrap_or_else(|e| panic!("{e}")),
-            ),
-            DecoderKind::UnionFind => Box::new(UnionFindDecoder::new(code)),
-        }
     }
 }
 
@@ -265,7 +212,7 @@ mod mod_tests {
 
     #[test]
     fn wide_records_still_memoise() {
-        // rep-(65,1): 131 clbits > 128 → the Vec<u64>-keyed memo path.
+        // rep-(65,1): 131 clbits, wider than a u128 record key.
         let code = RepetitionCode::bit_flip(65).build();
         let nc = code.circuit.num_clbits();
         assert!(nc > 128, "need a wide record, got {nc}");
@@ -287,14 +234,5 @@ mod mod_tests {
         for (s, &v) in out.iter().enumerate() {
             assert_eq!(v, dec.inner.decode(&batch.record(s)), "shot {s}");
         }
-    }
-
-    #[test]
-    fn decoder_kind_builds_tiered_mwpm() {
-        let code = RepetitionCode::bit_flip(5).build();
-        let dec = DecoderKind::Mwpm.build(&code);
-        assert_eq!(dec.name(), "mwpm[rep-(5,1)]");
-        assert!(dec.decode_stats().is_some(), "engine decoder must expose tier stats");
-        assert!(DecoderKind::UnionFind.build(&code).decode_stats().is_none());
     }
 }

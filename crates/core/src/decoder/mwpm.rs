@@ -114,6 +114,23 @@ pub(crate) fn matching_flip(
     defects: &[usize],
     arena: &mut MatchingArena,
 ) -> bool {
+    commit_matching(g, defects, arena, usize::MAX).0
+}
+
+/// The minimum-weight matching of `defects` (detector node ids, in the
+/// caller's order), committed below node `commit_nodes` — the one
+/// matching walk behind [`matching_flip`] (`commit_nodes = usize::MAX`:
+/// commit everything) and the space-time decoder's mid-stream window
+/// solves. Returns the crossing parity of every match with an endpoint
+/// below `commit_nodes`, and the node bitmask of the defects at or above
+/// it that no committed defect consumed (the window's survivors; ≤ 128
+/// defects in that case).
+pub(crate) fn commit_matching(
+    g: &DetectorGraph,
+    defects: &[usize],
+    arena: &mut MatchingArena,
+    commit_nodes: usize,
+) -> (bool, u128) {
     let boundary = g.boundary();
     let matches = arena.match_defects(
         defects.len(),
@@ -121,14 +138,33 @@ pub(crate) fn matching_flip(
         |a| boundary_weight(g, defects[a]),
     );
     let mut flip = false;
+    // Tentative defects consumed by a commit-region partner, by defect
+    // index.
+    let mut consumed = 0u128;
     for (a, m) in matches.iter().enumerate() {
+        let na = defects[a];
+        if na >= commit_nodes {
+            continue;
+        }
         match *m {
-            DefectMatch::Boundary => flip ^= g.crossing_parity(defects[a], boundary),
-            DefectMatch::Peer(b) if b > a => flip ^= g.pair_crossing_parity(defects[a], defects[b]),
-            DefectMatch::Peer(_) => {} // counted once from the lower index
+            DefectMatch::Boundary => flip ^= g.crossing_parity(na, boundary),
+            // Commit–commit pairs appear twice; count once.
+            DefectMatch::Peer(b) if defects[b] < commit_nodes && b < a => {}
+            DefectMatch::Peer(b) => {
+                flip ^= g.pair_crossing_parity(na, defects[b]);
+                if defects[b] >= commit_nodes {
+                    consumed |= 1u128 << b;
+                }
+            }
         }
     }
-    flip
+    let mut survivors = 0u128;
+    for (a, &node) in defects.iter().enumerate() {
+        if node >= commit_nodes && consumed >> a & 1 == 0 {
+            survivors |= 1u128 << node;
+        }
+    }
+    (flip, survivors)
 }
 
 /// Push `shot`'s defect nodes onto `out` in the canonical order every

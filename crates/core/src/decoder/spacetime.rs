@@ -49,9 +49,13 @@
 //! `(window layers, mask)` pair, so warm windows decode from a table
 //! lookup. Mid-stream windows (which must also report *survivors*, not
 //! just a flip) memoise full outcomes per defect pattern in a per-context
-//! map; both paths share one [`MatchingArena`] per scratch. Masked
-//! contexts are LRU-capped at [`TierConfig::mask_capacity`], mirroring the
-//! bulk decoder's mask-keyed context cache.
+//! map; both paths share one [`MatchingArena`] per scratch. Contexts are
+//! interned in the same [`ContextTable`] type the bulk decoder keys its
+//! mask contexts by, so masked window contexts are LRU-capped at
+//! [`TierConfig::mask_capacity`] and counted as `decode.mask_hits` the
+//! same way. The two decoders keep separate front ends on purpose: the
+//! bulk decoder hands defects to the matcher stab-major, this one
+//! node-major, and that order decides the matcher's tie-break.
 //!
 //! Mid-stream window solves are exact and unbudgeted: the window bounds
 //! the matching size by construction (`W · P` nodes), so the decode
@@ -59,16 +63,17 @@
 //! engaged. Full-commit solves go through the budgeted cascade unchanged.
 //!
 //! [`BulkDecoder`]: crate::decoder::BulkDecoder
+//! [`ContextTable`]: super::contexts::ContextTable
 //! [`MatchingArena`]: radqec_matching::MatchingArena
 //! [`MatchingArena::match_defects`]: radqec_matching::MatchingArena::match_defects
 
 use super::bulk::{Ctx, LocalStats, SolveCore, StatCells};
+use super::contexts::ContextTable;
 use super::graph::DetectorGraph;
 use super::mask::DecoderMask;
-use super::mwpm::{boundary_weight, pair_weight};
+use super::mwpm::commit_matching;
 use super::TierConfig;
 use crate::codes::MemoryCircuit;
-use radqec_matching::DefectMatch;
 use radqec_telemetry::MetricsRegistry;
 use std::collections::HashMap;
 use std::fmt;
@@ -117,6 +122,41 @@ impl fmt::Display for WindowConfigError {
 }
 
 impl std::error::Error for WindowConfigError {}
+
+/// Why [`SpaceTimeDecoder::try_for_memory`] (or
+/// [`StreamDecoder::try_new`](crate::decoder::StreamDecoder::try_new))
+/// cannot decode a memory stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpaceTimeError {
+    /// The memory circuit was assembled without a final data readout, so
+    /// there is no terminal detector layer and no logical frame to score.
+    NoFinalReadout,
+    /// A window spans more detector bits (`min(W, R) · P`) than the
+    /// 128-bit defect key holds — e.g. xxzz-(7,7) at the default `W = 6`
+    /// (6 · 24 = 144); a narrower window fits.
+    KeyTooWide {
+        /// Detector bits of the widest window.
+        bits: usize,
+    },
+    /// The window geometry itself is invalid.
+    Window(WindowConfigError),
+}
+
+impl fmt::Display for SpaceTimeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpaceTimeError::NoFinalReadout => {
+                write!(f, "space-time decoding needs a readout-terminated memory circuit")
+            }
+            SpaceTimeError::KeyTooWide { bits } => {
+                write!(f, "window of {bits} detector bits exceeds the 128-bit defect key")
+            }
+            SpaceTimeError::Window(e) => write!(f, "invalid window config: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for SpaceTimeError {}
 
 impl WindowConfig {
     /// A `(window, commit)` configuration.
@@ -173,23 +213,6 @@ struct WindowContext {
     memo: Mutex<HashMap<u128, WindowOutcome>>,
 }
 
-/// LRU-stamped context slot.
-struct ContextSlot {
-    ctx: Arc<WindowContext>,
-    stamp: u64,
-}
-
-/// Context key: window layer count plus the mask's quantised weight key
-/// (`None` = unmasked).
-type ContextKey = (usize, Option<(Vec<u32>, Vec<u32>)>);
-
-#[derive(Default)]
-struct ContextMap {
-    map: HashMap<ContextKey, ContextSlot>,
-    tick: u64,
-    mask_evictions: u64,
-}
-
 /// Per-replica (per-shot) streaming state: the running flip, the pending
 /// defect set, and the window base. Create with
 /// [`SpaceTimeDecoder::begin`]; drive with `push_round`; close with
@@ -209,11 +232,6 @@ pub struct ReplicaState {
 }
 
 impl ReplicaState {
-    /// Detector rounds pushed so far.
-    pub fn rounds_pushed(&self) -> usize {
-        self.next_round
-    }
-
     /// Defects currently carried (not yet committed).
     pub fn pending_defects(&self) -> usize {
         self.pending.len()
@@ -232,81 +250,67 @@ pub struct SpaceTimeScratch {
 /// The sliding-window space-time decoder (see module docs).
 pub struct SpaceTimeDecoder {
     data_qubits: Vec<u32>,
-    supports: Vec<Vec<u32>>,
-    readout_support: Vec<u32>,
+    /// Primary-stabilizer supports (also the stream sink's terminal-layer
+    /// projection).
+    pub(super) supports: Vec<Vec<u32>>,
+    /// Logical readout chain.
+    pub(super) readout_support: Vec<u32>,
     primary_count: usize,
     detector_rounds: usize,
     cfg: WindowConfig,
     tiers: TierConfig,
-    contexts: Mutex<ContextMap>,
+    /// Solve contexts keyed by `(window layers, mask)`.
+    contexts: ContextTable<usize, WindowContext>,
     stats: StatCells,
 }
 
 impl SpaceTimeDecoder {
-    /// Build a decoder for a `detector_rounds`-layer stream over the
-    /// given code structure: `supports` are the primary stabilizers'
-    /// data-qubit supports, `readout_support` the logical readout chain
-    /// whose crossings flip the logical frame.
-    ///
-    /// # Panics
-    /// Panics when `detector_rounds == 0`, the window configuration is
-    /// degenerate, or a window would exceed the 128-bit defect key
-    /// (`min(W, detector_rounds) · P > 128`).
-    pub fn from_parts(
-        data_qubits: Vec<u32>,
-        supports: Vec<Vec<u32>>,
-        readout_support: Vec<u32>,
-        detector_rounds: usize,
-        cfg: WindowConfig,
-        tiers: TierConfig,
-        metrics: &MetricsRegistry,
-    ) -> Self {
-        assert!(detector_rounds >= 1, "need at least one detector round");
-        assert!(cfg.commit >= 1 && cfg.commit <= cfg.window, "invalid window config {cfg:?}");
-        let primary_count = supports.len();
-        assert!(primary_count >= 1, "need at least one primary stabilizer");
-        let widest = cfg.window.min(detector_rounds) * primary_count;
-        assert!(widest <= 128, "window of {widest} detector bits exceeds the 128-bit defect key");
-        SpaceTimeDecoder {
-            data_qubits,
-            supports,
-            readout_support,
-            primary_count,
-            detector_rounds,
-            cfg,
-            tiers,
-            contexts: Mutex::new(ContextMap::default()),
-            stats: StatCells::new(metrics),
-        }
-    }
-
     /// Build a decoder for a readout-terminated memory stream: `rounds`
     /// syndrome layers plus the terminal detector layer the projected
     /// data readout induces (`detector_rounds = rounds + 1`).
     ///
     /// # Panics
-    /// Panics when `memory` was assembled without a final data readout.
+    /// Panics where [`Self::try_for_memory`] returns an error.
     pub fn for_memory(
         memory: &MemoryCircuit,
         cfg: WindowConfig,
         tiers: TierConfig,
         metrics: &MetricsRegistry,
     ) -> Self {
-        let readout = memory
-            .final_readout
-            .as_ref()
-            .expect("space-time decoding needs a readout-terminated memory circuit");
-        let supports =
-            memory.primary_stabilizers().iter().map(|s| s.support.clone()).collect::<Vec<_>>();
-        Self::from_parts(
-            (0..memory.n_data).collect(),
+        Self::try_for_memory(memory, cfg, tiers, metrics).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::for_memory`], or the reason the stream cannot be decoded:
+    /// no final data readout, an invalid window, or a window wider than
+    /// the 128-bit defect key.
+    pub fn try_for_memory(
+        memory: &MemoryCircuit,
+        cfg: WindowConfig,
+        tiers: TierConfig,
+        metrics: &MetricsRegistry,
+    ) -> Result<Self, SpaceTimeError> {
+        let readout = memory.final_readout.as_ref().ok_or(SpaceTimeError::NoFinalReadout)?;
+        WindowConfig::try_new(cfg.window, cfg.commit).map_err(SpaceTimeError::Window)?;
+        let supports: Vec<Vec<u32>> =
+            memory.primary_stabilizers().iter().map(|s| s.support.clone()).collect();
+        let primary_count = supports.len();
+        let detector_rounds = memory.rounds + 1;
+        let bits = cfg.window.min(detector_rounds) * primary_count;
+        if bits > 128 {
+            return Err(SpaceTimeError::KeyTooWide { bits });
+        }
+        let stats = StatCells::new(metrics);
+        Ok(SpaceTimeDecoder {
+            data_qubits: (0..memory.n_data).collect(),
             supports,
-            readout.support.clone(),
-            memory.rounds + 1,
+            readout_support: readout.support.clone(),
+            primary_count,
+            detector_rounds,
             cfg,
             tiers,
-            metrics,
-        )
+            contexts: ContextTable::new(tiers.mask_capacity, Arc::clone(&stats.mask_hits)),
+            stats,
+        })
     }
 
     /// Primary stabilizer count `P` (defects per detector layer).
@@ -317,11 +321,6 @@ impl SpaceTimeDecoder {
     /// Detector layers per replica (`R`).
     pub fn detector_rounds(&self) -> usize {
         self.detector_rounds
-    }
-
-    /// The window geometry.
-    pub fn config(&self) -> WindowConfig {
-        self.cfg
     }
 
     /// Fresh per-replica streaming state.
@@ -490,8 +489,7 @@ impl SpaceTimeDecoder {
         scratch: &mut SpaceTimeScratch,
     ) -> WindowOutcome {
         let g = wctx.core.graph();
-        let boundary = g.boundary();
-        let (arena, defects) = scratch.ctx.parts();
+        let (arena, defects) = (&mut scratch.ctx.arena, &mut scratch.ctx.defects);
         defects.clear();
         let mut bits = key;
         while bits != 0 {
@@ -500,42 +498,7 @@ impl SpaceTimeDecoder {
             defects.push(node);
         }
         scratch.local.matchings += 1;
-        let matches = arena.match_defects(
-            defects.len(),
-            |a, b| pair_weight(g, defects[a], defects[b]),
-            |a| boundary_weight(g, defects[a]),
-        );
-        let mut flip = false;
-        // Tentative defects consumed by a commit-region partner, by
-        // defect index (≤ 128 defects fit the window key).
-        let mut consumed = 0u128;
-        for (a, m) in matches.iter().enumerate() {
-            let na = defects[a];
-            if na >= commit_nodes {
-                continue;
-            }
-            match *m {
-                DefectMatch::Boundary => flip ^= g.crossing_parity(na, boundary),
-                DefectMatch::Peer(b) => {
-                    let nb = defects[b];
-                    if nb < commit_nodes {
-                        // Commit–commit pairs appear twice; count once.
-                        if b > a {
-                            flip ^= g.pair_crossing_parity(na, nb);
-                        }
-                    } else {
-                        flip ^= g.pair_crossing_parity(na, nb);
-                        consumed |= 1u128 << b;
-                    }
-                }
-            }
-        }
-        let mut survivors = 0u128;
-        for (a, &node) in defects.iter().enumerate() {
-            if node >= commit_nodes && consumed >> a & 1 == 0 {
-                survivors |= 1u128 << node;
-            }
-        }
+        let (flip, survivors) = commit_matching(g, defects, arena, commit_nodes);
         WindowOutcome { flip, survivors }
     }
 
@@ -545,57 +508,26 @@ impl SpaceTimeDecoder {
     /// are LRU-evicted past [`TierConfig::mask_capacity`].
     fn context(&self, layers: usize, mask: Option<&DecoderMask>) -> Arc<WindowContext> {
         let mask = mask.filter(|m| !m.is_noop());
-        let key: ContextKey = (layers, mask.map(DecoderMask::weight_key));
-        {
-            let mut cm = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
-            cm.tick += 1;
-            let tick = cm.tick;
-            if let Some(slot) = cm.map.get_mut(&key) {
-                slot.stamp = tick;
-                return slot.ctx.clone();
+        self.contexts.intern(layers, mask.map(DecoderMask::weight_key), || {
+            let mut graph = DetectorGraph::space_time(
+                &self.data_qubits,
+                &self.supports,
+                &self.readout_support,
+                layers,
+            );
+            if let Some(m) = mask {
+                graph = m.reweight(&graph);
             }
-        }
-        // Build outside the lock (graph APSP is the slow part); last
-        // writer wins on a race, costing only a duplicate build.
-        let mut graph = DetectorGraph::space_time(
-            &self.data_qubits,
-            &self.supports,
-            &self.readout_support,
-            layers,
-        );
-        if let Some(m) = mask {
-            graph = m.reweight(&graph);
-        }
-        let built = Arc::new(WindowContext {
-            core: SolveCore::window(graph, self.tiers),
-            memo: Mutex::new(HashMap::new()),
-        });
-        let mut cm = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
-        cm.tick += 1;
-        let tick = cm.tick;
-        if key.1.is_some() {
-            let masked = cm.map.iter().filter(|(k, _)| k.1.is_some()).count();
-            if masked >= self.tiers.mask_capacity {
-                if let Some(oldest) = cm
-                    .map
-                    .iter()
-                    .filter(|(k, _)| k.1.is_some())
-                    .min_by_key(|(_, slot)| slot.stamp)
-                    .map(|(k, _)| k.clone())
-                {
-                    cm.map.remove(&oldest);
-                    cm.mask_evictions += 1;
-                }
+            WindowContext {
+                core: SolveCore::window(graph, self.tiers),
+                memo: Mutex::new(HashMap::new()),
             }
-        }
-        cm.map.entry(key).or_insert(ContextSlot { ctx: built, stamp: tick }).ctx.clone()
+        })
     }
 
     /// Live solve contexts `(unmasked, masked)` — test/telemetry hook.
     pub fn context_counts(&self) -> (usize, usize) {
-        let cm = self.contexts.lock().unwrap_or_else(PoisonError::into_inner);
-        let masked = cm.map.keys().filter(|k| k.1.is_some()).count();
-        (cm.map.len() - masked, masked)
+        self.contexts.counts()
     }
 }
 
@@ -649,6 +581,29 @@ mod tests {
     #[should_panic(expected = "commit 5 exceeds window 4")]
     fn window_config_new_panics_when_commit_exceeds_window() {
         WindowConfig::new(4, 5);
+    }
+
+    #[test]
+    fn try_for_memory_rejects_unkeyable_streams_with_typed_errors() {
+        let (metrics, tiers) = (MetricsRegistry::new(), TierConfig::default());
+        let build = |memory, cfg| SpaceTimeDecoder::try_for_memory(memory, cfg, tiers, &metrics);
+        // xxzz-(7,7): P = 24, so the default W = 6 needs 144 key bits.
+        let d7 = XxzzCode::new(7, 7).build_memory_readout(9);
+        let err = build(&d7, WindowConfig::default()).err();
+        assert_eq!(err, Some(SpaceTimeError::KeyTooWide { bits: 144 }));
+        assert_eq!(build(&d7, WindowConfig::new(5, 2)).unwrap().primary_count(), 24);
+        let bare = RepetitionCode::bit_flip(5).build_memory(9);
+        let err = build(&bare, WindowConfig::new(5, 2)).err().unwrap();
+        assert_eq!(err, SpaceTimeError::NoFinalReadout);
+        assert!(err.to_string().contains("readout-terminated"));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 128-bit defect key")]
+    fn for_memory_panics_on_a_too_wide_window() {
+        let d7 = XxzzCode::new(7, 7).build_memory_readout(9);
+        let metrics = MetricsRegistry::new();
+        SpaceTimeDecoder::for_memory(&d7, WindowConfig::default(), TierConfig::default(), &metrics);
     }
 
     #[test]

@@ -44,7 +44,9 @@
 //! [`MemoryReadout::expected`]: crate::codes::MemoryReadout::expected
 
 use super::mask::DecoderMask;
-use super::spacetime::{ReplicaState, SpaceTimeDecoder, SpaceTimeScratch, WindowConfig};
+use super::spacetime::{
+    ReplicaState, SpaceTimeDecoder, SpaceTimeError, SpaceTimeScratch, WindowConfig,
+};
 use super::TierConfig;
 use crate::streaming::{RoundSlice, StreamEngine, StreamFault};
 use radqec_detect::{
@@ -164,10 +166,6 @@ pub struct StreamDecoder<'e> {
     detector: CusumDetector,
     localizer: Localizer,
     cfg: StreamDecoderConfig,
-    /// Primary-stabilizer supports (terminal-layer projection).
-    supports: Vec<Vec<u32>>,
-    /// Logical readout chain.
-    readout_support: Vec<u32>,
     /// The noiseless readout parity — each replica's true logical frame.
     readout_expected: bool,
     chunks: Vec<Mutex<ChunkCell>>,
@@ -180,27 +178,40 @@ impl<'e> StreamDecoder<'e> {
     /// Build the sink over `engine`'s stream.
     ///
     /// # Panics
-    /// Panics when the engine's memory carries no final data readout
-    /// (build it with [`StreamEngineBuilder::final_readout`]) or the
-    /// window would overflow the decoder's 128-bit defect key.
+    /// Panics where [`Self::try_new`] returns an error.
+    pub fn new(engine: &'e StreamEngine, cfg: StreamDecoderConfig, tiers: TierConfig) -> Self {
+        match Self::try_new(engine, cfg, tiers) {
+            Ok(sink) => sink,
+            Err(SpaceTimeError::NoFinalReadout) => panic!(
+                "streaming decode needs a readout-terminated memory (builder.final_readout())"
+            ),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Build the sink over `engine`'s stream, or the reason its window
+    /// decoder cannot be built: the engine's memory carries no final data
+    /// readout (build it with [`StreamEngineBuilder::final_readout`]), or
+    /// the window is invalid or wider than the 128-bit defect key (see
+    /// [`SpaceTimeDecoder::try_for_memory`]).
     ///
     /// [`StreamEngineBuilder::final_readout`]: crate::streaming::StreamEngineBuilder::final_readout
-    pub fn new(engine: &'e StreamEngine, cfg: StreamDecoderConfig, tiers: TierConfig) -> Self {
+    pub fn try_new(
+        engine: &'e StreamEngine,
+        cfg: StreamDecoderConfig,
+        tiers: TierConfig,
+    ) -> Result<Self, SpaceTimeError> {
         let memory = engine.memory();
-        let readout = memory
-            .final_readout
-            .as_ref()
-            .expect("streaming decode needs a readout-terminated memory (builder.final_readout())");
-        let decoder = SpaceTimeDecoder::for_memory(memory, cfg.window, tiers, engine.metrics());
-        let supports =
-            memory.primary_stabilizers().iter().map(|s| s.support.clone()).collect::<Vec<_>>();
+        let decoder =
+            SpaceTimeDecoder::try_for_memory(memory, cfg.window, tiers, engine.metrics())?;
+        let readout = memory.final_readout.as_ref().ok_or(SpaceTimeError::NoFinalReadout)?;
         let localizer = Localizer::new(
             engine.stream_spec(),
             engine.topology(),
             cfg.cluster_window.max(1),
             0.33,
         );
-        StreamDecoder {
+        Ok(StreamDecoder {
             engine,
             decoder,
             detector: {
@@ -209,12 +220,10 @@ impl<'e> StreamDecoder<'e> {
             },
             localizer,
             cfg,
-            supports,
-            readout_support: readout.support.clone(),
             readout_expected: readout.expected,
             chunks: (0..engine.num_chunks()).map(|_| Mutex::new(ChunkCell::default())).collect(),
             decode_ns: engine.metrics().histogram(names::STAGE_DECODE_NS),
-        }
+        })
     }
 
     /// The underlying space-time decoder (telemetry/test hook).
@@ -409,7 +418,7 @@ impl<'e> StreamDecoder<'e> {
         // Terminal detector events, as bit-planes: the data readout's
         // projected stabilizer parity XOR the last measured syndrome.
         let mut terminal = vec![0u64; primary * words];
-        for (i, support) in self.supports.iter().enumerate() {
+        for (i, support) in self.decoder.supports.iter().enumerate() {
             let row = &mut terminal[i * words..(i + 1) * words];
             for &d in support {
                 for (w, bits) in row.iter_mut().zip(slice.data_row(d as usize)) {
@@ -422,7 +431,7 @@ impl<'e> StreamDecoder<'e> {
         }
         // Raw logical readout parity per shot.
         let mut raw = vec![0u64; words];
-        for &d in &self.readout_support {
+        for &d in &self.decoder.readout_support {
             for (w, bits) in raw.iter_mut().zip(slice.data_row(d as usize)) {
                 *w ^= bits;
             }
@@ -489,5 +498,20 @@ impl<'e> StreamDecoder<'e> {
                     .map_or(0.0, |o| o.peak_excess)
             })
             .fold(0.0, f64::max)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codes::RepetitionCode;
+
+    #[test]
+    fn try_new_rejects_a_stream_without_final_readout() {
+        let engine =
+            StreamEngine::builder(RepetitionCode::bit_flip(3).into(), 4).shots(64).native().build();
+        let cfg = StreamDecoderConfig::default();
+        let built = StreamDecoder::try_new(&engine, cfg, TierConfig::default());
+        assert!(matches!(built, Err(SpaceTimeError::NoFinalReadout)));
     }
 }

@@ -660,10 +660,45 @@ fn quiet_baselines(
         .collect()
 }
 
+/// A strike's scored row given its first alarm round: recovery is the
+/// first round from onset where every patch sits at baseline for
+/// `quiet_rounds` consecutive rounds (the calm-run rule both scorers
+/// share).
+fn strike_row(
+    cfg: &FleetConfig,
+    s: &StrikeEvent,
+    first_alarm_round: Option<usize>,
+    per_patch_events: &[Vec<u64>],
+    baselines: &[(f64, f64)],
+) -> StrikeRow {
+    let mut recovery_round = None;
+    let mut calm = 0usize;
+    for r in s.onset_round..cfg.rounds {
+        let at_baseline = per_patch_events
+            .iter()
+            .zip(baselines)
+            .all(|(events, &(mu, sd))| events[r] as f64 <= mu + (2.0 * sd).max(1.0));
+        calm = if at_baseline { calm + 1 } else { 0 };
+        if calm >= cfg.quiet_rounds.max(1) {
+            recovery_round = Some(r + 1 - calm);
+            break;
+        }
+    }
+    StrikeRow {
+        root: s.root,
+        onset_round: s.onset_round,
+        detected: first_alarm_round.is_some(),
+        first_alarm_round,
+        recovery_round,
+        time_to_recovery_us: recovery_round.map(|r| (r - s.onset_round) as f64 * cfg.round_time_us),
+    }
+}
+
 /// Score the strike timeline against per-patch per-round event counts —
-/// the **offline reference**: a whole-campaign batch pass over the
-/// merged chunk records. Production scoring goes through
-/// [`score_strikes_online`]; the tests pin the two row-for-row equal on
+/// the **offline oracle**: a whole-campaign batch pass over the merged
+/// chunk records. It has no production caller: [`run_fleet`] scores
+/// through [`score_strikes_online`], and this function exists so tests
+/// and the benchmark harness can check that the online rows equal it on
 /// a clean campaign. The spike gate thresholds the baseline-subtracted
 /// residual (`events − µ ≥ max(4σ, 2)`), exactly the comparison
 /// [`ThresholdDetector`] applies per push, so the two paths cannot drift
@@ -684,31 +719,7 @@ pub fn score_strikes(
                     .zip(&baselines)
                     .any(|(events, &(mu, sd))| events[r] as f64 - mu >= (4.0 * sd).max(2.0))
             });
-            let detected = first_alarm_round.is_some();
-            // Recovery: the first round from onset where every patch sits
-            // at baseline for `quiet_rounds` consecutive rounds.
-            let mut recovery_round = None;
-            let mut calm = 0usize;
-            for r in s.onset_round..cfg.rounds {
-                let at_baseline = per_patch_events
-                    .iter()
-                    .zip(&baselines)
-                    .all(|(events, &(mu, sd))| events[r] as f64 <= mu + (2.0 * sd).max(1.0));
-                calm = if at_baseline { calm + 1 } else { 0 };
-                if calm >= cfg.quiet_rounds.max(1) {
-                    recovery_round = Some(r + 1 - calm);
-                    break;
-                }
-            }
-            StrikeRow {
-                root: s.root,
-                onset_round: s.onset_round,
-                detected,
-                first_alarm_round,
-                recovery_round,
-                time_to_recovery_us: recovery_round
-                    .map(|r| (r - s.onset_round) as f64 * cfg.round_time_us),
-            }
+            strike_row(cfg, s, first_alarm_round, per_patch_events, &baselines)
         })
         .collect()
 }
@@ -786,31 +797,7 @@ fn score_strikes_online(
                     state.alarm_round
                 })
                 .min();
-            let detected = first_alarm_round.is_some();
-            // Recovery: stream the post-onset rounds through the same
-            // calm-run rule the offline scorer applies.
-            let mut recovery_round = None;
-            let mut calm = 0usize;
-            for r in s.onset_round..cfg.rounds {
-                let at_baseline = per_patch_events
-                    .iter()
-                    .zip(&baselines)
-                    .all(|(events, &(mu, sd))| events[r] as f64 <= mu + (2.0 * sd).max(1.0));
-                calm = if at_baseline { calm + 1 } else { 0 };
-                if calm >= cfg.quiet_rounds.max(1) {
-                    recovery_round = Some(r + 1 - calm);
-                    break;
-                }
-            }
-            StrikeRow {
-                root: s.root,
-                onset_round: s.onset_round,
-                detected,
-                first_alarm_round,
-                recovery_round,
-                time_to_recovery_us: recovery_round
-                    .map(|r| (r - s.onset_round) as f64 * cfg.round_time_us),
-            }
+            strike_row(cfg, s, first_alarm_round, per_patch_events, &baselines)
         })
         .collect()
 }

@@ -4,7 +4,7 @@
 //! analyses (Sec. V).
 
 use crate::codes::{CodeCircuit, CodeSpec};
-use crate::decoder::{Decoder, DecoderKind, DecoderMask};
+use crate::decoder::{BulkDecoder, Decoder, DecoderMask};
 use radqec_circuit::Backend;
 use radqec_noise::{
     run_noisy_shot, ActiveFault, FaultSpec, NoiseSpec, ResetBasis, StreamWorkspace,
@@ -65,7 +65,6 @@ pub struct InjectionEngineBuilder {
     topology: Option<Topology>,
     initial_layout: Option<Vec<u32>>,
     transpile_opts: TranspileOptions,
-    decoder: DecoderKind,
     sampler: SamplerKind,
     shots: usize,
     seed: u64,
@@ -92,12 +91,6 @@ impl InjectionEngineBuilder {
     /// Override transpilation options.
     pub fn transpile_options(mut self, opts: TranspileOptions) -> Self {
         self.transpile_opts = opts;
-        self
-    }
-
-    /// Select the decoder (default MWPM).
-    pub fn decoder(mut self, kind: DecoderKind) -> Self {
-        self.decoder = kind;
         self
     }
 
@@ -153,7 +146,7 @@ impl InjectionEngineBuilder {
         // The decoder records into the engine's registry, so one snapshot
         // covers workspace gauges and the whole `decode.*` family.
         let metrics = Arc::new(MetricsRegistry::new());
-        let decoder = self.decoder.build_with_metrics(&code, Arc::clone(&metrics));
+        let decoder = Box::new(BulkDecoder::with_metrics(&code, Arc::clone(&metrics)));
         InjectionEngine {
             code,
             topology,
@@ -175,6 +168,9 @@ pub struct InjectionEngine {
     code: CodeCircuit,
     topology: Topology,
     transpiled: Transpiled,
+    /// Boxed on purpose: the dynamic call keeps the decode cascade out of
+    /// the tableau shot loop, which ran ~7 % slower with it inlined
+    /// (radbench `paper_d3`, 2-vCPU VM).
     decoder: Box<dyn Decoder>,
     sampler: SamplerKind,
     shots: usize,
@@ -215,7 +211,6 @@ impl InjectionEngine {
             topology: None,
             initial_layout: None,
             transpile_opts: TranspileOptions::auto(),
-            decoder: DecoderKind::default(),
             sampler: SamplerKind::default(),
             shots: 1000,
             seed: 0,
@@ -258,11 +253,10 @@ impl InjectionEngine {
         self.frame_chunk
     }
 
-    /// Tier statistics of the engine's decoder, when it tracks them (the
-    /// default MWPM decoder does; see
-    /// [`DecoderStats`](crate::decoder::DecoderStats)). Accumulates across
-    /// every sample and batch of the engine's lifetime — the engine-level
-    /// syndrome cache in action.
+    /// Tier statistics of the engine's tiered MWPM decoder (always `Some`;
+    /// see [`DecoderStats`](crate::decoder::DecoderStats)). Accumulates
+    /// across every sample and batch of the engine's lifetime — the
+    /// engine-level syndrome cache in action.
     pub fn decoder_stats(&self) -> Option<crate::decoder::DecoderStats> {
         self.decoder.decode_stats()
     }
@@ -644,6 +638,13 @@ mod tests {
             })
             .collect();
         assert!((rates[0] - rates[1]).abs() < 0.05, "{rates:?}");
+    }
+
+    #[test]
+    fn engine_decodes_with_the_tiered_mwpm_decoder() {
+        let engine = InjectionEngine::builder(RepetitionCode::bit_flip(5).into()).shots(64).build();
+        assert_eq!(engine.decoder().name(), "mwpm[rep-(5,1)]");
+        assert!(engine.decoder_stats().is_some(), "engine decoder must expose tier stats");
     }
 
     #[test]

@@ -102,6 +102,14 @@ pub mod names {
     pub const DECODE_DEGRADED: &str = "decode.degraded";
     /// Mask-context cache hits (counter).
     pub const DECODE_MASK_HITS: &str = "decode.mask_hits";
+    /// Distinct syndromes held by the unmasked syndrome cache (gauge).
+    pub const DECODE_CACHE_ENTRIES: &str = "decode.cache_entries";
+    /// Entries evicted from the unmasked syndrome cache (gauge).
+    pub const DECODE_CACHE_EVICTIONS: &str = "decode.cache_evictions";
+    /// Interned strike-mask contexts (gauge).
+    pub const DECODE_MASK_CONTEXTS: &str = "decode.mask_contexts";
+    /// Mask contexts evicted by the LRU ceiling (gauge).
+    pub const DECODE_MASK_EVICTIONS: &str = "decode.mask_evictions";
 
     /// Online detector alarms raised (counter).
     pub const DETECT_ALARMS: &str = "detect.alarms";

@@ -48,7 +48,6 @@ proptest! {
     fn decoders_are_total_and_deterministic(bits in proptest::collection::vec(any::<bool>(), 17)) {
         let code = XxzzCode::new(3, 3).build();
         let mwpm = MwpmDecoder::new(&code);
-        let uf = UnionFindDecoder::new(&code);
         let mut shot = ShotRecord::new(code.circuit.num_clbits());
         for (i, &b) in bits.iter().enumerate() {
             shot.set(i as u32, b);
@@ -56,9 +55,6 @@ proptest! {
         let a1 = mwpm.decode(&shot);
         let a2 = mwpm.decode(&shot);
         prop_assert_eq!(a1, a2);
-        let b1 = uf.decode(&shot);
-        let b2 = uf.decode(&shot);
-        prop_assert_eq!(b1, b2);
     }
 
     /// Any single X error between the rounds is corrected by MWPM on every

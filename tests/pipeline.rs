@@ -4,7 +4,6 @@
 
 use radqec::prelude::*;
 use radqec_core::codes::CodeSpec;
-use radqec_core::decoder::DecoderKind;
 use radqec_noise::RadiationModel;
 use radqec_topology::{devices, generators};
 
@@ -103,19 +102,6 @@ fn routed_two_qubit_gates_respect_device_edges() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn union_find_decoder_is_noiselessly_correct_end_to_end() {
-    for spec in [CodeSpec::from(RepetitionCode::bit_flip(5)), CodeSpec::from(XxzzCode::new(3, 3))] {
-        let engine = InjectionEngine::builder(spec)
-            .decoder(DecoderKind::UnionFind)
-            .shots(32)
-            .seed(13)
-            .build();
-        let out = engine.run(&FaultSpec::None, &NoiseSpec::noiseless());
-        assert_eq!(out.logical_error_rate(), 0.0, "{}", engine.code().name);
     }
 }
 
