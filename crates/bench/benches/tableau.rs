@@ -1,5 +1,11 @@
-//! Criterion bench: CHP tableau gate and measurement throughput across the
-//! device sizes used in the paper (10 = rep-5, 30 = 5×6 mesh, 65 = Brooklyn).
+//! Criterion bench: CHP tableau gate, measurement and reset throughput.
+//!
+//! Sizes are the tableau widths the engines run at, plus the layout's word
+//! boundary. Tableau shots run on a circuit's used qubits only, so
+//! xxzz-(3,3) runs at 18 qubits on every device and rep-(5,1) at 9. The
+//! sizes are 10 (a 5×2 lattice), 18, 30 (a 5×6 mesh), 33 (the first size
+//! whose 2n rows need a second 64-bit column word) and 65 (all of
+//! Brooklyn).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use radqec_stabilizer::Tableau;
@@ -7,9 +13,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+const SIZES: [usize; 5] = [10, 18, 30, 33, 65];
+
+/// Prepare the n-qubit GHZ state on a cleared tableau.
+fn ghz(t: &mut Tableau) {
+    t.clear();
+    t.h(0);
+    for q in 1..t.num_qubits() {
+        t.cx(q - 1, q);
+    }
+}
+
 fn bench_gates(c: &mut Criterion) {
     let mut group = c.benchmark_group("tableau_gates");
-    for &n in &[10usize, 30, 65] {
+    for n in SIZES {
         group.bench_with_input(BenchmarkId::new("h_cx_layer", n), &n, |b, &n| {
             let mut t = Tableau::new(n);
             b.iter(|| {
@@ -28,15 +45,12 @@ fn bench_gates(c: &mut Criterion) {
 
 fn bench_measure(c: &mut Criterion) {
     let mut group = c.benchmark_group("tableau_measure");
-    for &n in &[10usize, 30, 65] {
+    for n in SIZES {
         group.bench_with_input(BenchmarkId::new("ghz_measure_all", n), &n, |b, &n| {
             let mut rng = StdRng::seed_from_u64(1);
+            let mut t = Tableau::new(n);
             b.iter(|| {
-                let mut t = Tableau::new(n);
-                t.h(0);
-                for q in 1..n {
-                    t.cx(q - 1, q);
-                }
+                ghz(&mut t);
                 let mut acc = false;
                 for q in 0..n {
                     acc ^= t.measure(q, &mut rng);
@@ -48,5 +62,27 @@ fn bench_measure(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gates, bench_measure);
+/// The radiation-reset pattern: a strike resets qubit after qubit of an
+/// entangled state. The first reset of a GHZ state is a random
+/// measurement, every later one a deterministic measurement plus a
+/// conditional X.
+fn bench_reset(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tableau_reset");
+    for n in SIZES {
+        group.bench_with_input(BenchmarkId::new("ghz_reset_all", n), &n, |b, &n| {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut t = Tableau::new(n);
+            b.iter(|| {
+                ghz(&mut t);
+                for q in 0..n {
+                    t.reset(q, &mut rng);
+                }
+                black_box(&t);
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_gates, bench_measure, bench_reset);
 criterion_main!(benches);

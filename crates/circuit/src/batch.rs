@@ -29,6 +29,23 @@ impl ShotBatch {
         ShotBatch { num_clbits, shots, words, bits: vec![0; num_clbits as usize * words] }
     }
 
+    /// The batch holding `records` in order (shot `s` is `records[s]`),
+    /// one clbit row per record bit.
+    ///
+    /// # Panics
+    /// Panics on an empty slice or records of differing widths.
+    pub fn from_records(records: &[ShotRecord]) -> Self {
+        let num_clbits = records.first().map_or(0, ShotRecord::len) as u32;
+        let mut batch = ShotBatch::new(num_clbits, records.len());
+        for (shot, record) in records.iter().enumerate() {
+            assert_eq!(record.len(), num_clbits as usize, "record width mismatch");
+            for (c, _) in record.bits().iter().enumerate().filter(|(_, &b)| b) {
+                batch.flip(c as Clbit, shot);
+            }
+        }
+        batch
+    }
+
     /// Re-shape this batch in place to an all-zero `(num_clbits, shots)`
     /// grid, recycling the word buffer (workspace pooling). Returns
     /// whether the existing buffer was large enough to avoid
@@ -253,6 +270,25 @@ mod tests {
         let mut reuse = ShotRecord::new(3);
         b.fill_record(4, &mut reuse);
         assert_eq!(reuse, b.record(4));
+    }
+
+    #[test]
+    fn from_records_roundtrips_through_record() {
+        let records: Vec<ShotRecord> = (0..70u32)
+            .map(|shot| {
+                let mut r = ShotRecord::new(3);
+                for c in 0..3 {
+                    r.set(c, (shot * 7 + c * 3) % 5 < 2);
+                }
+                r
+            })
+            .collect();
+        let batch = ShotBatch::from_records(&records);
+        assert_eq!((batch.num_clbits(), batch.shots()), (3, 70));
+        for (shot, r) in records.iter().enumerate() {
+            assert_eq!(&batch.record(shot), r, "shot {shot}");
+        }
+        assert_eq!(ShotBatch::from_records(&[batch.record(69)]).record(0), records[69]);
     }
 
     #[test]

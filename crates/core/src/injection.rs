@@ -5,9 +5,9 @@
 
 use crate::codes::{CodeCircuit, CodeSpec};
 use crate::decoder::{BulkDecoder, Decoder, DecoderMask};
-use radqec_circuit::Backend;
+use radqec_circuit::{Backend, Circuit, Qubit, ShotBatch, ShotRecord};
 use radqec_noise::{
-    run_noisy_shot, ActiveFault, FaultSpec, NoiseSpec, ResetBasis, StreamWorkspace,
+    run_noisy_shot_segmented, ActiveFault, FaultSpec, NoiseSpec, ResetBasis, StreamWorkspace,
 };
 use radqec_stabilizer::{ReferenceTrace, StabilizerBackend};
 use radqec_telemetry::{names, MetricsRegistry};
@@ -32,6 +32,102 @@ pub enum SamplerKind {
     FrameBatch,
     /// One CHP tableau replay per shot — the exact reference path.
     Tableau,
+}
+
+/// The exact per-shot sampler: one CHP tableau replay per shot of a
+/// circuit relabelled onto the qubits it uses.
+///
+/// A routed circuit touches only part of its device (xxzz-(3,3) uses 18
+/// of Brooklyn's 65 qubits), and the tableau costs grow with its qubit
+/// count. Dropping the idle qubits is exact: a qubit no operation touches
+/// stays in |0⟩ for the whole shot, a product factor that no gate,
+/// measurement or reset reads, and faults act only on gate operands. A
+/// measurement's outcome depends only on the state of the used qubits and,
+/// when random, on one RNG draw, so every outcome and every draw equals
+/// the full-device replay's. Build it once per engine; each call gathers
+/// its faults onto the used qubits once.
+#[derive(Debug, Clone)]
+pub struct TableauSampler {
+    /// The circuit on qubits `0..used.len()`.
+    circuit: Circuit,
+    /// Original index of each relabelled qubit, ascending.
+    used: Vec<Qubit>,
+}
+
+impl TableauSampler {
+    /// Relabel `circuit` onto its used qubits.
+    pub fn new(circuit: &Circuit) -> Self {
+        let used = circuit.used_qubits();
+        let mut map = vec![0; circuit.num_qubits() as usize];
+        for (i, &q) in used.iter().enumerate() {
+            map[q as usize] = i as Qubit;
+        }
+        let circuit = circuit.remap_qubits(&map, used.len().max(1) as u32);
+        TableauSampler { circuit, used }
+    }
+
+    /// The relabelled circuit.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// Original index of each relabelled qubit.
+    pub fn used_qubits(&self) -> &[Qubit] {
+        &self.used
+    }
+
+    /// `fault` (over the original qubits) restricted to the used ones, in
+    /// relabelled order.
+    fn gather(&self, fault: &ActiveFault) -> ActiveFault {
+        let probs = self.used.iter().map(|&q| fault.prob(q)).collect();
+        ActiveFault::from_probs(probs).with_basis(fault.basis())
+    }
+
+    /// Replay shots `0..shots` (shot-parallel) under `noise` and the fault
+    /// timeline `segments` (over the original qubits; see
+    /// [`run_noisy_shot_segmented`]), shot `s` on its own
+    /// `StdRng::seed_from_u64(seed(s))`, and map each record through
+    /// `each`.
+    pub fn map_shots<T: Send>(
+        &self,
+        shots: usize,
+        noise: &NoiseSpec,
+        segments: &[(usize, &ActiveFault)],
+        seed: impl Fn(usize) -> u64 + Sync,
+        each: impl Fn(ShotRecord) -> T + Sync,
+    ) -> Vec<T> {
+        let gathered: Vec<ActiveFault> = segments.iter().map(|(_, f)| self.gather(f)).collect();
+        let segments: Vec<(usize, &ActiveFault)> =
+            segments.iter().zip(&gathered).map(|(&(start, _), f)| (start, f)).collect();
+        (0..shots)
+            .into_par_iter()
+            .map_init(
+                || StabilizerBackend::new(self.circuit.num_qubits()),
+                |backend, shot| {
+                    let mut rng = StdRng::seed_from_u64(seed(shot));
+                    backend.reset_all();
+                    each(run_noisy_shot_segmented(
+                        &self.circuit,
+                        backend,
+                        noise,
+                        &segments,
+                        &mut rng,
+                    ))
+                },
+            )
+            .collect()
+    }
+
+    /// [`Self::map_shots`]'s records as one bit-packed batch.
+    pub(crate) fn batch(
+        &self,
+        shots: usize,
+        noise: &NoiseSpec,
+        segments: &[(usize, &ActiveFault)],
+        seed: impl Fn(usize) -> u64 + Sync,
+    ) -> ShotBatch {
+        ShotBatch::from_records(&self.map_shots(shots, noise, segments, seed, |r| r))
+    }
 }
 
 /// Smallest and largest automatic Pauli-frame batch sizes (see
@@ -151,6 +247,7 @@ impl InjectionEngineBuilder {
             code,
             topology,
             transpiled,
+            tableau: OnceLock::new(),
             decoder,
             sampler: self.sampler,
             shots: self.shots,
@@ -164,13 +261,25 @@ impl InjectionEngineBuilder {
 }
 
 /// A ready-to-run injection campaign for one (code, topology) pair.
+///
+/// With [`SamplerKind::Tableau`], shots replay the transpiled circuit on
+/// its used qubits only ([`TableauSampler`], built once per engine):
+/// qubits no operation touches stay in |0⟩ and faults act only on gate
+/// operands, so every record is bit-identical to a full-device replay's
+/// while the tableau shrinks (Brooklyn's 65 qubits to 18 for
+/// xxzz-(3,3)).
 pub struct InjectionEngine {
     code: CodeCircuit,
     topology: Topology,
     transpiled: Transpiled,
-    /// Boxed on purpose: the dynamic call keeps the decode cascade out of
-    /// the tableau shot loop, which ran ~7 % slower with it inlined
-    /// (radbench `paper_d3`, 2-vCPU VM).
+    /// The transpiled circuit on its used qubits, for tableau shots,
+    /// built on first use.
+    tableau: OnceLock<TableauSampler>,
+    /// Boxed on purpose: the dynamic call keeps the decode cascade from
+    /// being inlined into the tableau shot loop. Inlining it cost that loop
+    /// about 7 % when a tableau shot took ~55 µs (radbench `paper_d3`,
+    /// 2-vCPU VM); it has not been re-measured since the qubit-major
+    /// tableau on used qubits made those shots ~4× cheaper.
     decoder: Box<dyn Decoder>,
     sampler: SamplerKind,
     shots: usize,
@@ -324,31 +433,9 @@ impl InjectionEngine {
                 // (per-shot `decode_masked` would take the mask-map lock
                 // per shot across every rayon worker, and the batch tiers
                 // are bit-identical to per-shot decoding anyway).
-                let circuit = &self.transpiled.circuit;
-                let n_phys = self.topology.num_qubits();
-                let records: Vec<_> = (0..self.shots)
-                    .into_par_iter()
-                    .map_init(
-                        || StabilizerBackend::new(n_phys),
-                        |backend, shot| {
-                            let mut rng = StdRng::seed_from_u64(mix_seed(
-                                self.seed,
-                                sample as u64,
-                                shot as u64,
-                            ));
-                            backend.reset_all();
-                            run_noisy_shot(circuit, backend, noise, &active, &mut rng)
-                        },
-                    )
-                    .collect();
-                let mut batch = radqec_circuit::ShotBatch::new(circuit.num_clbits(), self.shots);
-                for (shot, record) in records.iter().enumerate() {
-                    for c in 0..circuit.num_clbits() {
-                        if record.get(c) {
-                            batch.flip(c, shot);
-                        }
-                    }
-                }
+                let batch = self.tableau().batch(self.shots, noise, &[(0, &active)], |shot| {
+                    mix_seed(self.seed, sample as u64, shot as u64)
+                });
                 self.decoder.decode_batch_masked(&batch, mask).into_iter().filter(|&ok| !ok).count()
             }
         };
@@ -362,28 +449,28 @@ impl InjectionEngine {
         self.decoder.as_ref()
     }
 
-    /// Per-shot tableau path: one full CHP replay per shot, with the
-    /// backend allocation reused across each worker's shots.
+    /// The engine's tableau sampler (relabelled once, on first use).
+    fn tableau(&self) -> &TableauSampler {
+        self.tableau.get_or_init(|| TableauSampler::new(&self.transpiled.circuit))
+    }
+
+    /// Per-shot tableau path: one CHP replay per shot on the circuit's
+    /// used qubits, each decoded as it lands.
     fn tableau_errors_at_sample(
         &self,
         active: &ActiveFault,
         noise: &NoiseSpec,
         sample: usize,
     ) -> usize {
-        let circuit = &self.transpiled.circuit;
-        let n_phys = self.topology.num_qubits();
-        (0..self.shots)
-            .into_par_iter()
-            .map_init(
-                || StabilizerBackend::new(n_phys),
-                |backend, shot| {
-                    let mut rng =
-                        StdRng::seed_from_u64(mix_seed(self.seed, sample as u64, shot as u64));
-                    backend.reset_all();
-                    let record = run_noisy_shot(circuit, backend, noise, active, &mut rng);
-                    usize::from(!self.decoder.decode(&record))
-                },
+        self.tableau()
+            .map_shots(
+                self.shots,
+                noise,
+                &[(0, active)],
+                |shot| mix_seed(self.seed, sample as u64, shot as u64),
+                |record| usize::from(!self.decoder.decode(&record)),
             )
+            .into_iter()
             .sum()
     }
 
@@ -456,7 +543,7 @@ impl InjectionEngine {
         noise: &NoiseSpec,
         sample: usize,
         chunk: usize,
-    ) -> radqec_circuit::ShotBatch {
+    ) -> ShotBatch {
         let circuit = &self.transpiled.circuit;
         let n_phys = self.topology.num_qubits() as usize;
         let reference = self.reference.get_or_init(|| {
@@ -485,7 +572,7 @@ impl InjectionEngine {
         fault: &FaultSpec,
         noise: &NoiseSpec,
         sample: usize,
-    ) -> Vec<radqec_circuit::ShotBatch> {
+    ) -> Vec<ShotBatch> {
         let active = fault.activate(&self.topology, sample).with_basis(ResetBasis::Z);
         (0..self.shots.div_ceil(self.frame_chunk))
             .map(|chunk| self.frame_batch_chunk(&active, noise, sample, chunk))

@@ -27,8 +27,10 @@
 //!   time under that round's fault ([`run_noisy_ops_segmented`]);
 //!   per-round exactness properties are
 //!   identical to the offline sampler's (see `radqec_stabilizer`);
-//! * **tableau** — per-shot CHP replay through
-//!   [`run_noisy_shot_segmented`]: exact everywhere, the oracle
+//! * **tableau** — per-shot CHP replay through [`TableauSampler`], on
+//!   the transpiled circuit relabelled onto the qubits it uses (idle
+//!   device qubits stay in |0⟩ and no fault reaches them, so the records
+//!   equal a full-device replay's): exact everywhere, the oracle
 //!   `tests/round_stream_equivalence.rs` validates the frame path against.
 //!
 //! ## The streaming hot path
@@ -83,14 +85,14 @@
 //! routing SWAPs that migrate an ancilla are tracked round by round.
 
 use crate::codes::{CodeSpec, MemoryCircuit};
-use crate::injection::{default_frame_chunk, mix_seed, SamplerKind};
-use radqec_circuit::{Backend, Gate, ShotBatch};
+use crate::injection::{default_frame_chunk, mix_seed, SamplerKind, TableauSampler};
+use radqec_circuit::{Gate, ShotBatch};
 use radqec_detect::StreamSpec;
 use radqec_noise::{
-    run_noisy_ops_segmented, run_noisy_shot_segmented, temporal_decay, ActiveFault, NoiseSpec,
-    RadiationModel, StreamWorkspace,
+    run_noisy_ops_segmented, temporal_decay, ActiveFault, NoiseSpec, RadiationModel,
+    StreamWorkspace,
 };
-use radqec_stabilizer::{ReferenceTrace, StabilizerBackend};
+use radqec_stabilizer::ReferenceTrace;
 use radqec_telemetry::{
     names, Counter, FlightEvent, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
     SpanTimer,
@@ -99,7 +101,6 @@ use radqec_topology::{generators::fitting_mesh, Topology};
 use radqec_transpiler::{transpile, transpile_with_layout, Layout, TranspileOptions, Transpiled};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -300,6 +301,9 @@ struct StreamContext {
     memory: MemoryCircuit,
     topology: Topology,
     transpiled: Transpiled,
+    /// The transpiled circuit on its used qubits, for tableau shots,
+    /// built on first use.
+    tableau: OnceLock<TableauSampler>,
     /// Op index in the *transpiled* circuit where each round begins.
     round_starts: Vec<usize>,
     stream_spec: StreamSpec,
@@ -345,10 +349,17 @@ impl StreamContext {
             memory,
             topology,
             transpiled,
+            tableau: OnceLock::new(),
             round_starts,
             stream_spec,
             references: Mutex::new(RefCache::default()),
         }
+    }
+
+    /// The tableau sampler of this context (relabelled once, on first
+    /// use).
+    fn tableau(&self) -> &TableauSampler {
+        self.tableau.get_or_init(|| TableauSampler::new(&self.transpiled.circuit))
     }
 
     /// The noiseless reference trace for `seed`, computed once per
@@ -750,6 +761,12 @@ impl RoundSlice {
 
 /// A ready-to-run multi-round streaming campaign for one (code, rounds,
 /// topology) triple.
+///
+/// With [`SamplerKind::Tableau`], shots replay the transpiled circuit on
+/// its used qubits only ([`TableauSampler`], built once per shared
+/// context): qubits no operation touches stay in |0⟩ and faults act only
+/// on gate operands, so the records are bit-identical to a full-device
+/// replay's.
 pub struct StreamEngine {
     ctx: Arc<StreamContext>,
     sampler: SamplerKind,
@@ -1127,37 +1144,14 @@ impl StreamEngine {
         self.chunks_generated.inc();
     }
 
-    /// One tableau-oracle chunk: per-shot CHP replay (shot-parallel).
+    /// One tableau-oracle chunk: per-shot CHP replay on the circuit's used
+    /// qubits (shot-parallel).
     fn tableau_chunk(&self, chunk: usize, faults: &[ActiveFault], noise: &NoiseSpec) -> ShotBatch {
-        let circuit = &self.ctx.transpiled.circuit;
-        let n_phys = self.ctx.topology.num_qubits();
-        let segments = self.segments(faults);
-        let width = self.chunk_width(chunk);
-        let records: Vec<_> = (0..width)
-            .into_par_iter()
-            .map_init(
-                || StabilizerBackend::new(n_phys),
-                |backend, shot| {
-                    let global = chunk * self.frame_chunk + shot;
-                    let mut rng = StdRng::seed_from_u64(mix_seed(
-                        self.seed ^ 0x57E4_0000_0000_0002,
-                        0,
-                        global as u64,
-                    ));
-                    backend.reset_all();
-                    run_noisy_shot_segmented(circuit, backend, noise, &segments, &mut rng)
-                },
-            )
-            .collect();
-        let mut batch = ShotBatch::new(circuit.num_clbits(), width);
-        for (shot, record) in records.iter().enumerate() {
-            for c in 0..circuit.num_clbits() {
-                if record.get(c) {
-                    batch.flip(c, shot);
-                }
-            }
-        }
-        batch
+        let seed = |shot: usize| {
+            let global = chunk * self.frame_chunk + shot;
+            mix_seed(self.seed ^ 0x57E4_0000_0000_0002, 0, global as u64)
+        };
+        self.ctx.tableau().batch(self.chunk_width(chunk), noise, &self.segments(faults), seed)
     }
 
     /// The one worker loop behind every driver: self-scheduling workers

@@ -4,8 +4,9 @@ use crate::tableau::Tableau;
 use radqec_circuit::{Backend, Gate, Qubit};
 use rand::RngCore;
 
-/// Stabilizer-simulator backend: exact for Clifford circuits, `O(n)` per
-/// gate, `O(n²)` per measurement.
+/// Stabilizer-simulator backend: exact for Clifford circuits. Over the
+/// qubit-major [`Tableau`], a gate costs `O(⌈2n/64⌉)` word operations and
+/// a measurement or reset `O(n · ⌈2n/64⌉)`.
 ///
 /// This is the workhorse backend for every experiment in the paper; reuse a
 /// single instance across shots via [`Backend::reset_all`] to avoid

@@ -5,9 +5,11 @@
 //!
 //! Every circuit in the reproduced paper — repetition and XXZZ surface codes
 //! under depolarizing Pauli noise and radiation-induced reset faults — is a
-//! Clifford circuit, so this backend simulates them *exactly*, with `O(n)`
-//! cost per gate and `O(n²)` per measurement. This is the substitution for
-//! the Qiskit Aer simulator used by the paper.
+//! Clifford circuit, so this backend simulates them *exactly*. The tableau
+//! is stored qubit-major (one X and one Z column of `⌈2n/64⌉` row words
+//! per qubit), so a gate costs `O(⌈2n/64⌉)` word operations and a
+//! measurement `O(n · ⌈2n/64⌉)`. This is the substitution for the Qiskit
+//! Aer simulator used by the paper.
 //!
 //! The crate exposes:
 //! * [`Tableau`] — the raw CHP tableau with per-gate methods;
@@ -27,8 +29,10 @@
 //! 1. **Tableau** (`SamplerKind::Tableau`): every shot replays the whole
 //!    circuit on a fresh CHP tableau. This is the ground-truth model — exact
 //!    for *every* noise and fault configuration, including mid-circuit
-//!    radiation resets of entangled qubits — but costs `O(gates · n)` plus
-//!    `O(n²)` per measurement, per shot.
+//!    radiation resets of entangled qubits — but costs
+//!    `O(gates · ⌈2n/64⌉ + measurements · n · ⌈2n/64⌉)` word operations
+//!    per shot. The engines run it on the qubits a routed circuit uses,
+//!    not the whole device.
 //! 2. **Frame batch** (`SamplerKind::FrameBatch`, the default): the circuit
 //!    is simulated noiselessly **once** ([`ReferenceTrace`]), then each shot
 //!    only tracks the Pauli *frame* relating it to that reference, 64 shots

@@ -1,45 +1,71 @@
-//! Aaronson–Gottesman CHP stabilizer tableau.
+//! Aaronson–Gottesman CHP stabilizer tableau, stored qubit-major.
 //!
-//! State of `n` qubits is tracked as `2n` Pauli rows (destabilizers then
-//! stabilizers) over bit-packed X/Z planes, plus a scratch row used during
-//! deterministic measurement. All gates in the `radqec` set are Clifford, so
-//! this simulator is an *exact* model of every circuit in the paper, at
-//! `O(n)` per gate and `O(n^2)` per measurement — comfortably fast for the
-//! ≤ 65-qubit devices studied (Brooklyn).
+//! The state of `n` qubits is tracked as `2n` Pauli rows: destabilizer `i`
+//! and stabilizer `i`, interleaved as rows `2i` and `2i + 1`. Storage is by
+//! column: each qubit owns an X column and a Z column of `⌈2n/64⌉` row
+//! words (one word up to 32 qubits), and the rows' phase bits form one
+//! more packed vector of the same width. A Clifford gate therefore touches
+//! only its operands' columns and the phase vector, as a branch-free loop
+//! over `⌈2n/64⌉` words; SWAP exchanges two column pairs. A random
+//! measurement multiplies the pivot row into every other anticommuting row
+//! at once, keeping the mod-4 phase sums in two bit-sliced counter words,
+//! for `O(n · ⌈2n/64⌉)` word operations. A deterministic measurement folds
+//! the sign of the stabilizer product in registers at the same cost, so
+//! CHP's scratch row is never stored. Nothing is allocated per gate or per
+//! measurement.
+//!
+//! All gates in the `radqec` set are Clifford, so this simulator is an
+//! *exact* model of every circuit in the paper. Its algebra is CHP's to the
+//! bit: the same rows, the lowest-index stabilizer as the pivot of a random
+//! measurement and one `next_u32` per random outcome, so states, outcomes
+//! and RNG streams match the textbook row-major form exactly
+//! (`tests/tableau_bit_identity.rs`).
 //!
 //! Reference: S. Aaronson and D. Gottesman, "Improved simulation of
-//! stabilizer circuits", Phys. Rev. A 70, 052328 (2004). The row-product
-//! phase accumulation below is the word-parallel form of their `rowsum`.
+//! stabilizer circuits", Phys. Rev. A 70, 052328 (2004). The bit-sliced
+//! phase counters below are the row-parallel form of their `rowsum`.
 
 use crate::pauli::PauliString;
 use rand::RngCore;
+
+/// Row bits of the destabilizers (even rows) within a row word.
+const DESTAB: u64 = 0x5555_5555_5555_5555;
+/// Row bits of the stabilizers (odd rows) within a row word.
+const STAB: u64 = !DESTAB;
+
+/// Inclusive prefix XOR: bit `k` of the result is the parity of bits
+/// `0..=k` of `v`.
+#[inline]
+fn prefix_xor(mut v: u64) -> u64 {
+    v ^= v << 1;
+    v ^= v << 2;
+    v ^= v << 4;
+    v ^= v << 8;
+    v ^= v << 16;
+    v ^ v << 32
+}
 
 /// CHP tableau over `n` qubits.
 #[derive(Debug, Clone)]
 pub struct Tableau {
     n: usize,
-    /// Words per row half (x or z plane).
+    /// Row words per column: `⌈2n/64⌉`.
     w: usize,
-    /// X bit-planes, `(2n + 1)` rows of `w` words (last row is scratch).
-    xs: Vec<u64>,
-    /// Z bit-planes, same shape.
-    zs: Vec<u64>,
-    /// Phase bit per row (`true` = −1).
-    rs: Vec<bool>,
+    /// Qubit-major columns: qubit `q`'s X column is words
+    /// `2qw .. 2qw + w`, its Z column the `w` words after it. Row `2i` is
+    /// destabilizer `i`, row `2i + 1` stabilizer `i`.
+    cols: Vec<u64>,
+    /// Phase bit per row (`1` = −1), packed like a column.
+    rs: Vec<u64>,
 }
 
 impl Tableau {
     /// A fresh tableau in the |0…0⟩ state.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "tableau needs at least one qubit");
-        let w = n.div_ceil(64);
-        let rows = 2 * n + 1;
-        let mut t =
-            Tableau { n, w, xs: vec![0; rows * w], zs: vec![0; rows * w], rs: vec![false; rows] };
-        for i in 0..n {
-            t.set_x(i, i, true); // destabilizer i = X_i
-            t.set_z(n + i, i, true); // stabilizer i = Z_i
-        }
+        let w = (2 * n).div_ceil(64);
+        let mut t = Tableau { n, w, cols: vec![0; 2 * n * w], rs: vec![0; w] };
+        t.clear();
         t
     }
 
@@ -51,43 +77,51 @@ impl Tableau {
 
     /// Re-initialise to |0…0⟩ without reallocating.
     pub fn clear(&mut self) {
-        self.xs.fill(0);
-        self.zs.fill(0);
-        self.rs.fill(false);
-        for i in 0..self.n {
-            self.set_x(i, i, true);
-            self.set_z(self.n + i, i, true);
+        self.cols.fill(0);
+        self.rs.fill(0);
+        let w = self.w;
+        for q in 0..self.n {
+            // Destabilizer q = X_q, stabilizer q = Z_q.
+            self.cols[2 * q * w + q / 32] |= 1 << (2 * q % 64);
+            self.cols[(2 * q + 1) * w + q / 32] |= 1 << ((2 * q + 1) % 64);
         }
     }
 
-    // --- bit accessors ----------------------------------------------------------
+    /// Word `word` of qubit `q`'s X column (`z = false`) or Z column.
+    #[inline]
+    fn at(&self, q: usize, z: bool, word: usize) -> usize {
+        (2 * q + usize::from(z)) * self.w + word
+    }
 
+    /// Apply `f(x, z, r)` to every row word of qubit `a`'s columns and the
+    /// phase vector.
     #[inline]
-    fn x_bit(&self, row: usize, col: usize) -> bool {
-        self.xs[row * self.w + col / 64] >> (col % 64) & 1 == 1
-    }
-    #[inline]
-    fn z_bit(&self, row: usize, col: usize) -> bool {
-        self.zs[row * self.w + col / 64] >> (col % 64) & 1 == 1
-    }
-    #[inline]
-    fn set_x(&mut self, row: usize, col: usize, b: bool) {
-        let m = 1u64 << (col % 64);
-        let idx = row * self.w + col / 64;
-        if b {
-            self.xs[idx] |= m;
-        } else {
-            self.xs[idx] &= !m;
+    fn single(&mut self, a: usize, f: impl Fn(&mut u64, &mut u64, &mut u64)) {
+        let w = self.w;
+        let (xs, zs) = self.cols[2 * a * w..2 * (a + 1) * w].split_at_mut(w);
+        for ((x, z), r) in xs.iter_mut().zip(zs).zip(&mut self.rs) {
+            f(x, z, r);
         }
     }
+
+    /// Apply `f(xa, za, xb, zb, r)` to every row word of qubits `a` and
+    /// `b` (distinct) and the phase vector.
     #[inline]
-    fn set_z(&mut self, row: usize, col: usize, b: bool) {
-        let m = 1u64 << (col % 64);
-        let idx = row * self.w + col / 64;
-        if b {
-            self.zs[idx] |= m;
-        } else {
-            self.zs[idx] &= !m;
+    fn pair(
+        &mut self,
+        a: usize,
+        b: usize,
+        f: impl Fn(&mut u64, &mut u64, &mut u64, &mut u64, &mut u64),
+    ) {
+        let w = self.w;
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (left, right) = self.cols.split_at_mut(2 * hi * w);
+        let (xl, zl) = left[2 * lo * w..2 * (lo + 1) * w].split_at_mut(w);
+        let (xh, zh) = right[..2 * w].split_at_mut(w);
+        let ((xa, za), (xb, zb)) = if a < b { ((xl, zl), (xh, zh)) } else { ((xh, zh), (xl, zl)) };
+        let rows = xa.iter_mut().zip(za).zip(xb.iter_mut().zip(zb)).zip(&mut self.rs);
+        for (((xa, za), (xb, zb)), r) in rows {
+            f(xa, za, xb, zb, r);
         }
     }
 
@@ -95,219 +129,188 @@ impl Tableau {
 
     /// Hadamard on `a`: swaps X/Z, phase flips on Y.
     pub fn h(&mut self, a: usize) {
-        let (w, m, sh) = (a / 64, 1u64 << (a % 64), a % 64);
-        for row in 0..2 * self.n {
-            let xi = row * self.w + w;
-            let xb = self.xs[xi] & m;
-            let zb = self.zs[xi] & m;
-            if xb != 0 && zb != 0 {
-                self.rs[row] = !self.rs[row];
-            }
-            self.xs[xi] = (self.xs[xi] & !m) | (zb >> sh << sh);
-            self.zs[xi] = (self.zs[xi] & !m) | (xb >> sh << sh);
-        }
+        self.single(a, |x, z, r| {
+            *r ^= *x & *z;
+            std::mem::swap(x, z);
+        });
     }
 
     /// Phase gate S on `a` (X→Y, Z→Z).
     pub fn s(&mut self, a: usize) {
-        let (w, m) = (a / 64, 1u64 << (a % 64));
-        for row in 0..2 * self.n {
-            let xi = row * self.w + w;
-            let xb = self.xs[xi] & m;
-            let zb = self.zs[xi] & m;
-            if xb != 0 && zb != 0 {
-                self.rs[row] = !self.rs[row];
-            }
-            self.zs[xi] ^= xb;
-        }
+        self.single(a, |x, z, r| {
+            *r ^= *x & *z;
+            *z ^= *x;
+        });
     }
 
     /// Inverse phase gate S† on `a` (X→−Y, Z→Z).
     pub fn sdg(&mut self, a: usize) {
-        let (w, m) = (a / 64, 1u64 << (a % 64));
-        for row in 0..2 * self.n {
-            let xi = row * self.w + w;
-            let xb = self.xs[xi] & m;
-            let zb = self.zs[xi] & m;
-            if xb != 0 && zb == 0 {
-                self.rs[row] = !self.rs[row];
-            }
-            self.zs[xi] ^= xb;
-        }
+        self.single(a, |x, z, r| {
+            *r ^= *x & !*z;
+            *z ^= *x;
+        });
     }
 
     /// Pauli X on `a` (phase flips rows with a Z component).
     pub fn x(&mut self, a: usize) {
-        let (w, m) = (a / 64, 1u64 << (a % 64));
-        for row in 0..2 * self.n {
-            if self.zs[row * self.w + w] & m != 0 {
-                self.rs[row] = !self.rs[row];
-            }
-        }
+        self.single(a, |_, z, r| *r ^= *z);
     }
 
     /// Pauli Z on `a` (phase flips rows with an X component).
     pub fn z(&mut self, a: usize) {
-        let (w, m) = (a / 64, 1u64 << (a % 64));
-        for row in 0..2 * self.n {
-            if self.xs[row * self.w + w] & m != 0 {
-                self.rs[row] = !self.rs[row];
-            }
-        }
+        self.single(a, |x, _, r| *r ^= *x);
     }
 
     /// Pauli Y on `a` (phase flips rows with X or Z but not both).
     pub fn y(&mut self, a: usize) {
-        let (w, m) = (a / 64, 1u64 << (a % 64));
-        for row in 0..2 * self.n {
-            let xi = row * self.w + w;
-            if (self.xs[xi] & m != 0) != (self.zs[xi] & m != 0) {
-                self.rs[row] = !self.rs[row];
-            }
-        }
+        self.single(a, |x, z, r| *r ^= *x ^ *z);
     }
 
     /// CNOT with control `c` and target `t`.
     pub fn cx(&mut self, c: usize, t: usize) {
         assert_ne!(c, t, "cx with control == target");
-        let (wc, mc) = (c / 64, 1u64 << (c % 64));
-        let (wt, mt) = (t / 64, 1u64 << (t % 64));
-        for row in 0..2 * self.n {
-            let base = row * self.w;
-            let xc = self.xs[base + wc] & mc != 0;
-            let zc = self.zs[base + wc] & mc != 0;
-            let xt = self.xs[base + wt] & mt != 0;
-            let zt = self.zs[base + wt] & mt != 0;
-            if xc && zt && !(xt ^ zc) {
-                self.rs[row] = !self.rs[row];
-            }
-            if xc {
-                self.xs[base + wt] ^= mt;
-            }
-            if zt {
-                self.zs[base + wc] ^= mc;
-            }
-        }
+        self.pair(c, t, |xc, zc, xt, zt, r| {
+            *r ^= *xc & *zt & !(*xt ^ *zc);
+            *xt ^= *xc;
+            *zc ^= *zt;
+        });
     }
 
-    /// Controlled-Z on `a`, `b` (symmetric).
+    /// Controlled-Z on `a`, `b` (symmetric; equal to H(b)·CX(a, b)·H(b)).
     pub fn cz(&mut self, a: usize, b: usize) {
-        self.h(b);
-        self.cx(a, b);
-        self.h(b);
+        assert_ne!(a, b, "cz with identical qubits");
+        self.pair(a, b, |xa, za, xb, zb, r| {
+            *r ^= *xa & *xb & (*za ^ *zb);
+            *za ^= *xb;
+            *zb ^= *xa;
+        });
     }
 
     /// SWAP of qubits `a` and `b` — pure column relabelling, no phases.
     pub fn swap(&mut self, a: usize, b: usize) {
         assert_ne!(a, b, "swap with identical qubits");
-        for row in 0..2 * self.n {
-            let xa = self.x_bit(row, a);
-            let xb = self.x_bit(row, b);
-            let za = self.z_bit(row, a);
-            let zb = self.z_bit(row, b);
-            self.set_x(row, a, xb);
-            self.set_x(row, b, xa);
-            self.set_z(row, a, zb);
-            self.set_z(row, b, za);
-        }
-    }
-
-    // --- row product -------------------------------------------------------------
-
-    /// `row_h := row_i * row_h` with exact phase tracking (CHP `rowsum`).
-    ///
-    /// Word-parallel: the per-column phase contribution g ∈ {−1, 0, +1} is
-    /// evaluated as two bitmasks (positions contributing +1 / −1) and summed
-    /// with popcounts.
-    fn rowsum(&mut self, h: usize, i: usize) {
-        let mut acc: i64 = 2 * (self.rs[h] as i64) + 2 * (self.rs[i] as i64);
-        let (bh, bi) = (h * self.w, i * self.w);
-        for w in 0..self.w {
-            let x1 = self.xs[bi + w];
-            let z1 = self.zs[bi + w];
-            let x2 = self.xs[bh + w];
-            let z2 = self.zs[bh + w];
-            let pos = (x1 & !z1 & x2 & z2) | (x1 & z1 & z2 & !x2) | (!x1 & z1 & x2 & !z2);
-            let neg = (x1 & !z1 & z2 & !x2) | (x1 & z1 & x2 & !z2) | (!x1 & z1 & x2 & z2);
-            acc += pos.count_ones() as i64 - neg.count_ones() as i64;
-            self.xs[bh + w] ^= x1;
-            self.zs[bh + w] ^= z1;
-        }
-        // For stabilizer/scratch rows the accumulated i-exponent is provably
-        // even (the rows commute); destabilizer rows may yield an odd
-        // exponent, but their phases are never read — mirror CHP and keep
-        // only the relevant bit.
-        self.rs[h] = acc.rem_euclid(4) >= 2;
-    }
-
-    fn copy_row(&mut self, dst: usize, src: usize) {
-        let (bd, bs) = (dst * self.w, src * self.w);
-        for w in 0..self.w {
-            self.xs[bd + w] = self.xs[bs + w];
-            self.zs[bd + w] = self.zs[bs + w];
-        }
-        self.rs[dst] = self.rs[src];
-    }
-
-    fn zero_row(&mut self, row: usize) {
-        let b = row * self.w;
-        self.xs[b..b + self.w].fill(0);
-        self.zs[b..b + self.w].fill(0);
-        self.rs[row] = false;
+        self.pair(a, b, |xa, za, xb, zb, _| {
+            std::mem::swap(xa, xb);
+            std::mem::swap(za, zb);
+        });
     }
 
     // --- measurement -------------------------------------------------------------
 
+    /// The lowest-index stabilizer row with an X component on `a` (it
+    /// anticommutes with Z_a), if any.
+    fn pivot(&self, a: usize) -> Option<usize> {
+        let x = &self.cols[self.at(a, false, 0)..][..self.w];
+        x.iter().enumerate().find_map(|(word, &v)| {
+            let s = v & STAB;
+            (s != 0).then(|| 64 * word + s.trailing_zeros() as usize)
+        })
+    }
+
+    /// Random outcome: CHP `rowsum(h, p)` into every row `h ≠ p` with an X
+    /// component on `a`, all rows of a word at once, then row `p` becomes
+    /// its own destabilizer partner and is replaced by ±Z_a.
+    fn collapse(&mut self, a: usize, p: usize, rng: &mut dyn RngCore) -> bool {
+        let (w, pw, pb) = (self.w, p / 64, p % 64);
+        let rp = (self.rs[pw] >> pb & 1).wrapping_neg();
+        for word in 0..w {
+            let mut m = self.cols[self.at(a, false, word)];
+            if word == pw {
+                m &= !(1 << pb);
+            }
+            if m == 0 {
+                continue;
+            }
+            // Per-row mod-4 phase sum, bit-sliced: starts at 2·r_h + 2·r_p.
+            let (mut c0, mut c1) = (0u64, self.rs[word] ^ rp);
+            for col in self.cols.chunks_exact_mut(2 * w) {
+                let (xs, zs) = col.split_at_mut(w);
+                let x1 = (xs[pw] >> pb & 1).wrapping_neg();
+                let z1 = (zs[pw] >> pb & 1).wrapping_neg();
+                if x1 | z1 == 0 {
+                    continue;
+                }
+                // The pivot's factor P1 times each row's factor P2 gains
+                // i^±1 where they anticommute; the sign is −1 exactly where
+                // x ⊕ z ⊕ x1·z2 of the product P1·P2 is set.
+                let (x2, z2) = (xs[word], zs[word]);
+                let x1z2 = x1 & z2;
+                let anti = x1z2 ^ (z1 & x2);
+                c1 ^= anti & (c0 ^ x2 ^ x1 ^ z2 ^ z1 ^ x1z2);
+                c0 ^= anti;
+                xs[word] = x2 ^ (m & x1);
+                zs[word] = z2 ^ (m & z1);
+            }
+            // Destabilizer rows may sum to an odd exponent, but their phases
+            // are never read: keep only the sign bit, as CHP does.
+            self.rs[word] = (self.rs[word] & !m) | (c1 & m);
+        }
+        // Destabilizer partner of `p` (row p − 1, same word) := row p;
+        // row p := Z_a with the drawn sign.
+        let pair = 3u64 << (pb - 1);
+        let shift = |v: u64| (v & !pair) | (v >> pb & 1) << (pb - 1);
+        for v in self.cols[pw..].iter_mut().step_by(w) {
+            *v = shift(*v);
+        }
+        let iz = self.at(a, true, pw);
+        self.cols[iz] |= 1 << pb;
+        let outcome = rng.next_u32() & 1 == 1;
+        self.rs[pw] = shift(self.rs[pw]) | u64::from(outcome) << pb;
+        outcome
+    }
+
+    /// Deterministic outcome: the sign of the product of the stabilizers
+    /// whose destabilizer partners have an X component on `a` (that
+    /// product is ±Z_a). The rows commute, so the product's phase is
+    /// `(−1)^(Σr + Σ_{j<k} z_j·x_k) · i^(#Y)`, summed per qubit over the
+    /// rows in index order.
+    fn determined(&self, a: usize) -> bool {
+        let (w, xa) = (self.w, self.at(a, false, 0));
+        let sel = |word: usize| (self.cols[xa + word] & DESTAB) << 1;
+        let mut sign = 0u32;
+        let mut rows = 0u32;
+        for word in 0..w {
+            sign ^= (self.rs[word] & sel(word)).count_ones();
+            rows += sel(word).count_ones();
+        }
+        if rows == 1 {
+            // A single row is ±Z_a itself.
+            return sign & 1 == 1;
+        }
+        let mut ys = 0u32;
+        for col in self.cols.chunks_exact(2 * w) {
+            let (xs, zs) = col.split_at(w);
+            // Parity of the selected Z factors in earlier words.
+            let mut z_before = 0u64;
+            for (word, (&x, &z)) in xs.iter().zip(zs).enumerate() {
+                let s = sel(word);
+                let (x, z) = (x & s, z & s);
+                // Only X factors after a Z factor (or Y factors) add phase.
+                if x != 0 && z | z_before != 0 {
+                    ys += (x & z).count_ones();
+                    sign ^= (x & (prefix_xor(z) ^ z ^ z_before)).count_ones();
+                }
+                z_before ^= (u64::from(z.count_ones()) & 1).wrapping_neg();
+            }
+        }
+        (sign & 1 == 1) ^ (ys & 2 == 2)
+    }
+
     /// Z-basis measurement of qubit `a`, collapsing the state.
     pub fn measure(&mut self, a: usize, rng: &mut dyn RngCore) -> bool {
-        let n = self.n;
-        // A stabilizer row with an X component on `a` anticommutes with Z_a:
-        // outcome is random.
-        let p = (n..2 * n).find(|&row| self.x_bit(row, a));
-        match p {
-            Some(p) => {
-                for row in 0..2 * n {
-                    if row != p && self.x_bit(row, a) {
-                        self.rowsum(row, p);
-                    }
-                }
-                self.copy_row(p - n, p);
-                self.zero_row(p);
-                self.set_z(p, a, true);
-                let outcome = rng.next_u32() & 1 == 1;
-                self.rs[p] = outcome;
-                outcome
-            }
-            None => {
-                // Deterministic: accumulate the stabilizer combination whose
-                // product is ±Z_a into the scratch row.
-                let scratch = 2 * n;
-                self.zero_row(scratch);
-                for i in 0..n {
-                    if self.x_bit(i, a) {
-                        self.rowsum(scratch, i + n);
-                    }
-                }
-                self.rs[scratch]
-            }
+        match self.pivot(a) {
+            Some(p) => self.collapse(a, p, rng),
+            None => self.determined(a),
         }
     }
 
     /// Whether measuring `a` would give a deterministic outcome, and if so
     /// which. Does not collapse the state.
     pub fn peek_z(&mut self, a: usize) -> Option<bool> {
-        let n = self.n;
-        if (n..2 * n).any(|row| self.x_bit(row, a)) {
-            return None;
+        match self.pivot(a) {
+            Some(_) => None,
+            None => Some(self.determined(a)),
         }
-        let scratch = 2 * n;
-        self.zero_row(scratch);
-        for i in 0..n {
-            if self.x_bit(i, a) {
-                self.rowsum(scratch, i + n);
-            }
-        }
-        Some(self.rs[scratch])
     }
 
     /// Whether measuring `a` in the X basis would give a deterministic
@@ -335,13 +338,13 @@ impl Tableau {
     /// and tests).
     pub fn stabilizer(&self, i: usize) -> PauliString {
         assert!(i < self.n, "stabilizer index out of range");
-        let row = self.n + i;
+        let (word, bit) = ((2 * i + 1) / 64, (2 * i + 1) % 64);
         let mut p = PauliString::identity(self.n);
         for q in 0..self.n {
-            p.set_x(q, self.x_bit(row, q));
-            p.set_z(q, self.z_bit(row, q));
+            p.set_x(q, self.cols[self.at(q, false, word)] >> bit & 1 == 1);
+            p.set_z(q, self.cols[self.at(q, true, word)] >> bit & 1 == 1);
         }
-        p.sign = self.rs[row];
+        p.sign = self.rs[word] >> bit & 1 == 1;
         p
     }
 
