@@ -2,334 +2,80 @@
 //! topology, and measures post-decoding logical error rates under intrinsic
 //! noise and injected faults — the machinery behind all four of the paper's
 //! analyses (Sec. V).
+//!
+//! The engine sits on the campaign core ([`crate::campaign`]) it shares
+//! with the stream engine: builder knobs, host step (placement,
+//! transpilation, tableau sampler, reference traces), chunk grid and
+//! workspace pool. It keeps the two-round [`CodeCircuit`], the boxed
+//! [`BulkDecoder`] and the rayon loop over a sample's chunks or shots.
 
+pub use crate::campaign::{default_frame_chunk, SamplerKind, TableauSampler};
+use crate::campaign::{Campaign, EngineBuildError, EngineBuilder, Host};
 use crate::codes::{CodeCircuit, CodeSpec};
 use crate::decoder::{BulkDecoder, Decoder, DecoderMask};
-use radqec_circuit::{Backend, Circuit, Qubit, ShotBatch, ShotRecord};
-use radqec_noise::{
-    run_noisy_shot_segmented, ActiveFault, FaultSpec, NoiseSpec, ResetBasis, StreamWorkspace,
-};
-use radqec_stabilizer::{ReferenceTrace, StabilizerBackend};
-use radqec_telemetry::{names, MetricsRegistry};
-use radqec_topology::{generators::fitting_mesh, Topology};
-use radqec_transpiler::{transpile, TranspileOptions, Transpiled};
+use radqec_circuit::ShotBatch;
+pub use radqec_noise::WorkspaceStats;
+use radqec_noise::{ActiveFault, FaultSpec, NoiseSpec, ResetBasis};
+use radqec_stabilizer::ReferenceTrace;
+use radqec_telemetry::MetricsRegistry;
+use radqec_topology::Topology;
+use radqec_transpiler::Transpiled;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
-/// Which Monte-Carlo sampler backs [`InjectionEngine`] shots.
-///
-/// See `radqec_stabilizer`'s crate docs for the full comparison; in short:
-/// the frame batch is 1–3 orders of magnitude faster and exact wherever
-/// fault resets hit reference-eigenstate points (all repetition-code
-/// workloads, all intrinsic-noise-only runs), while the per-shot tableau is
-/// exact everywhere and serves as the oracle for cross-validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SamplerKind {
-    /// Bit-packed Pauli-frame batch sampler (64 shots per word) — default.
-    #[default]
-    FrameBatch,
-    /// One CHP tableau replay per shot — the exact reference path.
-    Tableau,
-}
-
-/// The exact per-shot sampler: one CHP tableau replay per shot of a
-/// circuit relabelled onto the qubits it uses.
-///
-/// A routed circuit touches only part of its device (xxzz-(3,3) uses 18
-/// of Brooklyn's 65 qubits), and the tableau costs grow with its qubit
-/// count. Dropping the idle qubits is exact: a qubit no operation touches
-/// stays in |0⟩ for the whole shot, a product factor that no gate,
-/// measurement or reset reads, and faults act only on gate operands. A
-/// measurement's outcome depends only on the state of the used qubits and,
-/// when random, on one RNG draw, so every outcome and every draw equals
-/// the full-device replay's. Build it once per engine; each call gathers
-/// its faults onto the used qubits once.
-#[derive(Debug, Clone)]
-pub struct TableauSampler {
-    /// The circuit on qubits `0..used.len()`.
-    circuit: Circuit,
-    /// Original index of each relabelled qubit, ascending.
-    used: Vec<Qubit>,
-}
-
-impl TableauSampler {
-    /// Relabel `circuit` onto its used qubits.
-    pub fn new(circuit: &Circuit) -> Self {
-        let used = circuit.used_qubits();
-        let mut map = vec![0; circuit.num_qubits() as usize];
-        for (i, &q) in used.iter().enumerate() {
-            map[q as usize] = i as Qubit;
-        }
-        let circuit = circuit.remap_qubits(&map, used.len().max(1) as u32);
-        TableauSampler { circuit, used }
-    }
-
-    /// The relabelled circuit.
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// Original index of each relabelled qubit.
-    pub fn used_qubits(&self) -> &[Qubit] {
-        &self.used
-    }
-
-    /// `fault` (over the original qubits) restricted to the used ones, in
-    /// relabelled order.
-    fn gather(&self, fault: &ActiveFault) -> ActiveFault {
-        let probs = self.used.iter().map(|&q| fault.prob(q)).collect();
-        ActiveFault::from_probs(probs).with_basis(fault.basis())
-    }
-
-    /// Replay shots `0..shots` (shot-parallel) under `noise` and the fault
-    /// timeline `segments` (over the original qubits; see
-    /// [`run_noisy_shot_segmented`]), shot `s` on its own
-    /// `StdRng::seed_from_u64(seed(s))`, and map each record through
-    /// `each`.
-    pub fn map_shots<T: Send>(
-        &self,
-        shots: usize,
-        noise: &NoiseSpec,
-        segments: &[(usize, &ActiveFault)],
-        seed: impl Fn(usize) -> u64 + Sync,
-        each: impl Fn(ShotRecord) -> T + Sync,
-    ) -> Vec<T> {
-        let gathered: Vec<ActiveFault> = segments.iter().map(|(_, f)| self.gather(f)).collect();
-        let segments: Vec<(usize, &ActiveFault)> =
-            segments.iter().zip(&gathered).map(|(&(start, _), f)| (start, f)).collect();
-        (0..shots)
-            .into_par_iter()
-            .map_init(
-                || StabilizerBackend::new(self.circuit.num_qubits()),
-                |backend, shot| {
-                    let mut rng = StdRng::seed_from_u64(seed(shot));
-                    backend.reset_all();
-                    each(run_noisy_shot_segmented(
-                        &self.circuit,
-                        backend,
-                        noise,
-                        &segments,
-                        &mut rng,
-                    ))
-                },
-            )
-            .collect()
-    }
-
-    /// [`Self::map_shots`]'s records as one bit-packed batch.
-    pub(crate) fn batch(
-        &self,
-        shots: usize,
-        noise: &NoiseSpec,
-        segments: &[(usize, &ActiveFault)],
-        seed: impl Fn(usize) -> u64 + Sync,
-    ) -> ShotBatch {
-        ShotBatch::from_records(&self.map_shots(shots, noise, segments, seed, |r| r))
-    }
-}
-
-/// Smallest and largest automatic Pauli-frame batch sizes (see
-/// [`default_frame_chunk`]).
-const FRAME_CHUNK_MIN: usize = 256;
-const FRAME_CHUNK_MAX: usize = 4096;
-
-/// Shots per Pauli-frame batch for a campaign of `shots` shots.
-///
-/// Derived from the shot count only — never from the core count — so a
-/// seed's results are identical on every machine (the per-chunk RNG streams
-/// depend on chunk boundaries). Aims for ~16 chunks of word-aligned
-/// (multiple-of-64) size, clamped to [256, 4096]: the default 1000-shot
-/// campaign keeps its historical 4×256 split (bit-identical to PR 1), while
-/// 10⁵-shot sweeps get 4096-shot batches.
-///
-/// Chunk size used to trade parallelism against decode-memo effectiveness
-/// (the per-batch memo was split across chunks); with the engine-level
-/// cross-batch syndrome cache that coupling is gone and this is purely a
-/// parallel-balance / working-set knob. Override per workload with
-/// [`InjectionEngineBuilder::frame_chunk`].
-pub fn default_frame_chunk(shots: usize) -> usize {
-    let target = shots.div_ceil(16);
-    let aligned = target.div_ceil(64) * 64;
-    aligned.clamp(FRAME_CHUNK_MIN, FRAME_CHUNK_MAX)
-}
-
-/// Fluent configuration for [`InjectionEngine`].
-pub struct InjectionEngineBuilder {
-    spec: CodeSpec,
-    topology: Option<Topology>,
-    initial_layout: Option<Vec<u32>>,
-    transpile_opts: TranspileOptions,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: Option<usize>,
-}
+/// Fluent configuration for [`InjectionEngine`]: the shared campaign
+/// knobs, with no knobs of its own.
+pub type InjectionEngineBuilder = EngineBuilder<()>;
 
 impl InjectionEngineBuilder {
-    /// Override the architecture graph (default: the smallest 5×k mesh that
-    /// fits the code, the paper's scaled-down 5×6 lattice).
-    pub fn topology(mut self, topo: Topology) -> Self {
-        self.topology = Some(topo);
-        self
-    }
-
-    /// Pin the initial logical→physical placement instead of searching
-    /// (routing still runs; with a good table it inserts few or no SWAPs).
-    /// The mitigation harness uses this to host codes on their native
-    /// embeddings extended by a readout-ancilla seat.
-    pub fn initial_layout(mut self, l2p: Vec<u32>) -> Self {
-        self.initial_layout = Some(l2p);
-        self
-    }
-
-    /// Override transpilation options.
-    pub fn transpile_options(mut self, opts: TranspileOptions) -> Self {
-        self.transpile_opts = opts;
-        self
-    }
-
-    /// Select the shot sampler (default [`SamplerKind::FrameBatch`]).
-    pub fn sampler(mut self, kind: SamplerKind) -> Self {
-        self.sampler = kind;
-        self
-    }
-
-    /// Shots per temporal sample (default 1000).
-    pub fn shots(mut self, shots: usize) -> Self {
-        assert!(shots > 0, "need at least one shot");
-        self.shots = shots;
-        self
-    }
-
-    /// Master seed; every (sample, shot) pair derives its own stream, so
-    /// results are reproducible and independent of thread scheduling.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the shots-per-frame-batch size (default:
-    /// [`default_frame_chunk`] of the campaign's shot count). Changing it
-    /// changes the per-chunk RNG streams, i.e. which shots are sampled —
-    /// not the sampled distribution.
-    pub fn frame_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "frame chunk must be positive");
-        self.frame_chunk = Some(chunk);
-        self
-    }
-
     /// Build the engine (runs the transpiler once).
+    ///
+    /// # Panics
+    /// Panics on a configuration [`Self::try_build`] rejects.
     pub fn build(self) -> InjectionEngine {
-        let code = self.spec.build();
-        let topology = self.topology.unwrap_or_else(|| fitting_mesh(code.total_qubits()));
-        assert!(
-            topology.num_qubits() >= code.total_qubits(),
-            "topology {} too small for {}",
-            topology.name(),
-            code.name
-        );
-        let transpiled = match self.initial_layout {
-            Some(l2p) => radqec_transpiler::transpile_with_layout(
-                &code.circuit,
-                &topology,
-                radqec_transpiler::Layout::new(l2p, topology.num_qubits()),
-                &self.transpile_opts,
-            ),
-            None => transpile(&code.circuit, &topology, &self.transpile_opts),
-        };
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::build`]: `Err` on a topology smaller than the code
+    /// or an invalid or too short initial layout.
+    pub fn try_build(self) -> Result<InjectionEngine, EngineBuildError> {
         // The decoder records into the engine's registry, so one snapshot
         // covers workspace gauges and the whole `decode.*` family.
-        let metrics = Arc::new(MetricsRegistry::new());
-        let decoder = Box::new(BulkDecoder::with_metrics(&code, Arc::clone(&metrics)));
-        InjectionEngine {
-            code,
-            topology,
-            transpiled,
-            tableau: OnceLock::new(),
-            decoder,
-            sampler: self.sampler,
-            shots: self.shots,
-            seed: self.seed,
-            frame_chunk: self.frame_chunk.unwrap_or_else(|| default_frame_chunk(self.shots)),
-            reference: OnceLock::new(),
-            workspaces: Mutex::new(Vec::new()),
-            metrics,
-        }
+        let campaign = self.campaign(Arc::new(MetricsRegistry::new()));
+        let code = self.spec.build();
+        let host = Host::place(&code.circuit, &code.name, self.placement)?;
+        let decoder = Box::new(BulkDecoder::with_metrics(&code, Arc::clone(&campaign.metrics)));
+        Ok(InjectionEngine { code, host, decoder, campaign })
     }
 }
 
-/// A ready-to-run injection campaign for one (code, topology) pair.
-///
-/// With [`SamplerKind::Tableau`], shots replay the transpiled circuit on
-/// its used qubits only ([`TableauSampler`], built once per engine):
-/// qubits no operation touches stay in |0⟩ and faults act only on gate
-/// operands, so every record is bit-identical to a full-device replay's
-/// while the tableau shrinks (Brooklyn's 65 qubits to 18 for
-/// xxzz-(3,3)).
+/// A ready-to-run injection campaign for one (code, topology) pair. With
+/// [`SamplerKind::Tableau`], shots replay the transpiled circuit on its
+/// used qubits only ([`TableauSampler`]), record for record as on the
+/// full device.
 pub struct InjectionEngine {
     code: CodeCircuit,
-    topology: Topology,
-    transpiled: Transpiled,
-    /// The transpiled circuit on its used qubits, for tableau shots,
-    /// built on first use.
-    tableau: OnceLock<TableauSampler>,
+    host: Host,
     /// Boxed on purpose: the dynamic call keeps the decode cascade from
-    /// being inlined into the tableau shot loop. Inlining it cost that loop
-    /// about 7 % when a tableau shot took ~55 µs (radbench `paper_d3`,
-    /// 2-vCPU VM); it has not been re-measured since the qubit-major
-    /// tableau on used qubits made those shots ~4× cheaper.
+    /// being inlined into the tableau shot loop, which cost that loop about
+    /// 7 % at ~55 µs per shot (radbench `paper_d3`, 2-vCPU VM; not
+    /// re-measured since shots became ~4× cheaper).
     decoder: Box<dyn Decoder>,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: usize,
-    /// Noiseless reference trace for the frame sampler, computed on first
-    /// use and shared by every sample/batch of the campaign.
-    reference: OnceLock<ReferenceTrace>,
-    /// Pooled per-worker stream workspaces (frame planes, record batches,
-    /// Bernoulli scratch), recycled across chunks, samples and whole
-    /// campaigns — the PR 4 streaming arena ported to the offline engine.
-    /// Re-initialisation replays a fresh buffer's exact draw sequence, so
-    /// pooling never changes a sampled stream.
-    workspaces: Mutex<Vec<StreamWorkspace>>,
-    /// Per-engine metrics registry — [`Self::workspace_stats`] mirrors
-    /// the pool counters into its gauges on read.
-    metrics: Arc<MetricsRegistry>,
-}
-
-/// Workspace-pool counters of an [`InjectionEngine`]'s lifetime (see
-/// [`InjectionEngine::workspace_stats`]). Registry-backed: reading the
-/// stats refreshes the `workspace.allocated` / `workspace.reused` gauges
-/// in [`InjectionEngine::metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkspaceStats {
-    /// Buffer allocations (frame/record/mask) over the engine's lifetime
-    /// — stays flat once the pool is warm.
-    pub allocated: u64,
-    /// Chunk set-ups that reused every pooled buffer.
-    pub reused: u64,
+    /// Sampler, seed, chunk grid, workspace pool and registry.
+    campaign: Campaign,
 }
 
 impl InjectionEngine {
     /// Start configuring an engine for `spec`.
     pub fn builder(spec: CodeSpec) -> InjectionEngineBuilder {
-        InjectionEngineBuilder {
-            spec,
-            topology: None,
-            initial_layout: None,
-            transpile_opts: TranspileOptions::auto(),
-            sampler: SamplerKind::default(),
-            shots: 1000,
-            seed: 0,
-            frame_chunk: None,
-        }
+        EngineBuilder::new(spec, ())
     }
 
     /// The sampler backing this engine's shots.
     pub fn sampler(&self) -> SamplerKind {
-        self.sampler
+        self.campaign.sampler
     }
 
     /// The assembled (logical) code.
@@ -339,27 +85,27 @@ impl InjectionEngine {
 
     /// The architecture graph in use.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.host.topology
     }
 
     /// The transpiled physical circuit and layouts.
     pub fn transpiled(&self) -> &Transpiled {
-        &self.transpiled
+        &self.host.transpiled
     }
 
     /// Physical qubits the routed circuit actually uses.
     pub fn used_physical_qubits(&self) -> Vec<u32> {
-        self.transpiled.used_physical_qubits()
+        self.host.transpiled.used_physical_qubits()
     }
 
     /// Shots per temporal sample.
     pub fn shots(&self) -> usize {
-        self.shots
+        self.campaign.grid.shots
     }
 
     /// Shots per Pauli-frame batch in use.
     pub fn frame_chunk(&self) -> usize {
-        self.frame_chunk
+        self.campaign.grid.frame_chunk
     }
 
     /// Tier statistics of the engine's tiered MWPM decoder (always `Some`;
@@ -389,12 +135,7 @@ impl InjectionEngine {
         sample: usize,
         basis: ResetBasis,
     ) -> f64 {
-        let active = fault.activate(&self.topology, sample).with_basis(basis);
-        let errors = match self.sampler {
-            SamplerKind::FrameBatch => self.frame_errors_at_sample(&active, noise, sample),
-            SamplerKind::Tableau => self.tableau_errors_at_sample(&active, noise, sample),
-        };
-        errors as f64 / self.shots as f64
+        self.error_rate(fault, noise, sample, basis, None)
     }
 
     /// Strike-aware counterpart of [`Self::logical_error_at_sample`]: the
@@ -411,35 +152,7 @@ impl InjectionEngine {
         sample: usize,
         mask: &DecoderMask,
     ) -> f64 {
-        let active = fault.activate(&self.topology, sample).with_basis(ResetBasis::Z);
-        let errors: usize = match self.sampler {
-            SamplerKind::FrameBatch => {
-                let chunks = self.shots.div_ceil(self.frame_chunk);
-                (0..chunks)
-                    .into_par_iter()
-                    .map(|chunk| {
-                        let batch = self.frame_batch_chunk(&active, noise, sample, chunk);
-                        self.decoder
-                            .decode_batch_masked(&batch, mask)
-                            .into_iter()
-                            .filter(|&ok| !ok)
-                            .count()
-                    })
-                    .sum()
-            }
-            SamplerKind::Tableau => {
-                // Replay per shot, decode as one batch: the masked batch
-                // path resolves the mask's solve context once per call
-                // (per-shot `decode_masked` would take the mask-map lock
-                // per shot across every rayon worker, and the batch tiers
-                // are bit-identical to per-shot decoding anyway).
-                let batch = self.tableau().batch(self.shots, noise, &[(0, &active)], |shot| {
-                    mix_seed(self.seed, sample as u64, shot as u64)
-                });
-                self.decoder.decode_batch_masked(&batch, mask).into_iter().filter(|&ok| !ok).count()
-            }
-        };
-        errors as f64 / self.shots as f64
+        self.error_rate(fault, noise, sample, ResetBasis::Z, Some(mask))
     }
 
     /// The engine's decoder (for harnesses that decode sampled batches
@@ -449,116 +162,108 @@ impl InjectionEngine {
         self.decoder.as_ref()
     }
 
-    /// The engine's tableau sampler (relabelled once, on first use).
-    fn tableau(&self) -> &TableauSampler {
-        self.tableau.get_or_init(|| TableauSampler::new(&self.transpiled.circuit))
+    /// Logical error rate at one temporal sample, decoded with `mask` when
+    /// given.
+    fn error_rate(
+        &self,
+        fault: &FaultSpec,
+        noise: &NoiseSpec,
+        sample: usize,
+        basis: ResetBasis,
+        mask: Option<&DecoderMask>,
+    ) -> f64 {
+        let active = fault.activate(&self.host.topology, sample).with_basis(basis);
+        let shots = self.shots();
+        let seed = |shot: usize| mix_seed(self.campaign.seed, sample as u64, shot as u64);
+        let errors = match (self.campaign.sampler, mask) {
+            (SamplerKind::FrameBatch, _) => self.frame_errors(&active, noise, sample, mask),
+            // Per-shot tableau path: one CHP replay per shot on the
+            // circuit's used qubits, each decoded as it lands.
+            (SamplerKind::Tableau, None) => self
+                .host
+                .tableau()
+                .map_shots(shots, noise, &[(0, &active)], seed, |record| {
+                    usize::from(!self.decoder.decode(&record))
+                })
+                .into_iter()
+                .sum(),
+            // Replay per shot, decode as one batch: the masked batch path
+            // resolves the mask's solve context once per call (per-shot
+            // `decode_masked` would take the mask-map lock per shot across
+            // every rayon worker, and the batch tiers are bit-identical to
+            // per-shot decoding anyway).
+            (SamplerKind::Tableau, Some(mask)) => {
+                let batch = self.host.tableau().batch(shots, noise, &[(0, &active)], seed);
+                count_errors(self.decoder.decode_batch_masked(&batch, mask))
+            }
+        };
+        errors as f64 / shots as f64
     }
 
-    /// Per-shot tableau path: one CHP replay per shot on the circuit's
-    /// used qubits, each decoded as it lands.
-    fn tableau_errors_at_sample(
+    /// Frame-batch path: one rayon task per chunk of bit-packed Pauli
+    /// frames, decoded against the engine-lifetime syndrome cache.
+    fn frame_errors(
         &self,
         active: &ActiveFault,
         noise: &NoiseSpec,
         sample: usize,
+        mask: Option<&DecoderMask>,
     ) -> usize {
-        self.tableau()
-            .map_shots(
-                self.shots,
-                noise,
-                &[(0, active)],
-                |shot| mix_seed(self.seed, sample as u64, shot as u64),
-                |record| usize::from(!self.decoder.decode(&record)),
-            )
-            .into_iter()
-            .sum()
-    }
-
-    /// Frame-batch path: one noiseless reference (computed once per engine),
-    /// then bit-packed Pauli frames — 64 shots per word — plus tiered batch
-    /// decoding against the engine-lifetime syndrome cache.
-    fn frame_errors_at_sample(
-        &self,
-        active: &ActiveFault,
-        noise: &NoiseSpec,
-        sample: usize,
-    ) -> usize {
-        let chunks = self.shots.div_ceil(self.frame_chunk);
-        (0..chunks)
+        let reference = self.reference();
+        (0..self.campaign.grid.count())
             .into_par_iter()
             .map(|chunk| {
-                let batch = self.frame_batch_chunk(active, noise, sample, chunk);
-                self.decoder.decode_batch(&batch).into_iter().filter(|&ok| !ok).count()
+                let batch = self.frame_batch_chunk(&reference, active, noise, sample, chunk);
+                count_errors(match mask {
+                    Some(mask) => self.decoder.decode_batch_masked(&batch, mask),
+                    None => self.decoder.decode_batch(&batch),
+                })
             })
             .sum()
     }
 
-    /// Pop a pooled workspace (or start a fresh one). Poison-tolerant: a
-    /// supervised worker panic elsewhere must not wedge the pool (pooled
-    /// workspaces are only ever pushed whole, never half-updated).
-    fn workspace(&self) -> StreamWorkspace {
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default()
-    }
-
-    /// Return a workspace to the pool (in-flight workspaces — abandoned
-    /// mid-chunk by a panicking worker — are dropped, not pooled).
-    fn pool(&self, ws: StreamWorkspace) {
-        if ws.in_flight() {
-            return;
-        }
-        self.workspaces.lock().unwrap_or_else(PoisonError::into_inner).push(ws);
-    }
-
-    /// Workspace-pool counters over the engine's lifetime: on a warm pool
-    /// further campaigns must not allocate at all (pinned by the
-    /// `warm_campaigns_allocate_nothing` regression test). Pooled
-    /// (returned) workspaces only — read between campaigns, not
-    /// mid-flight. Reading mirrors the counts into the engine registry's
-    /// `workspace.*` gauges.
+    /// Workspace-pool counters over the engine's lifetime, mirrored into
+    /// the registry's `workspace.*` gauges: on a warm pool further
+    /// campaigns allocate nothing. Read them between campaigns.
     pub fn workspace_stats(&self) -> WorkspaceStats {
-        let pool = self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
-        let stats = WorkspaceStats {
-            allocated: pool.iter().map(StreamWorkspace::allocations).sum(),
-            reused: pool.iter().map(StreamWorkspace::reuses).sum(),
-        };
-        self.metrics.gauge(names::WORKSPACE_ALLOCATED).set(stats.allocated);
-        self.metrics.gauge(names::WORKSPACE_REUSED).set(stats.reused);
-        stats
+        self.campaign.workspace_stats()
     }
 
     /// This engine's metrics registry.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.campaign.metrics
+    }
+
+    /// The frame sampler's noiseless reference trace, computed on first
+    /// use and shared by every sample and chunk of the engine.
+    fn reference(&self) -> Arc<ReferenceTrace> {
+        self.host.reference(mix_seed(self.campaign.seed, 0xFAB, 0x5EED))
     }
 
     /// Sample one frame-batch chunk of a temporal sample: a distinct RNG
     /// stream per (sample, chunk), offset so frame streams never collide
-    /// with the tableau path's per-shot ones. Buffers come from the
-    /// engine's workspace pool; recycled chunks replay a fresh buffer's
-    /// exact draw sequence, so the streams are bit-identical to the
-    /// pre-pool implementation.
+    /// with the tableau path's per-shot ones, on a pooled workspace (a
+    /// recycled one replays a fresh buffer's exact draws).
     fn frame_batch_chunk(
         &self,
+        reference: &ReferenceTrace,
         active: &ActiveFault,
         noise: &NoiseSpec,
         sample: usize,
         chunk: usize,
     ) -> ShotBatch {
-        let circuit = &self.transpiled.circuit;
-        let n_phys = self.topology.num_qubits() as usize;
-        let reference = self.reference.get_or_init(|| {
-            ReferenceTrace::compute(circuit, n_phys, mix_seed(self.seed, 0xFAB, 0x5EED))
-        });
-        let width = self.frame_chunk.min(self.shots - chunk * self.frame_chunk);
+        let circuit = &self.host.transpiled.circuit;
+        let n_phys = self.host.topology.num_qubits() as usize;
         let mut rng = StdRng::seed_from_u64(mix_seed(
-            self.seed ^ 0xF7A3_0000_0000_0001,
+            self.campaign.seed ^ 0xF7A3_0000_0000_0001,
             sample as u64,
             chunk as u64,
         ));
-        let mut ws = self.workspace();
+        let mut ws = self.campaign.pool.take();
+        let width = self.campaign.grid.width(chunk);
         let batch =
             ws.run_chunk(circuit, reference, noise, &[(0, active)], n_phys, width, &mut rng);
-        self.pool(ws);
+        self.campaign.pool.put(ws);
         batch
     }
 
@@ -573,9 +278,10 @@ impl InjectionEngine {
         noise: &NoiseSpec,
         sample: usize,
     ) -> Vec<ShotBatch> {
-        let active = fault.activate(&self.topology, sample).with_basis(ResetBasis::Z);
-        (0..self.shots.div_ceil(self.frame_chunk))
-            .map(|chunk| self.frame_batch_chunk(&active, noise, sample, chunk))
+        let active = fault.activate(&self.host.topology, sample).with_basis(ResetBasis::Z);
+        let reference = self.reference();
+        (0..self.campaign.grid.count())
+            .map(|chunk| self.frame_batch_chunk(&reference, &active, noise, sample, chunk))
             .collect()
     }
 
@@ -585,8 +291,13 @@ impl InjectionEngine {
         let per_sample: Vec<f64> = (0..fault.num_samples())
             .map(|s| self.logical_error_at_sample(fault, noise, s))
             .collect();
-        InjectionOutcome { per_sample, shots_per_sample: self.shots }
+        InjectionOutcome { per_sample, shots_per_sample: self.shots() }
     }
+}
+
+/// Decoding failures in one batch's per-shot success flags.
+fn count_errors(ok: Vec<bool>) -> usize {
+    ok.into_iter().filter(|&ok| !ok).count()
 }
 
 /// Aggregated result of an injection campaign.

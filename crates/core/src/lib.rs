@@ -3,8 +3,9 @@
 //! The paper's primary contribution, assembled from the substrate crates:
 //! surface-code construction ([`codes`]), syndrome decoding ([`decoder`]),
 //! the radiation fault-injection engine ([`injection`]), the multi-round
-//! syndrome-streaming engine behind online event detection ([`streaming`])
-//! and the experiment harnesses that regenerate every figure of the
+//! syndrome-streaming engine behind online event detection ([`streaming`]),
+//! the campaign core both engines sit on ([`campaign`]) and the
+//! experiment harnesses that regenerate every figure of the
 //! evaluation plus the beyond-paper detection sweep ([`experiments`]).
 //!
 //! Reproduces *"On the Efficacy of Surface Codes in Compensating for
@@ -38,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod campaign;
 pub mod codes;
 pub mod decoder;
 pub mod experiments;

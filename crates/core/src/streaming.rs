@@ -20,46 +20,40 @@
 //! cross-validates multi-strike streams exactly like single ones
 //! (`tests/multi_strike_equivalence.rs`).
 //!
-//! Both shot samplers carry over:
+//! Both shot samplers carry over: the **frame batch** replays the memory
+//! circuit as bit-packed Pauli frames against one extended
+//! [`ReferenceTrace`], one round's ops at a time under that round's fault
+//! ([`run_noisy_ops_segmented`]), with the offline sampler's exactness
+//! properties; the **tableau** oracle replays each shot through
+//! [`TableauSampler`](crate::campaign::TableauSampler), exact everywhere
+//! (`tests/round_stream_equivalence.rs` checks the frame path against it).
 //!
-//! * **frame batch** — the memory circuit is replayed as bit-packed Pauli
-//!   frames against one extended [`ReferenceTrace`], one round's ops at a
-//!   time under that round's fault ([`run_noisy_ops_segmented`]);
-//!   per-round exactness properties are
-//!   identical to the offline sampler's (see `radqec_stabilizer`);
-//! * **tableau** — per-shot CHP replay through [`TableauSampler`], on
-//!   the transpiled circuit relabelled onto the qubits it uses (idle
-//!   device qubits stay in |0⟩ and no fault reaches them, so the records
-//!   equal a full-device replay's): exact everywhere, the oracle
-//!   `tests/round_stream_equivalence.rs` validates the frame path against.
+//! ## The campaign core
 //!
-//! ## The streaming hot path
+//! The engine sits on the campaign core ([`crate::campaign`]) it shares
+//! with the offline engine: the builder knobs, the host step (placement,
+//! transpilation, tableau sampler, per-seed reference traces), the chunk
+//! grid and the pool of [`StreamWorkspace`]s, whose recycled buffers
+//! replay a fresh buffer's exact draws (`tests/golden_stream.rs`). It
+//! keeps what is its own: the memory circuit, the round markers, the
+//! [`StreamSpec`], the supervised chunk driver and a process-wide cache
+//! of `(code, rounds, host)` contexts, so every point of a detection
+//! sweep, the null calibration and the throughput benches reuse one
+//! transpile and one reference trace.
 //!
-//! The engine is built for throughput end to end:
+//! ## Decode-as-you-stream
 //!
-//! * **Shared stream contexts** — the expensive one-time artefacts of a
-//!   `(code, rounds, host)` target (transpiled circuit, stream layout,
-//!   noiseless reference traces per seed) live in a process-wide cache, so
-//!   every strike-position point of a detection sweep, the null
-//!   calibration and the throughput benches all reuse one transpile and
-//!   one reference instead of rebuilding them per engine.
-//! * **Workspace recycling** — frame planes, record batches and Bernoulli
-//!   scratch live in pooled [`StreamWorkspace`]s, allocated once per
-//!   worker and reused across all rounds, chunks and sweep points
-//!   (re-initialisation replays the exact draw sequence of a fresh
-//!   buffer, so streams stay bit-identical; `tests/golden_stream.rs`).
-//! * **Decode-as-you-stream** — one chunk generator hands out each
-//!   syndrome round the moment its ops have executed (the frame sampler
-//!   advances the executor one round at a time; the tableau oracle
-//!   replays the chunk's shots, then hands out its rounds), and one pool
-//!   of self-scheduling workers drives it over the chunk grid (a
-//!   work-stealing queue: idle workers pull the next unclaimed chunk),
-//!   overlapping generation of round `r+1` with the consumer's
-//!   processing of round `r`. Every public driver is a consumer of that
-//!   one path: [`StreamEngine::for_each_round`] and
-//!   [`StreamEngine::for_each_round_supervised`] slice each round into a
-//!   [`RoundSlice`], and [`StreamEngine::stream_batches`] collects each
-//!   chunk's finished record — on either sampler.
+//! One chunk generator hands out each syndrome round the moment its ops
+//! have executed (the frame sampler advances the executor one round at a
+//! time; the tableau oracle replays the chunk's shots, then hands out its
+//! rounds), and one pool of self-scheduling workers drives it over the
+//! chunk grid (a work-stealing queue: idle workers pull the next
+//! unclaimed chunk), overlapping generation of round `r+1` with the
+//! consumer's processing of round `r`. Every public driver is a consumer
+//! of that one path: [`StreamEngine::for_each_round`] and
+//! [`StreamEngine::for_each_round_supervised`] slice each round into a
+//! [`RoundSlice`], and [`StreamEngine::stream_batches`] collects each
+//! chunk's finished record — on either sampler.
 //!
 //! ## Supervision
 //!
@@ -75,17 +69,16 @@
 //! so a clean retry is bit-identical to a never-failed run; the `skip`
 //! filter lets checkpointed campaigns replay exactly the missing chunks.
 //!
-//! [`StreamEngine::stream_stats`] reports rounds generated, chunks stolen
-//! by secondary workers, workspace reuse rates, and the supervision
-//! counters (chunk retries, quarantined workspaces) for observability.
-//!
 //! The engine hands detection consumers a [`StreamSpec`] describing the
 //! classical layout plus the *physical* ancilla position per (round,
 //! stabilizer) — recovered from the transpiled circuit's measure ops, so
 //! routing SWAPs that migrate an ancilla are tracked round by round.
 
+use crate::campaign::{
+    Campaign, EngineBuildError, EngineBuilder, Host, HostKind, Placement, SamplerKind,
+};
 use crate::codes::{CodeSpec, MemoryCircuit};
-use crate::injection::{default_frame_chunk, mix_seed, SamplerKind, TableauSampler};
+use crate::injection::mix_seed;
 use radqec_circuit::{Gate, ShotBatch};
 use radqec_detect::StreamSpec;
 use radqec_noise::{
@@ -97,8 +90,8 @@ use radqec_telemetry::{
     names, Counter, FlightEvent, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
     SpanTimer,
 };
-use radqec_topology::{generators::fitting_mesh, Topology};
-use radqec_transpiler::{transpile, transpile_with_layout, Layout, TranspileOptions, Transpiled};
+use radqec_topology::Topology;
+use radqec_transpiler::Transpiled;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
@@ -260,139 +253,16 @@ impl std::fmt::Display for StreamFaultError {
 
 impl std::error::Error for StreamFaultError {}
 
-/// How the builder picked the host topology — part of the context-cache
-/// key (custom hosts are not cached: arbitrary topologies are not
-/// cheaply comparable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum HostKind {
-    /// Default fitted 5×k mesh with layout search.
-    Fitted,
-    /// The code's native SWAP-free embedding.
-    Native,
-    /// Caller-supplied topology and/or placement.
-    Custom,
-}
-
-/// Ceiling on cached per-seed reference traces per stream context. A
-/// trace is `O(ops × qubits)` bits, and a seed-sweeping campaign would
-/// otherwise grow the map without bound; LRU keeps the handful of seeds a
-/// fleet actually cycles through warm.
-const REFERENCE_CACHE_CAP: usize = 8;
-
-/// One cached reference trace with its LRU access stamp.
-struct RefSlot {
-    trace: Arc<ReferenceTrace>,
-    stamp: u64,
-}
-
-/// The bounded per-seed reference-trace cache of a [`StreamContext`].
-#[derive(Default)]
-struct RefCache {
-    map: HashMap<u64, RefSlot>,
-    tick: u64,
-    evictions: u64,
-}
-
 /// The one-time artefacts of a `(code, rounds, host)` streaming target:
-/// assembled memory experiment, transpiled physical circuit, round
-/// markers, stream layout, and the per-seed noiseless reference traces.
+/// assembled memory experiment, its host (transpiled circuit, tableau
+/// sampler, per-seed reference traces), round markers and stream layout.
 /// Shared process-wide so sweep points never re-pay transpilation.
 struct StreamContext {
     memory: MemoryCircuit,
-    topology: Topology,
-    transpiled: Transpiled,
-    /// The transpiled circuit on its used qubits, for tableau shots,
-    /// built on first use.
-    tableau: OnceLock<TableauSampler>,
+    host: Host,
     /// Op index in the *transpiled* circuit where each round begins.
     round_starts: Vec<usize>,
     stream_spec: StreamSpec,
-    /// Reference traces keyed by their derived seed (engines with
-    /// different master seeds need different reference randomisations),
-    /// capped at [`REFERENCE_CACHE_CAP`] entries.
-    references: Mutex<RefCache>,
-}
-
-impl StreamContext {
-    fn build(
-        spec: CodeSpec,
-        rounds: usize,
-        final_readout: bool,
-        topology: Option<Topology>,
-        initial_layout: Option<Vec<u32>>,
-        opts: &TranspileOptions,
-    ) -> StreamContext {
-        let memory = if final_readout {
-            spec.build_memory_readout(rounds)
-        } else {
-            spec.build_memory(rounds)
-        };
-        let topology = topology.unwrap_or_else(|| fitting_mesh(memory.total_qubits()));
-        assert!(
-            topology.num_qubits() >= memory.total_qubits(),
-            "topology {} too small for {}",
-            topology.name(),
-            memory.name
-        );
-        let transpiled = match initial_layout {
-            Some(l2p) => transpile_with_layout(
-                &memory.circuit,
-                &topology,
-                Layout::new(l2p, topology.num_qubits()),
-                opts,
-            ),
-            None => transpile(&memory.circuit, &topology, opts),
-        };
-        let round_starts = MemoryCircuit::round_starts_of(&transpiled.circuit, memory.rounds);
-        let stream_spec = stream_spec_of(&memory, &transpiled);
-        StreamContext {
-            memory,
-            topology,
-            transpiled,
-            tableau: OnceLock::new(),
-            round_starts,
-            stream_spec,
-            references: Mutex::new(RefCache::default()),
-        }
-    }
-
-    /// The tableau sampler of this context (relabelled once, on first
-    /// use).
-    fn tableau(&self) -> &TableauSampler {
-        self.tableau.get_or_init(|| TableauSampler::new(&self.transpiled.circuit))
-    }
-
-    /// The noiseless reference trace for `seed`, computed once per
-    /// (context, seed) and shared by every chunk, campaign and engine.
-    /// Admitting a seed past [`REFERENCE_CACHE_CAP`] evicts the
-    /// least-recently-used trace (re-requesting it recomputes the same
-    /// deterministic trace, so eviction never changes streams). The lock
-    /// recovers from poisoning: the cache holds only finished immutable
-    /// traces, so a worker panic cannot leave it half-updated.
-    fn reference(&self, seed: u64) -> Arc<ReferenceTrace> {
-        let mut refs = self.references.lock().unwrap_or_else(PoisonError::into_inner);
-        refs.tick += 1;
-        let tick = refs.tick;
-        if let Some(slot) = refs.map.get_mut(&seed) {
-            slot.stamp = tick;
-            return slot.trace.clone();
-        }
-        if refs.map.len() >= REFERENCE_CACHE_CAP {
-            if let Some(oldest) =
-                refs.map.iter().min_by_key(|(_, slot)| slot.stamp).map(|(&k, _)| k)
-            {
-                refs.map.remove(&oldest);
-                refs.evictions += 1;
-            }
-        }
-        let trace = Arc::new(ReferenceTrace::compute(
-            &self.transpiled.circuit,
-            self.topology.num_qubits() as usize,
-            seed,
-        ));
-        refs.map.insert(seed, RefSlot { trace: trace.clone(), stamp: tick });
-        trace
-    }
 }
 
 /// Context-cache key: `(code, rounds, final readout, host kind)`.
@@ -404,22 +274,17 @@ fn context_cache() -> &'static Mutex<HashMap<ContextKey, Arc<StreamContext>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Fluent configuration for [`StreamEngine`].
-pub struct StreamEngineBuilder {
-    spec: CodeSpec,
+/// The stream engine's own knobs (see [`StreamEngineBuilder`]).
+pub struct StreamKnobs {
     rounds: usize,
     final_readout: bool,
-    host: HostKind,
-    topology: Option<Topology>,
-    initial_layout: Option<Vec<u32>>,
-    transpile_opts: TranspileOptions,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: Option<usize>,
     metrics: Option<Arc<MetricsRegistry>>,
     recorder: Option<Arc<FlightRecorder>>,
 }
+
+/// Fluent configuration for [`StreamEngine`]: the shared campaign knobs
+/// plus the stream's own.
+pub type StreamEngineBuilder = EngineBuilder<StreamKnobs>;
 
 impl StreamEngineBuilder {
     /// Terminate the memory with a transversal data readout
@@ -430,23 +295,7 @@ impl StreamEngineBuilder {
     ///
     /// [`QecCode::build_memory_readout`]: crate::codes::QecCode::build_memory_readout
     pub fn final_readout(mut self) -> Self {
-        self.final_readout = true;
-        self
-    }
-
-    /// Override the architecture graph (default: the smallest 5×k mesh
-    /// that fits the memory circuit).
-    pub fn topology(mut self, topo: Topology) -> Self {
-        self.topology = Some(topo);
-        self.host = HostKind::Custom;
-        self
-    }
-
-    /// Pin the initial logical→physical placement instead of searching
-    /// (routing still runs; with a good table it inserts no SWAPs).
-    pub fn initial_layout(mut self, l2p: Vec<u32>) -> Self {
-        self.initial_layout = Some(l2p);
-        self.host = HostKind::Custom;
+        self.engine.final_readout = true;
         self
     }
 
@@ -456,95 +305,80 @@ impl StreamEngineBuilder {
     /// without one (the degenerate XXZZ line codes).
     pub fn native(mut self) -> Self {
         if let Some((topo, l2p)) = self.spec.native_embedding() {
-            self.topology = Some(topo);
-            self.initial_layout = Some(l2p);
-            self.host = HostKind::Native;
+            self.placement = Placement {
+                topology: Some(topo),
+                initial_layout: Some(l2p),
+                kind: HostKind::Native,
+            };
         }
-        self
-    }
-
-    /// Select the shot sampler (default [`SamplerKind::FrameBatch`]).
-    pub fn sampler(mut self, kind: SamplerKind) -> Self {
-        self.sampler = kind;
-        self
-    }
-
-    /// Streamed shots per campaign (default 1000).
-    pub fn shots(mut self, shots: usize) -> Self {
-        assert!(shots > 0, "need at least one shot");
-        self.shots = shots;
-        self
-    }
-
-    /// Master seed (see `InjectionEngineBuilder::seed` for the stream
-    /// derivation guarantees).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the shots-per-frame-batch size (default:
-    /// [`default_frame_chunk`]).
-    pub fn frame_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "frame chunk must be positive");
-        self.frame_chunk = Some(chunk);
         self
     }
 
     /// Record this engine's stats into a shared registry instead of a
     /// fresh private one (fleet campaigns aggregate patches this way).
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
+        self.engine.metrics = Some(registry);
         self
     }
 
     /// Record this engine's flight events into a shared recorder instead
     /// of a fresh private ring.
     pub fn flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.recorder = Some(recorder);
+        self.engine.recorder = Some(recorder);
         self
     }
 
     /// Build the engine. Fitted and native hosts resolve through the
     /// process-wide context cache (one transpile per `(code, rounds,
     /// host)` target); custom topologies/placements build privately.
+    ///
+    /// # Panics
+    /// Panics on a configuration [`Self::try_build`] rejects.
     pub fn build(self) -> StreamEngine {
-        let cache = || context_cache().lock().unwrap_or_else(PoisonError::into_inner);
-        let key = (self.host != HostKind::Custom).then_some((
-            self.spec,
-            self.rounds,
-            self.final_readout,
-            self.host,
-        ));
-        let cached = key.and_then(|key| cache().get(&key).cloned());
-        let ctx = cached.unwrap_or_else(|| {
-            // Build outside the lock (transpilation is the slow part); last
-            // writer wins on a race, which only costs a duplicate build.
-            let ctx = Arc::new(StreamContext::build(
-                self.spec,
-                self.rounds,
-                self.final_readout,
-                self.topology,
-                self.initial_layout,
-                &self.transpile_opts,
-            ));
-            match key {
-                Some(key) => cache().entry(key).or_insert(ctx).clone(),
-                None => ctx,
-            }
-        });
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Self::build`]: `Err` on fewer than 2 rounds, a topology
+    /// smaller than the memory circuit, or an invalid or too short
+    /// initial layout.
+    pub fn try_build(mut self) -> Result<StreamEngine, EngineBuildError> {
+        let (rounds, final_readout) = (self.engine.rounds, self.engine.final_readout);
+        if rounds < 2 {
+            return Err(EngineBuildError::TooFewRounds { rounds });
+        }
         // Resolve every metric handle once here: the hot path bumps the
         // returned `Arc<Counter>`s directly and never touches the
         // registry's name map again.
-        let metrics = self.metrics.unwrap_or_default();
-        let recorder = self.recorder.unwrap_or_default();
-        StreamEngine {
+        let metrics = self.engine.metrics.take().unwrap_or_default();
+        let recorder = self.engine.recorder.take().unwrap_or_default();
+        let campaign = self.campaign(Arc::clone(&metrics));
+        let cache = || context_cache().lock().unwrap_or_else(PoisonError::into_inner);
+        let kind = self.placement.kind;
+        let key = (kind != HostKind::Custom).then_some((self.spec, rounds, final_readout, kind));
+        let ctx = match key.and_then(|key| cache().get(&key).cloned()) {
+            Some(ctx) => ctx,
+            None => {
+                // Build outside the lock (transpilation is the slow part);
+                // last writer wins on a race, which only costs a duplicate
+                // build.
+                let memory = if final_readout {
+                    self.spec.build_memory_readout(rounds)
+                } else {
+                    self.spec.build_memory(rounds)
+                };
+                let host = Host::place(&memory.circuit, &memory.name, self.placement)?;
+                let round_starts = MemoryCircuit::round_starts_of(&host.transpiled.circuit, rounds);
+                let stream_spec = stream_spec_of(&memory, &host.transpiled);
+                let ctx = Arc::new(StreamContext { memory, host, round_starts, stream_spec });
+                match key {
+                    Some(key) => cache().entry(key).or_insert(ctx).clone(),
+                    None => ctx,
+                }
+            }
+        };
+        Ok(StreamEngine {
             ctx,
-            sampler: self.sampler,
-            shots: self.shots,
-            seed: self.seed,
-            frame_chunk: self.frame_chunk.unwrap_or_else(|| default_frame_chunk(self.shots)),
-            workspaces: Mutex::new(Vec::new()),
+            campaign,
             rounds_generated: metrics.counter(names::STREAM_ROUNDS_GENERATED),
             chunks_generated: metrics.counter(names::STREAM_CHUNKS_GENERATED),
             chunks_stolen: metrics.counter(names::STREAM_CHUNKS_STOLEN),
@@ -552,9 +386,8 @@ impl StreamEngineBuilder {
             workspaces_quarantined: metrics.counter(names::STREAM_WORKSPACES_QUARANTINED),
             generate_ns: metrics.histogram(names::STAGE_GENERATE_NS),
             round_ns: metrics.histogram(names::STREAM_ROUND_NS),
-            metrics,
             recorder,
-        }
+        })
     }
 }
 
@@ -760,24 +593,15 @@ impl RoundSlice {
 }
 
 /// A ready-to-run multi-round streaming campaign for one (code, rounds,
-/// topology) triple.
-///
-/// With [`SamplerKind::Tableau`], shots replay the transpiled circuit on
-/// its used qubits only ([`TableauSampler`], built once per shared
-/// context): qubits no operation touches stay in |0⟩ and faults act only
-/// on gate operands, so the records are bit-identical to a full-device
-/// replay's.
+/// topology) triple. With [`SamplerKind::Tableau`], shots replay the
+/// transpiled circuit on its used qubits only
+/// ([`TableauSampler`](crate::campaign::TableauSampler), built once per
+/// shared context), record for record as on the full device.
 pub struct StreamEngine {
     ctx: Arc<StreamContext>,
-    sampler: SamplerKind,
-    shots: usize,
-    seed: u64,
-    frame_chunk: usize,
-    /// Pooled per-worker workspaces, recycled across chunks and campaigns.
-    workspaces: Mutex<Vec<StreamWorkspace>>,
-    /// The registry behind every counter/histogram handle below —
-    /// per-engine by default, shareable via the builder.
-    metrics: Arc<MetricsRegistry>,
+    /// Sampler, seed, chunk grid, workspace pool and the registry behind
+    /// every handle below (per-engine unless the builder shares one).
+    campaign: Campaign,
     /// Campaign flight recorder (retries, quarantines, cache events).
     recorder: Arc<FlightRecorder>,
     rounds_generated: Arc<Counter>,
@@ -794,21 +618,8 @@ pub struct StreamEngine {
 impl StreamEngine {
     /// Start configuring a `rounds`-round streaming engine for `spec`.
     pub fn builder(spec: CodeSpec, rounds: usize) -> StreamEngineBuilder {
-        StreamEngineBuilder {
-            spec,
-            rounds,
-            final_readout: false,
-            host: HostKind::Fitted,
-            topology: None,
-            initial_layout: None,
-            transpile_opts: TranspileOptions::auto(),
-            sampler: SamplerKind::default(),
-            shots: 1000,
-            seed: 0,
-            frame_chunk: None,
-            metrics: None,
-            recorder: None,
-        }
+        let knobs = StreamKnobs { rounds, final_readout: false, metrics: None, recorder: None };
+        EngineBuilder::new(spec, knobs)
     }
 
     /// The assembled memory experiment.
@@ -818,12 +629,12 @@ impl StreamEngine {
 
     /// The architecture graph in use.
     pub fn topology(&self) -> &Topology {
-        &self.ctx.topology
+        &self.ctx.host.topology
     }
 
     /// The transpiled physical circuit and layouts.
     pub fn transpiled(&self) -> &Transpiled {
-        &self.ctx.transpiled
+        &self.ctx.host.transpiled
     }
 
     /// The stream layout handed to `radqec-detect` consumers.
@@ -833,7 +644,7 @@ impl StreamEngine {
 
     /// Streamed shots per campaign.
     pub fn shots(&self) -> usize {
-        self.shots
+        self.campaign.grid.shots
     }
 
     /// Stabilisation rounds per shot.
@@ -843,12 +654,12 @@ impl StreamEngine {
 
     /// Shots per chunk on the frame path's chunk grid.
     pub fn frame_chunk(&self) -> usize {
-        self.frame_chunk
+        self.campaign.grid.frame_chunk
     }
 
     /// The sampler backing this engine's shots.
     pub fn sampler(&self) -> SamplerKind {
-        self.sampler
+        self.campaign.sampler
     }
 
     /// Lifetime perf counters: rounds/chunks generated, chunks stolen by
@@ -856,35 +667,32 @@ impl StreamEngine {
     /// (returned) workspaces, so read them between campaigns, not
     /// mid-flight.
     pub fn stream_stats(&self) -> StreamStats {
-        let pool = self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
-        let refs = self.ctx.references.lock().unwrap_or_else(PoisonError::into_inner);
         // A thin view over the registry: the counters *live* there (see
         // `radqec_telemetry::names`); pool and cache occupancy are
         // derived on read and mirrored into registry gauges so metric
         // snapshots carry them too.
-        let allocations: u64 = pool.iter().map(StreamWorkspace::allocations).sum();
-        let reuses: u64 = pool.iter().map(StreamWorkspace::reuses).sum();
-        self.metrics.gauge(names::WORKSPACE_ALLOCATED).set(allocations);
-        self.metrics.gauge(names::WORKSPACE_REUSED).set(reuses);
-        self.metrics.gauge(names::REFERENCE_ENTRIES).set(refs.map.len() as u64);
-        self.metrics.gauge(names::REFERENCE_EVICTIONS).set(refs.evictions);
+        let workspaces = self.campaign.workspace_stats();
+        let (reference_entries, reference_evictions) = self.ctx.host.reference_stats();
+        let metrics = &self.campaign.metrics;
+        metrics.gauge(names::REFERENCE_ENTRIES).set(reference_entries as u64);
+        metrics.gauge(names::REFERENCE_EVICTIONS).set(reference_evictions);
         StreamStats {
             rounds_generated: self.rounds_generated.get(),
             chunks_generated: self.chunks_generated.get(),
             chunks_stolen: self.chunks_stolen.get(),
-            workspace_allocations: allocations,
-            workspace_reuses: reuses,
+            workspace_allocations: workspaces.allocated,
+            workspace_reuses: workspaces.reused,
             chunk_retries: self.chunk_retries.get(),
             workspaces_quarantined: self.workspaces_quarantined.get(),
-            reference_entries: refs.map.len(),
-            reference_evictions: refs.evictions,
+            reference_entries,
+            reference_evictions,
         }
     }
 
     /// This engine's metrics registry (private unless the builder was
     /// handed a shared one).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.campaign.metrics
     }
 
     /// This engine's campaign flight recorder.
@@ -896,7 +704,7 @@ impl StreamEngine {
     /// pool, reference cache) refreshed first.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let _ = self.stream_stats();
-        self.metrics.snapshot()
+        self.campaign.metrics.snapshot()
     }
 
     /// The per-round fault ladder of `fault`: round `r` gets the transient
@@ -922,79 +730,69 @@ impl StreamEngine {
         fault: &StreamFault,
     ) -> Result<Vec<ActiveFault>, StreamFaultError> {
         let rounds = self.ctx.memory.rounds;
-        let n = self.ctx.topology.num_qubits() as usize;
-        match fault {
-            StreamFault::None => Ok(vec![ActiveFault::none(n); rounds]),
+        let n = self.ctx.host.topology.num_qubits() as usize;
+        // A lone strike is one strike at onset 0 on the whole-stream clock.
+        let lone;
+        let strikes = match fault {
+            StreamFault::None => return Ok(vec![ActiveFault::none(n); rounds]),
             StreamFault::Strike { model, root } => {
-                let event = model
-                    .try_strike(&self.ctx.topology, *root)
-                    .map_err(StreamFaultError::BadRoot)?;
-                let spatial = event.spatial_profile();
-                Ok((0..rounds)
-                    .map(|r| {
-                        let t = r as f64 / (rounds - 1) as f64;
-                        let temporal = temporal_decay(t, model.gamma);
-                        ActiveFault::from_probs(spatial.iter().map(|s| temporal * s).collect())
-                    })
-                    .collect())
+                lone = [StrikeEvent {
+                    model: *model,
+                    root: *root,
+                    onset_round: 0,
+                    decay_rounds: None,
+                }];
+                &lone[..]
             }
-            StreamFault::MultiStrike(multi) => {
-                let mut events = Vec::with_capacity(multi.strikes().len());
-                for strike in multi.strikes() {
-                    if strike.onset_round >= rounds {
-                        return Err(StreamFaultError::OnsetBeyondRounds {
-                            onset: strike.onset_round,
-                            rounds,
-                        });
-                    }
-                    let event = strike
-                        .model
-                        .try_strike(&self.ctx.topology, strike.root)
-                        .map_err(StreamFaultError::BadRoot)?;
-                    events.push((strike, event));
-                }
-                Ok((0..rounds)
-                    .map(|r| {
-                        let mut probs = vec![0.0f64; n];
-                        for (strike, event) in &events {
-                            if r < strike.onset_round {
-                                continue;
-                            }
-                            // Each strike's transient runs on its own
-                            // clock from its onset: `decay_rounds` spans
-                            // the unit time interval when set, the whole
-                            // stream (`R − 1` rounds, the lone-strike
-                            // rate) when not. `Some(0)` is rejected at
-                            // `MultiStrike::try_new`; `.max(1)` keeps a
-                            // hand-rolled event finite regardless.
-                            let span = strike.decay_rounds.unwrap_or(rounds - 1).max(1);
-                            let t = (r - strike.onset_round) as f64 / span as f64;
-                            let temporal = temporal_decay(t, strike.model.gamma);
-                            // Independent reset sources compose as
-                            // complement products; the running update
-                            // `p ← p + q·(1−p)` keeps a lone strike's
-                            // probabilities bit-identical to the
-                            // single-strike arm (0 + q·1 = q exactly).
-                            for (p, s) in probs.iter_mut().zip(event.spatial_profile()) {
-                                let q = temporal * s;
-                                *p += q * (1.0 - *p);
-                            }
-                        }
-                        ActiveFault::from_probs(probs)
-                    })
-                    .collect())
+            StreamFault::MultiStrike(multi) => multi.strikes(),
+        };
+        let mut events = Vec::with_capacity(strikes.len());
+        for strike in strikes {
+            if strike.onset_round >= rounds {
+                return Err(StreamFaultError::OnsetBeyondRounds {
+                    onset: strike.onset_round,
+                    rounds,
+                });
             }
+            let event = strike
+                .model
+                .try_strike(&self.ctx.host.topology, strike.root)
+                .map_err(StreamFaultError::BadRoot)?;
+            events.push((strike, event));
         }
+        Ok((0..rounds)
+            .map(|r| {
+                let mut probs = vec![0.0f64; n];
+                for (strike, event) in &events {
+                    if r < strike.onset_round {
+                        continue;
+                    }
+                    // Each strike's transient runs on its own clock from
+                    // its onset: `decay_rounds` spans the unit time
+                    // interval when set, the whole stream (`R − 1` rounds)
+                    // when not. `Some(0)` is rejected at
+                    // `MultiStrike::try_new`; `.max(1)` keeps a hand-rolled
+                    // event finite regardless.
+                    let span = strike.decay_rounds.unwrap_or(rounds - 1).max(1);
+                    let t = (r - strike.onset_round) as f64 / span as f64;
+                    let temporal = temporal_decay(t, strike.model.gamma);
+                    // Independent reset sources compose as complement
+                    // products; the running update `p ← p + q·(1−p)` keeps
+                    // a lone strike's probabilities exactly `q`
+                    // (0 + q·1 = q).
+                    for (p, s) in probs.iter_mut().zip(event.spatial_profile()) {
+                        let q = temporal * s;
+                        *p += q * (1.0 - *p);
+                    }
+                }
+                ActiveFault::from_probs(probs)
+            })
+            .collect())
     }
 
     /// Number of chunks on the engine's chunk grid.
     pub fn num_chunks(&self) -> usize {
-        self.shots.div_ceil(self.frame_chunk)
-    }
-
-    /// Width of chunk `chunk` (the last chunk may run short).
-    fn chunk_width(&self, chunk: usize) -> usize {
-        self.frame_chunk.min(self.shots - chunk * self.frame_chunk)
+        self.campaign.grid.count()
     }
 
     /// Stream one campaign: every shot's full multi-round record, as
@@ -1024,36 +822,24 @@ impl StreamEngine {
         batches.into_iter().map(|b| b.expect("a clean campaign completes every chunk")).collect()
     }
 
-    /// Segment timeline over the transpiled op stream. The first segment is
-    /// pinned to op 0 so any initialisation layer before round 0's barrier
-    /// shares round 0's fault (the strike is live from `t = 0`).
-    fn segments<'a>(&self, faults: &'a [ActiveFault]) -> Vec<(usize, &'a ActiveFault)> {
-        let mut segments: Vec<(usize, &ActiveFault)> =
-            self.ctx.round_starts.iter().zip(faults).map(|(&start, f)| (start, f)).collect();
-        segments[0].0 = 0;
-        segments
-    }
-
     /// Op range of round `r` in the transpiled circuit. Round 0 absorbs
     /// the initialisation layer; the last round runs to the end (final
     /// data measurements, if any).
     fn round_ops(&self, r: usize) -> std::ops::Range<usize> {
         let starts = &self.ctx.round_starts;
-        let start = if r == 0 { 0 } else { starts[r] };
-        let end =
-            if r + 1 < starts.len() { starts[r + 1] } else { self.ctx.transpiled.circuit.len() };
-        start..end
+        let end = starts.get(r + 1).copied().unwrap_or(self.ctx.host.transpiled.circuit.len());
+        (if r == 0 { 0 } else { starts[r] })..end
     }
 
     /// The derived seed of the frame path's reference trace.
     fn reference_seed(&self) -> u64 {
-        mix_seed(self.seed, 0x57E4, 0x5EED)
+        mix_seed(self.campaign.seed, 0x57E4, 0x5EED)
     }
 
     /// The RNG for frame chunk `chunk` (one independent stream per chunk,
     /// identical no matter which worker claims it).
     fn chunk_rng(&self, chunk: usize) -> StdRng {
-        StdRng::seed_from_u64(mix_seed(self.seed ^ 0x57E4_0000_0000_0001, 0, chunk as u64))
+        StdRng::seed_from_u64(mix_seed(self.campaign.seed ^ 0x57E4_0000_0000_0001, 0, chunk as u64))
     }
 
     /// Copy round `r`'s syndrome rows out of a chunk record.
@@ -1075,7 +861,7 @@ impl StreamEngine {
         RoundSlice {
             chunk,
             round,
-            shot_offset: chunk * self.frame_chunk,
+            shot_offset: self.campaign.grid.offset(chunk),
             shots: record.shots(),
             num_stabs,
             words,
@@ -1102,9 +888,9 @@ impl StreamEngine {
     ) {
         match reference {
             Some(reference) => {
-                let circuit = &self.ctx.transpiled.circuit;
-                let n_phys = self.ctx.topology.num_qubits() as usize;
-                let width = self.chunk_width(chunk);
+                let circuit = &self.ctx.host.transpiled.circuit;
+                let n_phys = self.ctx.host.topology.num_qubits() as usize;
+                let width = self.campaign.grid.width(chunk);
                 let mut rng = self.chunk_rng(chunk);
                 ws.begin_chunk(circuit, n_phys, width, &mut rng);
                 for (r, fault) in faults.iter().enumerate() {
@@ -1145,13 +931,20 @@ impl StreamEngine {
     }
 
     /// One tableau-oracle chunk: per-shot CHP replay on the circuit's used
-    /// qubits (shot-parallel).
+    /// qubits (shot-parallel) under the fault timeline segmented at the
+    /// round starts. The first segment is pinned to op 0 so any
+    /// initialisation layer before round 0's barrier shares round 0's
+    /// fault (the strike is live from `t = 0`).
     fn tableau_chunk(&self, chunk: usize, faults: &[ActiveFault], noise: &NoiseSpec) -> ShotBatch {
+        let mut segments: Vec<(usize, &ActiveFault)> =
+            self.ctx.round_starts.iter().copied().zip(faults).collect();
+        segments[0].0 = 0;
+        let grid = self.campaign.grid;
         let seed = |shot: usize| {
-            let global = chunk * self.frame_chunk + shot;
-            mix_seed(self.seed ^ 0x57E4_0000_0000_0002, 0, global as u64)
+            let global = grid.offset(chunk) + shot;
+            mix_seed(self.campaign.seed ^ 0x57E4_0000_0000_0002, 0, global as u64)
         };
-        self.ctx.tableau().batch(self.chunk_width(chunk), noise, &self.segments(faults), seed)
+        self.ctx.host.tableau().batch(grid.width(chunk), noise, &segments, seed)
     }
 
     /// The one worker loop behind every driver: self-scheduling workers
@@ -1166,8 +959,8 @@ impl StreamEngine {
         skip: impl Fn(usize) -> bool + Sync,
         on_round: impl Fn(usize, usize, &ShotBatch) + Sync,
     ) -> CampaignReport {
-        let reference = match self.sampler {
-            SamplerKind::FrameBatch => Some(self.ctx.reference(self.reference_seed())),
+        let reference = match self.campaign.sampler {
+            SamplerKind::FrameBatch => Some(self.ctx.host.reference(self.reference_seed())),
             SamplerKind::Tableau => None,
         };
         let chunks = self.num_chunks();
@@ -1176,12 +969,10 @@ impl StreamEngine {
         let retries: Mutex<Vec<RetryRecord>> = Mutex::new(Vec::new());
         let failures: Mutex<Vec<ChunkFailure>> = Mutex::new(Vec::new());
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(chunks);
-        // The pool lock recovers from poisoning: a workspace abandoned by
-        // a caught panic is dropped, never pushed, so the pool only ever
-        // holds clean entries.
-        let pool = || self.workspaces.lock().unwrap_or_else(PoisonError::into_inner);
+        // A workspace abandoned by a caught panic is dropped, never
+        // pooled, so the pool only ever holds clean entries.
+        let pool = &self.campaign.pool;
         let run_worker = |worker: usize| {
-            let mut ws = pool().pop();
             let mut claimed = 0u64;
             loop {
                 let chunk = next.fetch_add(1, Ordering::Relaxed);
@@ -1194,7 +985,7 @@ impl StreamEngine {
                     continue;
                 }
                 for attempt in 0..2u32 {
-                    let mut w = ws.take().unwrap_or_default();
+                    let mut w = pool.take();
                     // Count rounds the sink actually received, so a caught
                     // panic can be stamped with the round it interrupted.
                     let rounds_delivered = Cell::new(0u64);
@@ -1213,7 +1004,7 @@ impl StreamEngine {
                     }));
                     match outcome {
                         Ok(()) => {
-                            ws = Some(w);
+                            pool.put(w);
                             break;
                         }
                         Err(payload) => {
@@ -1246,7 +1037,6 @@ impl StreamEngine {
             if worker > 0 {
                 self.chunks_stolen.add(claimed);
             }
-            pool().extend(ws); // `None` after a final failed attempt
         };
         // The calling thread is worker 0; the rest are spawned.
         std::thread::scope(|scope| {
@@ -1339,6 +1129,7 @@ fn expect_clean(report: &CampaignReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::REFERENCE_CACHE_CAP;
     use crate::codes::{RepetitionCode, XxzzCode};
     use radqec_detect::{EventAccumulator, EventStream};
 
@@ -1924,7 +1715,7 @@ mod tests {
         };
         let engines: Vec<StreamEngine> = (0..12).map(mk).collect();
         for e in &engines {
-            let _ = e.ctx.reference(e.reference_seed());
+            let _ = e.ctx.host.reference(e.reference_seed());
         }
         let stats = engines[0].stream_stats();
         assert!(
@@ -1934,7 +1725,7 @@ mod tests {
         assert_eq!(stats.reference_evictions, 4, "12 distinct seeds over an 8-slot cache");
         // A re-requested evicted seed is recomputed, not wedged, and the
         // cache stays under its ceiling.
-        let _ = engines[0].ctx.reference(engines[0].reference_seed());
+        let _ = engines[0].ctx.host.reference(engines[0].reference_seed());
         assert!(engines[0].stream_stats().reference_entries <= REFERENCE_CACHE_CAP);
     }
 
@@ -1951,8 +1742,8 @@ mod tests {
         let b = mk();
         assert!(Arc::ptr_eq(&a.ctx, &b.ctx), "same (code, rounds, host) must share a context");
         // Same seed ⇒ same reference trace object.
-        let ra = a.ctx.reference(a.reference_seed());
-        let rb = b.ctx.reference(b.reference_seed());
+        let ra = a.ctx.host.reference(a.reference_seed());
+        let rb = b.ctx.host.reference(b.reference_seed());
         assert!(Arc::ptr_eq(&ra, &rb));
         // A custom host must not go through the cache.
         let custom = StreamEngine::builder(RepetitionCode::bit_flip(3).into(), 4)

@@ -47,4 +47,4 @@ pub use fault::{ActiveFault, FaultSpec, ResetBasis};
 pub use radiation::{
     spatial_damping, temporal_decay, transient_decay, RadiationEvent, RadiationModel, StrikeError,
 };
-pub use workspace::StreamWorkspace;
+pub use workspace::{StreamWorkspace, WorkspacePool, WorkspaceStats};

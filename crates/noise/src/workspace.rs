@@ -12,13 +12,16 @@
 //!
 //! The workspace also counts its buffer (re)allocations, so engines can
 //! report reuse rates (`StreamEngine::stream_stats`) and regression tests
-//! can assert that reuse actually happens.
+//! can assert that reuse actually happens. Engines keep their workspaces
+//! in one [`WorkspacePool`], which sums those counters into
+//! [`WorkspaceStats`].
 
 use crate::depolarizing::NoiseSpec;
 use crate::fault::ActiveFault;
 use radqec_circuit::{Circuit, ShotBatch};
 use radqec_stabilizer::{PauliFrameBatch, ReferenceTrace};
 use rand::RngCore;
+use std::sync::{Mutex, PoisonError};
 
 /// Reusable buffers for streaming one chunk of shots (see module docs).
 #[derive(Debug, Default)]
@@ -158,6 +161,47 @@ impl StreamWorkspace {
     }
 }
 
+/// Buffer counters summed over a [`WorkspacePool`]'s pooled workspaces.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkspaceStats {
+    /// Buffer allocations — flat once the pool is warm.
+    pub allocated: u64,
+    /// Chunk set-ups that reused every pooled buffer.
+    pub reused: u64,
+}
+
+/// The workspaces an engine's workers share across chunks and campaigns.
+/// Poison-tolerant: it holds only whole workspaces, because [`Self::put`]
+/// drops an in-flight one (abandoned mid-chunk by a panicking worker).
+#[derive(Debug, Default)]
+pub struct WorkspacePool {
+    free: Mutex<Vec<StreamWorkspace>>,
+}
+
+impl WorkspacePool {
+    /// Pop a pooled workspace, or start a fresh one.
+    pub fn take(&self) -> StreamWorkspace {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default()
+    }
+
+    /// Return a workspace to the pool; an in-flight one is dropped.
+    pub fn put(&self, ws: StreamWorkspace) {
+        if !ws.in_flight() {
+            self.free.lock().unwrap_or_else(PoisonError::into_inner).push(ws);
+        }
+    }
+
+    /// Counters summed over the pooled workspaces (read between
+    /// campaigns).
+    pub fn stats(&self) -> WorkspaceStats {
+        let free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        WorkspaceStats {
+            allocated: free.iter().map(StreamWorkspace::allocations).sum(),
+            reused: free.iter().map(StreamWorkspace::reuses).sum(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,5 +285,68 @@ mod tests {
                 assert_eq!(batch.get(0, s), batch.get(2, s), "shots={shots} s={s}");
             }
         }
+    }
+
+    /// A workspace that has run `chunks` 64-shot GHZ chunks.
+    fn worked(chunks: u64) -> StreamWorkspace {
+        let c = ghz(3);
+        let reference = ReferenceTrace::compute(&c, 3, 1);
+        let fault = ActiveFault::none(3);
+        let mut ws = StreamWorkspace::new();
+        for chunk in 0..chunks {
+            let mut rng = StdRng::seed_from_u64(chunk);
+            let noise = NoiseSpec::noiseless();
+            let _ = ws.run_chunk(&c, &reference, &noise, &[(0, &fault)], 3, 64, &mut rng);
+        }
+        ws
+    }
+
+    #[test]
+    fn pool_drops_in_flight_workspaces() {
+        let pool = WorkspacePool::default();
+        let mut ws = worked(1);
+        let mut rng = StdRng::seed_from_u64(9);
+        let _ = ws.begin_chunk(&ghz(3), 3, 64, &mut rng);
+        pool.put(ws);
+        assert_eq!(pool.take().allocations(), 0, "an in-flight workspace must not be pooled");
+        pool.put(worked(1));
+        assert_eq!(pool.take().allocations(), 3, "a finished workspace is pooled");
+    }
+
+    #[test]
+    fn pool_stats_sum_over_pooled_workspaces() {
+        let pool = WorkspacePool::default();
+        assert_eq!(pool.stats(), WorkspaceStats::default());
+        let (a, b) = (worked(1), worked(4));
+        let want = WorkspaceStats {
+            allocated: a.allocations() + b.allocations(),
+            reused: a.reuses() + b.reuses(),
+        };
+        assert_eq!(want, WorkspaceStats { allocated: 6, reused: 3 });
+        pool.put(a);
+        pool.put(b);
+        assert_eq!(pool.stats(), want);
+    }
+
+    #[test]
+    fn pool_survives_a_poisoned_lock() {
+        let pool = WorkspacePool::default();
+        pool.put(worked(2));
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = pool.free.lock().unwrap();
+                    panic!("worker died holding the pool lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(pool.free.is_poisoned());
+        assert_eq!(pool.stats(), WorkspaceStats { allocated: 3, reused: 1 });
+        let ws = pool.take();
+        assert_eq!(ws.allocations(), 3, "the pooled workspace survives");
+        pool.put(ws);
+        pool.put(worked(1));
+        assert_eq!(pool.stats().allocated, 6);
     }
 }

@@ -26,6 +26,37 @@ pub enum LayoutStrategy {
     Anneal,
 }
 
+/// Why a logical→physical table is not a [`Layout`] (see
+/// [`Layout::try_new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LayoutError {
+    /// A physical qubit at or beyond the device size.
+    OutOfRange {
+        /// The offending physical index.
+        physical: u32,
+    },
+    /// A physical qubit assigned to two logical qubits.
+    AssignedTwice {
+        /// The doubly assigned physical index.
+        physical: u32,
+    },
+}
+
+impl std::fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LayoutError::OutOfRange { physical } => {
+                write!(f, "physical qubit {physical} out of range")
+            }
+            LayoutError::AssignedTwice { physical } => {
+                write!(f, "physical qubit {physical} assigned twice")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 /// A bidirectional logical↔physical qubit assignment that evolves as the
 /// router inserts SWAPs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,15 +71,26 @@ impl Layout {
     /// Build from a logical→physical table over `num_physical` sites.
     ///
     /// # Panics
-    /// Panics if the table is not injective or indices are out of range.
+    /// Panics if the table is not injective or indices are out of range —
+    /// use [`Layout::try_new`] for untrusted tables.
     pub fn new(l2p: Vec<u32>, num_physical: u32) -> Self {
+        Self::try_new(l2p, num_physical).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Layout::new`]: `Err` on a physical index at or beyond
+    /// `num_physical` or a physical qubit assigned twice.
+    pub fn try_new(l2p: Vec<u32>, num_physical: u32) -> Result<Self, LayoutError> {
         let mut p2l = vec![u32::MAX; num_physical as usize];
         for (l, &p) in l2p.iter().enumerate() {
-            assert!(p < num_physical, "physical qubit {p} out of range");
-            assert_eq!(p2l[p as usize], u32::MAX, "physical qubit {p} assigned twice");
+            if p >= num_physical {
+                return Err(LayoutError::OutOfRange { physical: p });
+            }
+            if p2l[p as usize] != u32::MAX {
+                return Err(LayoutError::AssignedTwice { physical: p });
+            }
             p2l[p as usize] = l as u32;
         }
-        Layout { l2p, p2l }
+        Ok(Layout { l2p, p2l })
     }
 
     /// Physical position of logical qubit `l`.
@@ -321,6 +363,16 @@ mod tests {
     #[should_panic(expected = "assigned twice")]
     fn layout_rejects_duplicates() {
         Layout::new(vec![1, 1], 3);
+    }
+
+    #[test]
+    fn try_new_reports_bad_tables() {
+        assert_eq!(Layout::try_new(vec![0, 3], 3), Err(LayoutError::OutOfRange { physical: 3 }));
+        assert_eq!(
+            Layout::try_new(vec![2, 0, 2], 3),
+            Err(LayoutError::AssignedTwice { physical: 2 })
+        );
+        assert_eq!(Layout::try_new(vec![2, 0], 3), Ok(Layout::new(vec![2, 0], 3)));
     }
 
     #[test]

@@ -29,6 +29,6 @@ mod layout;
 mod router;
 mod transpile;
 
-pub use layout::{choose_layout, Layout, LayoutStrategy};
+pub use layout::{choose_layout, Layout, LayoutError, LayoutStrategy};
 pub use router::{route, RoutedCircuit, RouterKind};
 pub use transpile::{transpile, transpile_with_layout, TranspileOptions, Transpiled};
