@@ -4,8 +4,9 @@
 //!
 //! Each configuration is measured under both samplers; the
 //! `frame`/`tableau` pair at the paper's 1000-shot XXZZ(3,3) workload is
-//! the headline speedup number tracked in `BENCH_sampler.json` (see
-//! `cargo run --release -p radqec-bench --bin sampler_throughput`).
+//! the headline speedup, tracked as the `end_to_end_frame_shots_per_sec` /
+//! `end_to_end_tableau_shots_per_sec` pair in `BENCH_decoder.json` (see
+//! `cargo run --release -p radqec-bench --bin decoder_throughput`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};

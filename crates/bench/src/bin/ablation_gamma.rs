@@ -3,13 +3,13 @@
 //! n = 1 from the experimental literature; this sweep shows how the
 //! event-averaged logical error depends on both. `--shots N`, `--seed N`.
 
-use radqec_bench::{arg_flag, header, pct};
+use radqec_bench::{arg_count, arg_flag, header, pct};
 use radqec_core::codes::{CodeSpec, XxzzCode};
 use radqec_core::injection::InjectionEngine;
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 
 fn main() {
-    let shots: usize = arg_flag("shots", 250);
+    let shots = arg_count("shots", 250);
     let seed: u64 = arg_flag("seed", 0xA3);
     let engine = InjectionEngine::builder(CodeSpec::from(XxzzCode::new(3, 3)))
         .shots(shots)

@@ -5,13 +5,13 @@
 //! Fig. 3). This binary sweeps n_s and reports the event-averaged logical
 //! error. `--shots N` (default 300), `--seed N`.
 
-use radqec_bench::{arg_flag, header, pct};
+use radqec_bench::{arg_count, arg_flag, header, pct};
 use radqec_core::codes::{CodeSpec, RepetitionCode};
 use radqec_core::injection::InjectionEngine;
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 
 fn main() {
-    let shots: usize = arg_flag("shots", 300);
+    let shots = arg_count("shots", 300);
     let seed: u64 = arg_flag("seed", 0xA2);
     header("Ablation — temporal sample count n_s (rep-(5,1), root 2)");
     let engine = InjectionEngine::builder(CodeSpec::from(RepetitionCode::bit_flip(5)))

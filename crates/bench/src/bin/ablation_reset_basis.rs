@@ -7,7 +7,7 @@
 //! (3,1)-vs-(1,3) ordering. This binary tests exactly that.
 //! `--shots N` (default 400), `--seed N`.
 
-use radqec_bench::{arg_flag, header, pct};
+use radqec_bench::{arg_count, arg_flag, header, pct};
 use radqec_core::codes::CodeSpec;
 use radqec_core::injection::{InjectionEngine, SamplerKind};
 use radqec_core::stats::median;
@@ -35,7 +35,7 @@ fn erasure_median(spec: CodeSpec, shots: usize, seed: u64, basis: ResetBasis) ->
 }
 
 fn main() {
-    let shots: usize = arg_flag("shots", 400);
+    let shots = arg_count("shots", 400);
     let seed: u64 = arg_flag("seed", 0xB515);
     header("Ablation — reset basis vs code orientation (single-site erasures, median)");
     println!("{:>12} {:>14} {:>14}", "code", "Z-basis reset", "X-basis reset");

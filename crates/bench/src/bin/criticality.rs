@@ -2,14 +2,14 @@
 //! Fig. 8 per-qubit median logical error (Spearman rank correlation).
 //! `--shots N` (default 150), `--seed N`.
 
-use radqec_bench::{arg_flag, header};
+use radqec_bench::{arg_count, arg_flag, header};
 use radqec_core::analysis::criticality_error_correlation;
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::injection::InjectionEngine;
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 
 fn main() {
-    let shots: usize = arg_flag("shots", 150);
+    let shots = arg_count("shots", 150);
     let seed: u64 = arg_flag("seed", 0xC17);
     header("Observation VII — criticality vs per-qubit radiation error");
     println!("{:>10} {:>12} {:>10}", "code", "topology", "spearman");

@@ -9,23 +9,23 @@
 //! cascade, fresh LUT/cache per pass) and `tiered_warm` (full cascade,
 //! engine-lifetime cache — the steady state of a campaign).
 //!
-//! End-to-end: the injection-engine sample loop on both samplers, the
-//! number `BENCH_sampler.json` tracks (its rep5_radiation_impact frame
-//! figure is the PR 1 baseline the tiered decoder is measured against).
+//! End-to-end: the injection-engine sample loop on both samplers (one
+//! warm-up, then `reps` timed samples), with each sampler's logical-error
+//! rate — the frame-vs-tableau agreement and throughput figures.
 //!
 //! ```text
 //! cargo run --release -p radqec-bench --bin decoder_throughput \
 //!     [--shots N] [--seed N] [--reps N]
 //! ```
 
-use radqec_bench::{arg_flag, percentile_fields_us, telemetry_snapshot};
+use radqec_bench::{arg_count, arg_flag, BenchFile, Record, NS_TO_US};
 use radqec_circuit::ShotBatch;
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::decoder::{BulkDecoder, Decoder, MwpmDecoder, TierConfig};
 use radqec_core::injection::{InjectionEngine, SamplerKind};
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 use radqec_telemetry::{names, MetricsRegistry};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,6 +51,12 @@ fn workloads() -> Vec<Workload> {
             noise: NoiseSpec::paper_default(),
         },
         Workload {
+            name: "xxzz33_intrinsic",
+            spec: XxzzCode::new(3, 3).into(),
+            fault: FaultSpec::None,
+            noise: NoiseSpec::paper_default(),
+        },
+        Workload {
             name: "xxzz33_radiation_impact",
             spec: XxzzCode::new(3, 3).into(),
             fault: FaultSpec::RadiationAtImpact { model: RadiationModel::default(), root: 1 },
@@ -65,13 +71,6 @@ fn workloads() -> Vec<Workload> {
             noise: NoiseSpec::paper_default(),
         },
     ]
-}
-
-/// The engine's own frame-sampler batches for (workload, sample 0) — same
-/// chunk grid and RNG streams as the end-to-end runs, so decode timings run
-/// on exactly the syndrome mix a campaign sees.
-fn sample_batches(engine: &InjectionEngine, w: &Workload) -> Vec<ShotBatch> {
-    engine.frame_batches_at_sample(&w.fault, &w.noise, 0)
 }
 
 /// Decode every batch `reps` times through `make_decoder` (fresh per rep if
@@ -105,8 +104,8 @@ fn time_decode(
     (shots * reps) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// End-to-end engine throughput at sample 0 (the sampler_throughput
-/// protocol: one warm-up, then `reps` timed samples).
+/// End-to-end engine logical-error rate and throughput at sample 0: one
+/// warm-up, then `reps` timed samples.
 fn time_end_to_end(
     w: &Workload,
     sampler: SamplerKind,
@@ -125,29 +124,22 @@ fn time_end_to_end(
     (rate, shots as f64 / secs)
 }
 
-fn main() {
-    let shots: usize = arg_flag("shots", 1000);
+fn main() -> ExitCode {
+    let shots = arg_count("shots", 1000);
     let seed: u64 = arg_flag("seed", 1);
-    let reps: usize = arg_flag("reps", 3);
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
+    let reps = arg_count("reps", 3);
+    let mut bench = BenchFile::from_args("BENCH_decoder.json");
     println!(
-        "{:<24} {:>10} {:>10} {:>10} {:>11} {:>11} {:>11} {:>9} {:>9}",
-        "workload",
-        "legacy/s",
-        "blossom/s",
-        "analytic/s",
-        "tiercold/s",
-        "tierwarm/s",
-        "e2e_frame/s",
-        "frame_ler",
-        "tab_ler"
+        "workload                   legacy/s  blossom/s analytic/s  tiercold/s  tierwarm/s \
+         e2e_frame/s frame_ler   tab_ler"
     );
-    let mut first = true;
     for w in workloads() {
         let engine = InjectionEngine::builder(w.spec).shots(shots).seed(seed).build();
         let code = engine.code().clone();
-        let batches = sample_batches(&engine, &w);
+        // The engine's own frame-sampler batches at sample 0: the same chunk
+        // grid and RNG streams as the end-to-end runs, so decode timings run
+        // on exactly the syndrome mix a campaign sees.
+        let batches = engine.frame_batches_at_sample(&w.fault, &w.noise, 0);
 
         let legacy = time_decode(&batches, reps, false, || Box::new(MwpmDecoder::new(&code)));
         let blossom_tiers = TierConfig { lut: false, analytic: false, ..Default::default() };
@@ -173,57 +165,33 @@ fn main() {
             )
         });
         let warm_snap = warm_registry.snapshot();
-        let telemetry_fields =
-            percentile_fields_us(&warm_snap, names::STAGE_DECODE_NS, "decode_latency_us");
-        tel.merge(&warm_snap);
+        bench.merge(&warm_snap);
 
         let (frame_ler, frame_sps) =
             time_end_to_end(&w, SamplerKind::FrameBatch, shots, seed, reps);
         let (tab_ler, tab_sps) = time_end_to_end(&w, SamplerKind::Tableau, shots, seed, reps);
 
         println!(
-            "{:<24} {:>10.0} {:>10.0} {:>10.0} {:>11.0} {:>11.0} {:>11.0} {:>9.4} {:>9.4}",
-            w.name,
-            legacy,
-            blossom,
-            analytic,
-            tiered_cold,
-            tiered_warm,
-            frame_sps,
-            frame_ler,
-            tab_ler
+            "{:<24} {legacy:>10.0} {blossom:>10.0} {analytic:>10.0} {tiered_cold:>11.0} \
+             {tiered_warm:>11.0} {frame_sps:>11.0} {frame_ler:>9.4} {tab_ler:>9.4}",
+            w.name
         );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{}\",\"shots\":{},\"seed\":{},\
-             \"legacy_decode_shots_per_sec\":{:.1},\
-             \"blossom_decode_shots_per_sec\":{:.1},\
-             \"analytic_decode_shots_per_sec\":{:.1},\
-             \"tiered_cold_decode_shots_per_sec\":{:.1},\
-             \"tiered_warm_decode_shots_per_sec\":{:.1},\
-             \"end_to_end_frame_shots_per_sec\":{:.1},\
-             \"end_to_end_tableau_shots_per_sec\":{:.1},\
-             \"frame_logical_error\":{:.6},\"tableau_logical_error\":{:.6}{telemetry_fields}}}",
-            w.name,
-            shots,
-            seed,
-            legacy,
-            blossom,
-            analytic,
-            tiered_cold,
-            tiered_warm,
-            frame_sps,
-            tab_sps,
-            frame_ler,
-            tab_ler
+        bench.push(
+            Record::new()
+                .str("workload", w.name)
+                .int("shots", shots)
+                .int("seed", seed)
+                .float("legacy_decode_shots_per_sec", legacy, 1)
+                .float("blossom_decode_shots_per_sec", blossom, 1)
+                .float("analytic_decode_shots_per_sec", analytic, 1)
+                .float("tiered_cold_decode_shots_per_sec", tiered_cold, 1)
+                .float("tiered_warm_decode_shots_per_sec", tiered_warm, 1)
+                .float("end_to_end_frame_shots_per_sec", frame_sps, 1)
+                .float("end_to_end_tableau_shots_per_sec", tab_sps, 1)
+                .float("frame_logical_error", frame_ler, 6)
+                .float("tableau_logical_error", tab_ler, 6)
+                .p50_p99(&warm_snap, names::STAGE_DECODE_NS, "decode_latency_us", NS_TO_US),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_decoder.json", &json).expect("write BENCH_decoder.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_decoder.json");
+    bench.finish()
 }

@@ -4,7 +4,7 @@
 //! trajectory entry and (with `--csv <path>`) the per-row ROC/latency CSV.
 //!
 //! The `xxzz55` workload at `--shots 10000` (the default) carries two
-//! gates:
+//! gates; a failed acceptance check exits 1 after the file is written:
 //!
 //! * the ISSUE 3 acceptance run — on the native 9×9 mesh with
 //!   paper-default noise, the CUSUM detector must separate strike from
@@ -30,15 +30,15 @@
 //! ```
 
 use radqec_bench::{
-    arg_flag, header, percentile_field_us_p99, percentile_fields_us, telemetry_snapshot, CsvSink,
+    arg_count, arg_flag, distinct, flag_ok, header, BenchFile, CsvSink, Record, NS_TO_US,
 };
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
-use radqec_core::experiments::{run_detection, DetectionConfig, DetectionResult};
+use radqec_core::experiments::{run_detection, DetectionConfig};
 use radqec_core::streaming::{StreamEngine, StreamFault};
 use radqec_detect::{CusumDetector, EventAccumulator, OnlineDetector, ThresholdDetector};
 use radqec_noise::{NoiseSpec, RadiationModel};
 use radqec_telemetry::names;
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -175,51 +175,34 @@ fn pipeline_timing(engine: &StreamEngine, root: u32) -> PipelineTiming {
     }
 }
 
-/// The sweep's distinct roots in row order; the central one is the
-/// canonical "impact point" of the acceptance gate, the first the
-/// boundary ("corner") one of the calibration study.
-fn sweep_roots(res: &DetectionResult) -> Vec<u32> {
-    let mut roots: Vec<u32> = Vec::new();
-    for row in &res.rows {
-        if !roots.contains(&row.root) {
-            roots.push(row.root);
-        }
-    }
-    roots
-}
-
-fn main() {
-    let shots: usize = arg_flag("shots", 10_000);
+fn main() -> ExitCode {
+    let shots = arg_count("shots", 10_000);
     let rounds: usize = arg_flag("rounds", 10);
     let seed: u64 = arg_flag("seed", 0xDE7EC7);
     let mut sink = CsvSink::from_args();
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
-    let mut first = true;
-    let mut gates_ok = true;
+    let mut bench = BenchFile::from_args("BENCH_detect.json").enforce_gates(shots >= 10_000);
     for w in workloads() {
+        // Built first, so the engine's builder vets `--rounds` before any
+        // work; run_detection's engine then shares its transpile and
+        // reference through the process-wide stream-context cache.
+        let engine = flag_ok(
+            "rounds",
+            StreamEngine::builder(w.spec, rounds).shots(shots).seed(seed).native().try_build(),
+        );
         let mut cfg = DetectionConfig::new(w.spec);
         cfg.shots = shots;
         cfg.rounds = rounds;
         cfg.seed = seed;
         let res = run_detection(&cfg);
-        let roots = sweep_roots(&res);
+        let roots = distinct(res.rows.iter().map(|row| row.root));
         let root = roots[roots.len() / 2];
         let corner = roots[0];
 
-        // The engine shares its transpile + reference with run_detection's
-        // through the process-wide stream-context cache.
-        let engine = StreamEngine::builder(w.spec, rounds).shots(shots).seed(seed).native().build();
         let stream_sps = stream_throughput(&engine, root);
         let pipe = pipeline_timing(&engine, root);
         let stats = engine.stream_stats();
         let snap = engine.metrics_snapshot();
-        let telemetry_fields =
-            percentile_fields_us(&snap, names::STREAM_ROUND_NS, "round_latency_us")
-                + &percentile_fields_us(&snap, names::STAGE_GENERATE_NS, "generate_latency_us")
-                + &percentile_field_us_p99(&snap, names::STAGE_EXTRACT_NS, "extract_latency_us")
-                + &percentile_field_us_p99(&snap, names::STAGE_DETECT_NS, "detect_latency_us");
-        tel.merge(&snap);
+        bench.merge(&snap);
 
         // Boundary-calibration study: the same sweep's corner + central
         // roots with per-root null calibration on (cluster rows only).
@@ -295,67 +278,48 @@ fn main() {
         let cusum = res.row(root, "cusum").expect("cusum row");
         let cluster = res.row(root, "cluster").expect("cluster row");
         if w.acceptance {
-            let auc_ok = cusum.auc >= 0.9;
-            let lat_ok = cusum.median_latency_rounds.is_some_and(|l| l <= 3);
-            let loc_ok = cluster.median_loc_error_hops.is_some_and(|h| h <= 2);
-            gates_ok &= auc_ok && lat_ok && loc_ok;
-            println!(
-                "acceptance @ root {root}: cusum auc {:.3} (≥0.9 {}), median latency {:?} \
-                 (≤3 {}), cluster loc {:?} hops (≤2 {})",
-                cusum.auc,
-                if auc_ok { "PASS" } else { "FAIL" },
-                cusum.median_latency_rounds,
-                if lat_ok { "PASS" } else { "FAIL" },
-                cluster.median_loc_error_hops,
-                if loc_ok { "PASS" } else { "FAIL" },
-            );
+            let (auc, lat, loc) =
+                (cusum.auc, cusum.median_latency_rounds, cluster.median_loc_error_hops);
+            let name = w.name;
+            bench.gate(format!("{name} @ root {root}: cusum auc {auc:.3} ≥ 0.9"), auc >= 0.9);
+            bench.gate(format!("{name}: median latency {lat:?} ≤ 3"), lat.is_some_and(|l| l <= 3));
+            bench
+                .gate(format!("{name}: cluster loc {loc:?} ≤ 2 hops"), loc.is_some_and(|h| h <= 2));
         }
 
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{}\",\"code\":\"{}\",\"topology\":\"{}\",\
-             \"shots\":{shots},\"rounds\":{rounds},\"seed\":{seed},\
-             \"central_root\":{root},\
-             \"stream_shots_per_sec\":{stream_sps:.1},\
-             \"pipeline_shots_per_sec\":{:.1},\
-             \"generate_shots_per_sec\":{:.1},\
-             \"extract_shots_per_sec\":{:.1},\
-             \"detect_shots_per_sec\":{:.1},\
-             \"round_latency_us\":{:.2}{telemetry_fields},\
-             \"rounds_generated\":{},\"chunks_stolen\":{},\
-             \"workspace_allocations\":{},\"workspace_reuses\":{},\
-             \"cusum_auc\":{:.4},\"cusum_detection_rate\":{:.4},\
-             \"cusum_false_alarm_rate\":{:.4},\"cusum_median_latency_rounds\":{},\
-             \"cluster_auc\":{:.4},\"cluster_median_loc_error_hops\":{},\
-             \"corner_root\":{corner},\
-             \"cluster_corner_auc_raw\":{corner_raw:.4},\
-             \"cluster_corner_auc_calibrated\":{corner_norm:.4}}}",
-            w.name,
-            res.code_name,
-            engine.topology().name(),
-            pipe.pipeline_sps,
-            pipe.generate_sps,
-            pipe.extract_sps,
-            pipe.detect_sps,
-            pipe.round_latency_us,
-            stats.rounds_generated,
-            stats.chunks_stolen,
-            stats.workspace_allocations,
-            stats.workspace_reuses,
-            cusum.auc,
-            cusum.detection_rate,
-            cusum.false_alarm_rate,
-            cusum.median_latency_rounds.map_or("null".into(), |v| v.to_string()),
-            cluster.auc,
-            cluster.median_loc_error_hops.map_or("null".into(), |v| v.to_string()),
+        bench.push(
+            Record::new()
+                .str("workload", w.name)
+                .str("code", &res.code_name)
+                .str("topology", engine.topology().name())
+                .int("shots", shots)
+                .int("rounds", rounds)
+                .int("seed", seed)
+                .int("central_root", root)
+                .float("stream_shots_per_sec", stream_sps, 1)
+                .float("pipeline_shots_per_sec", pipe.pipeline_sps, 1)
+                .float("generate_shots_per_sec", pipe.generate_sps, 1)
+                .float("extract_shots_per_sec", pipe.extract_sps, 1)
+                .float("detect_shots_per_sec", pipe.detect_sps, 1)
+                .float("round_latency_us", pipe.round_latency_us, 2)
+                .p50_p99(&snap, names::STREAM_ROUND_NS, "round_latency_us", NS_TO_US)
+                .p50_p99(&snap, names::STAGE_GENERATE_NS, "generate_latency_us", NS_TO_US)
+                .p99(&snap, names::STAGE_EXTRACT_NS, "extract_latency_us", NS_TO_US)
+                .p99(&snap, names::STAGE_DETECT_NS, "detect_latency_us", NS_TO_US)
+                .int("rounds_generated", stats.rounds_generated)
+                .int("chunks_stolen", stats.chunks_stolen)
+                .int("workspace_allocations", stats.workspace_allocations)
+                .int("workspace_reuses", stats.workspace_reuses)
+                .float("cusum_auc", cusum.auc, 4)
+                .float("cusum_detection_rate", cusum.detection_rate, 4)
+                .float("cusum_false_alarm_rate", cusum.false_alarm_rate, 4)
+                .opt_int("cusum_median_latency_rounds", cusum.median_latency_rounds)
+                .float("cluster_auc", cluster.auc, 4)
+                .opt_int("cluster_median_loc_error_hops", cluster.median_loc_error_hops)
+                .int("corner_root", corner)
+                .float("cluster_corner_auc_raw", corner_raw, 4)
+                .float("cluster_corner_auc_calibrated", corner_norm, 4),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_detect.json", &json).expect("write BENCH_detect.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_detect.json{}", if gates_ok { "" } else { " (GATE FAILURES)" });
+    bench.finish()
 }

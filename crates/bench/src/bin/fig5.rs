@@ -8,7 +8,7 @@
 //! minutes on a laptop core; skip with `--deep-shots 0`).
 //! `--shots N` (default 400), `--seed N`, `--deep-shots N` (default 10⁵).
 
-use radqec_bench::{arg_flag, header, pct, CsvSink};
+use radqec_bench::{arg_count, arg_flag, header, pct, CsvSink};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::experiments::{run_fig5, Fig5Config};
 
@@ -42,7 +42,7 @@ fn run_panel(code: CodeSpec, shots: usize, seed: u64, sink: &mut CsvSink) {
 }
 
 fn main() {
-    let shots: usize = arg_flag("shots", 400);
+    let shots = arg_count("shots", 400);
     let seed: u64 = arg_flag("seed", 0x515);
     let deep_shots: usize = arg_flag("deep-shots", 100_000);
     let mut sink = CsvSink::from_args();

@@ -8,7 +8,7 @@
 //! injection site (minutes on a laptop core; skip with `--deep-shots 0`).
 //! `--shots N` (default 300), `--seed N`, `--deep-shots N` (default 10⁵).
 
-use radqec_bench::{arg_flag, bar, header, pct, CsvSink};
+use radqec_bench::{arg_count, arg_flag, bar, header, pct, CsvSink};
 use radqec_core::experiments::{run_fig6, Fig6Config, Fig6Result};
 
 fn print_panel(title: &str, res: &Fig6Result, sink: &mut CsvSink) {
@@ -27,7 +27,7 @@ fn print_panel(title: &str, res: &Fig6Result, sink: &mut CsvSink) {
 }
 
 fn main() {
-    let shots: usize = arg_flag("shots", 300);
+    let shots = arg_count("shots", 300);
     let seed: u64 = arg_flag("seed", 0x616);
     let mut sink = CsvSink::from_args();
 

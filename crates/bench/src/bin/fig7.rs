@@ -9,7 +9,7 @@
 //! `--shots N` (default 250), `--seed N`, `--subgraphs N` (default 12),
 //! `--deep-shots N` (default 10⁵).
 
-use radqec_bench::{arg_flag, bar, header, pct, CsvSink};
+use radqec_bench::{arg_count, arg_flag, bar, header, pct, CsvSink};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::experiments::{run_fig7, Fig7Config};
 
@@ -50,7 +50,7 @@ fn run_panel(code: CodeSpec, shots: usize, seed: u64, subgraphs: usize, sink: &m
 }
 
 fn main() {
-    let shots: usize = arg_flag("shots", 250);
+    let shots = arg_count("shots", 250);
     let seed: u64 = arg_flag("seed", 0x717);
     let subgraphs: usize = arg_flag("subgraphs", 12);
     let deep_shots: usize = arg_flag("deep-shots", 100_000);

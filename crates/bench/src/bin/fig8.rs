@@ -11,7 +11,7 @@
 //! skip with `--deep-shots 0` or shrink it.
 //! `--shots N` (default 150), `--seed N`, `--deep-shots N` (default 10⁵).
 
-use radqec_bench::{arg_flag, header, pct, CsvSink};
+use radqec_bench::{arg_count, arg_flag, header, pct, CsvSink};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::experiments::{run_fig8, Fig8Config};
 
@@ -41,7 +41,7 @@ fn run_panel(cfg: &Fig8Config, title: &str, sink: &mut CsvSink) {
 }
 
 fn main() {
-    let shots: usize = arg_flag("shots", 150);
+    let shots = arg_count("shots", 150);
     let seed: u64 = arg_flag("seed", 0x818);
     let mut sink = CsvSink::from_args();
 

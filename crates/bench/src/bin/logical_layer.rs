@@ -5,7 +5,7 @@
 //! application circuit (GHZ preparation) to find the application-level
 //! corruption probability. `--shots N` (default 400), `--seed N`.
 
-use radqec_bench::{arg_flag, header, pct};
+use radqec_bench::{arg_count, arg_flag, header, pct};
 use radqec_circuit::Circuit;
 use radqec_core::codes::{CodeSpec, XxzzCode};
 use radqec_core::injection::InjectionEngine;
@@ -13,7 +13,7 @@ use radqec_core::logical::{run_logical_injection, LogicalFaultRates};
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 
 fn main() {
-    let shots: usize = arg_flag("shots", 400);
+    let shots = arg_count("shots", 400);
     let seed: u64 = arg_flag("seed", 0x10C);
 
     // Step 1: physical campaign — per-sample post-QEC logical error of an

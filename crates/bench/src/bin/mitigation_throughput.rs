@@ -4,7 +4,7 @@
 //! (with `--csv <path>`) the per-row LER CSV.
 //!
 //! The `xxzz55` workload at `--shots 10000` (the default) carries the
-//! ISSUE 5 acceptance gates:
+//! mitigation acceptance gates, which exit 1 after the file is written:
 //!
 //! * on at least one strike geometry, strike-aware masking (oracle or
 //!   detected) must yield a **lower** logical-error rate than the unaware
@@ -18,16 +18,14 @@
 //!     [--shots N] [--seed N] [--csv PATH]
 //! ```
 
-use radqec_bench::{arg_flag, header, percentile_fields_us, telemetry_snapshot, CsvSink};
+use radqec_bench::{arg_count, arg_flag, distinct, header, BenchFile, CsvSink, Record, NS_TO_US};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::decoder::DecoderMask;
-use radqec_core::experiments::{
-    mitigation_engine, run_mitigation, MitigationConfig, MitigationResult,
-};
+use radqec_core::experiments::{mitigation_engine, run_mitigation, MitigationConfig};
 use radqec_detect::StrikeMask;
 use radqec_noise::{FaultSpec, NoiseSpec};
 use radqec_telemetry::{names, MetricsSnapshot};
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
 struct Workload {
@@ -86,26 +84,12 @@ fn decode_throughput(cfg: &MitigationConfig, root: u32) -> (f64, f64, MetricsSna
     (unaware, masked, engine.metrics().snapshot())
 }
 
-/// The sweep's distinct roots in row order.
-fn sweep_roots(res: &MitigationResult) -> Vec<u32> {
-    let mut roots: Vec<u32> = Vec::new();
-    for row in &res.rows {
-        if !roots.contains(&row.root) {
-            roots.push(row.root);
-        }
-    }
-    roots
-}
-
-fn main() {
-    let shots: usize = arg_flag("shots", 10_000);
+fn main() -> ExitCode {
+    let shots = arg_count("shots", 10_000);
     let seed: u64 = arg_flag("seed", 0x3117_C0DE);
     let radius: u32 = arg_flag("radius", 3);
     let mut sink = CsvSink::from_args();
-    let mut tel = telemetry_snapshot();
-    let mut json = String::from("[\n");
-    let mut first = true;
-    let mut gates_ok = true;
+    let mut bench = BenchFile::from_args("BENCH_mitigation.json").enforce_gates(shots >= 10_000);
     for w in workloads() {
         let mut cfg = MitigationConfig::new(vec![w.spec]);
         cfg.shots = shots;
@@ -119,15 +103,13 @@ fn main() {
         let wall = start.elapsed().as_secs_f64();
         let decoded_shots = (res.shots * res.samples * res.rows.len()) as f64;
         let end_to_end_sps = decoded_shots / wall;
-        let roots = sweep_roots(&res);
+        let roots = distinct(res.rows.iter().map(|row| row.root));
         let central = roots[roots.len() / 2];
         let code_name = res.rows[0].code_name.clone();
 
         let (unaware_sps, masked_sps, decode_snap) = decode_throughput(&cfg, central);
         let ratio = masked_sps / unaware_sps;
-        let telemetry_fields =
-            percentile_fields_us(&decode_snap, names::STAGE_DECODE_NS, "decode_latency_us");
-        tel.merge(&decode_snap);
+        bench.merge(&decode_snap);
         let (mask_contexts, mask_hit_rate) = mask_stats(&cfg, central);
 
         // Mask-cache accounting comes from a dedicated engine replaying the
@@ -167,50 +149,36 @@ fn main() {
         sink.emit(w.name, &res.to_csv());
 
         if w.acceptance {
-            let delta_ok = best_delta > 0.0;
-            let ratio_ok = ratio >= 0.8;
-            gates_ok &= delta_ok && ratio_ok;
-            println!(
-                "acceptance: masked beats unaware on ≥1 geometry ({}: ΔLER {best_delta:+.5} @ \
-                 root {best_root}), masked decode within 20% of unaware ({}: ratio {ratio:.2})",
-                if delta_ok { "PASS" } else { "FAIL" },
-                if ratio_ok { "PASS" } else { "FAIL" },
-            );
+            let name = w.name;
+            bench.gate(format!("{name}: masked beats unaware on ≥1 geometry"), best_delta > 0.0);
+            bench.gate(format!("{name}: masked decode within 20% of unaware"), ratio >= 0.8);
         }
 
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "  {{\"workload\":\"{}\",\"code\":\"{code_name}\",\
-             \"shots\":{},\"samples\":{},\"seed\":{seed},\
-             \"central_root\":{central},\
-             \"unaware_ler\":{:.6},\"masked_ler\":{:.6},\"detected_ler\":{:.6},\
-             \"best_delta_root\":{best_root},\"best_delta_policy\":\"{best_policy}\",\
-             \"ler_delta\":{best_delta:.6},\
-             \"detected_mask_root\":{},\
-             \"decode_unaware_shots_per_sec\":{unaware_sps:.1},\
-             \"decode_masked_shots_per_sec\":{masked_sps:.1},\
-             \"masked_decode_ratio\":{ratio:.4},\
-             \"end_to_end_shots_per_sec\":{end_to_end_sps:.1},\
-             \"mask_cache_contexts\":{},\"mask_cache_hit_rate\":{:.4}{telemetry_fields}}}",
-            w.name,
-            res.shots,
-            res.samples,
-            unaware.ler,
-            oracle.ler,
-            detected.ler,
-            detected.mask_root.map_or("null".into(), |v| v.to_string()),
-            mask_contexts,
-            mask_hit_rate,
+        bench.push(
+            Record::new()
+                .str("workload", w.name)
+                .str("code", &code_name)
+                .int("shots", res.shots)
+                .int("samples", res.samples)
+                .int("seed", seed)
+                .int("central_root", central)
+                .float("unaware_ler", unaware.ler, 6)
+                .float("masked_ler", oracle.ler, 6)
+                .float("detected_ler", detected.ler, 6)
+                .int("best_delta_root", best_root)
+                .str("best_delta_policy", best_policy)
+                .float("ler_delta", best_delta, 6)
+                .opt_int("detected_mask_root", detected.mask_root)
+                .float("decode_unaware_shots_per_sec", unaware_sps, 1)
+                .float("decode_masked_shots_per_sec", masked_sps, 1)
+                .float("masked_decode_ratio", ratio, 4)
+                .float("end_to_end_shots_per_sec", end_to_end_sps, 1)
+                .int("mask_cache_contexts", mask_contexts)
+                .float("mask_cache_hit_rate", mask_hit_rate, 4)
+                .p50_p99(&decode_snap, names::STAGE_DECODE_NS, "decode_latency_us", NS_TO_US),
         );
     }
-    json.push_str("\n]\n");
-    std::fs::write("BENCH_mitigation.json", &json).expect("write BENCH_mitigation.json");
-    tel.write_prometheus();
-    println!("\nwrote BENCH_mitigation.json{}", if gates_ok { "" } else { " (GATE FAILURES)" });
+    bench.finish()
 }
 
 /// Replay the oracle mask ladder on a fresh engine and report the

@@ -57,7 +57,7 @@ pub const DEFAULT_MASK_CAPACITY: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
     /// Exhaustive direct-indexed lookup table for codes with at most
-    /// [`LUT_MAX_BITS`] detector bits (lazily filled; decode = one index).
+    /// `LUT_MAX_BITS` detector bits (lazily filled; decode = one index).
     pub lut: bool,
     /// Closed-form 1–2-defect solves straight from [`DetectorGraph`]
     /// distances (exact-tie cases still fall through to the matcher).
@@ -469,7 +469,7 @@ impl SolveCore {
 /// rayon chunk and temporal sample of the owning engine.
 ///
 /// [`Decoder::decode_batch_masked`] runs the same pipeline against an
-/// interned per-mask [`SolveCore`] (reweighted graph + private cache);
+/// interned per-mask `SolveCore` (reweighted graph + private cache);
 /// no-op masks hand off to the unmasked path bit-identically.
 ///
 /// [`MwpmDecoder`]: crate::decoder::MwpmDecoder
@@ -810,14 +810,14 @@ impl Decoder for BulkDecoder {
     /// Bulk path: bit-plane defect extraction (64 shots per word op), then
     /// the tier cascade per shot — no per-shot [`ShotRecord`]. Codes wider
     /// than the 128-bit key decode per record with a per-batch
-    /// syndrome-keyed memo ([`Self::decode_batch_wide`]).
+    /// syndrome-keyed memo (`decode_batch_wide`).
     ///
     /// In sharded-cache mode the *miss path* runs deferred: pass one
     /// resolves trivial, analytic and cache-hit shots inline (the warm
     /// steady state stays untouched) and groups cache *misses* by
     /// distinct defect pattern; pass two solves each distinct missed
     /// pattern with at most one blossom matching and scatters the flip to
-    /// every shot of the group ([`Self::solve_deferred`]). A cold
+    /// every shot of the group (`solve_deferred`). A cold
     /// radiation-impact batch repeats the same heavy syndromes across
     /// many shots, so this collapses its matcher work to one solve per
     /// *distinct* syndrome per batch instead of racing per-shot solves.

@@ -241,7 +241,7 @@ impl MwpmDecoder {
         &self.graph
     }
 
-    /// Extract defect nodes from a shot (see [`extract_defects`] for the
+    /// Extract defect nodes from a shot (see `extract_defects` for the
     /// detector semantics and the canonical ordering).
     pub fn defects(&self, shot: &ShotRecord) -> Vec<usize> {
         let mut defects = Vec::new();

@@ -697,7 +697,7 @@ fn strike_row(
 /// Score the strike timeline against per-patch per-round event counts —
 /// the **offline oracle**: a whole-campaign batch pass over the merged
 /// chunk records. It has no production caller: [`run_fleet`] scores
-/// through [`score_strikes_online`], and this function exists so tests
+/// through `score_strikes_online`, and this function exists so tests
 /// and the benchmark harness can check that the online rows equal it on
 /// a clean campaign. The spike gate thresholds the baseline-subtracted
 /// residual (`events − µ ≥ max(4σ, 2)`), exactly the comparison

@@ -15,7 +15,7 @@
 //!   gain (perfect localization);
 //! * **detected** — the closed loop: a multi-round syndrome stream of the
 //!   same strike is run through the spatial clusterer
-//!   ([`Localizer`](radqec_detect::Localizer)) on the code's native
+//!   ([`Localizer`]) on the code's native
 //!   embedding, the modal root estimate is mapped back into the offline
 //!   device frame, and the mask is planted there — localization error and
 //!   all.

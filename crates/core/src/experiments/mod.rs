@@ -42,6 +42,6 @@ pub use mitigation::{
 };
 pub use series::{fig3_series, fig4_grid, Fig3Point};
 pub use streaming_ler::{
-    calibrate_stream, central_root, run_streaming_ler, streaming_engine, StreamingLerConfig,
-    StreamingLerResult, StreamingLerRow,
+    calibrate_stream, central_root, run_streaming_ler, streaming_engine, try_streaming_engine,
+    StreamingLerConfig, StreamingLerResult, StreamingLerRow,
 };

@@ -16,6 +16,7 @@
 //! per-chunk-round events-per-shot statistic — exactly what the online
 //! detector consumes at run time.
 
+use crate::campaign::EngineBuildError;
 use crate::codes::CodeSpec;
 use crate::decoder::{
     StreamDecodeReport, StreamDecoder, StreamDecoderConfig, TierConfig, WindowConfig,
@@ -134,13 +135,25 @@ impl StreamingLerResult {
 /// Build the comparison's engine for `code`: the native SWAP-free host
 /// with a readout-terminated memory. Shared with the `spacetime` bench so
 /// the measured latencies come from the same streams the LER does.
+///
+/// # Panics
+/// Panics on a configuration [`try_streaming_engine`] rejects.
 pub fn streaming_engine(cfg: &StreamingLerConfig, code: CodeSpec) -> StreamEngine {
+    try_streaming_engine(cfg, code).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`streaming_engine`]: `Err` on a configuration the stream
+/// engine's `try_build` rejects, e.g. fewer than 2 rounds.
+pub fn try_streaming_engine(
+    cfg: &StreamingLerConfig,
+    code: CodeSpec,
+) -> Result<StreamEngine, EngineBuildError> {
     StreamEngine::builder(code, cfg.rounds)
         .shots(cfg.shots)
         .seed(cfg.seed)
         .native()
         .final_readout()
-        .build()
+        .try_build()
 }
 
 /// Calibrate the online detector's residual statistic from a quiet stream

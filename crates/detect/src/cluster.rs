@@ -140,8 +140,8 @@ impl Localizer {
     /// candidate root with two matched filters — the wide detection
     /// kernel (`S(d)` at `n = 2`), whose raw peak is the cluster *score*,
     /// and the ring-shaped localization kernel, whose background-
-    /// subtracted peak is the *root estimate* (see [`spatial_weight`] /
-    /// [`sharp_weight`] for why they differ). Returns the result as a
+    /// subtracted peak is the *root estimate* (see `spatial_weight` /
+    /// `sharp_weight` for why they differ). Returns the result as a
     /// [`WindowCluster`]; `None` when the window holds no events.
     pub fn window_eval(
         &self,
