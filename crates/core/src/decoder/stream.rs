@@ -104,7 +104,6 @@ struct ChunkOutcome {
     shots: u64,
     errors: u64,
     alarm_round: Option<usize>,
-    peak_excess: f64,
 }
 
 /// In-flight per-chunk streaming state.
@@ -281,14 +280,8 @@ impl<'e> StreamDecoder<'e> {
     /// fitted excess is recorded every round — [`Self::fitted_mask`]
     /// consumes it at decode time.
     fn detect_round(&self, st: &mut ChunkState, slice: &RoundSlice) {
-        let events = st.acc.stream();
         let r = slice.round;
-        let num_stabs = slice.num_stabs();
-        let mut total = 0u64;
-        for i in 0..num_stabs {
-            total += events.plane(r, i).iter().map(|w| w.count_ones() as u64).sum::<u64>();
-        }
-        let x = total as f64 / slice.shots.max(1) as f64;
+        let x = st.acc.stream().round_total(r) as f64 / slice.shots.max(1) as f64;
         let residual = x - self.cfg.baseline;
         st.excess.push(residual.max(0.0));
         self.detector.push(&mut st.det, r, residual);
@@ -456,16 +449,7 @@ impl<'e> StreamDecoder<'e> {
                 errors += 1;
             }
         }
-        ChunkOutcome {
-            shots: slice.shots as u64,
-            errors,
-            alarm_round: st.det.alarm_round,
-            peak_excess: if st.det.alarm_round.is_some() {
-                st.excess.iter().fold(0.0, |a: f64, &b| a.max(b))
-            } else {
-                0.0
-            },
-        }
+        ChunkOutcome { shots: slice.shots as u64, errors, alarm_round: st.det.alarm_round }
     }
 
     /// Aggregate every finished chunk's outcome.
@@ -484,20 +468,6 @@ impl<'e> StreamDecoder<'e> {
             }
         }
         report
-    }
-
-    /// Peak fitted excess across chunks (test/telemetry hook: nonzero
-    /// only when some chunk alarmed and refit its transient).
-    pub fn peak_excess(&self) -> f64 {
-        self.chunks
-            .iter()
-            .map(|c| {
-                c.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .outcome
-                    .map_or(0.0, |o| o.peak_excess)
-            })
-            .fold(0.0, f64::max)
     }
 }
 

@@ -139,11 +139,6 @@ impl DetectionResult {
         self.rows.iter().find(|r| r.root == root && r.detector == detector)
     }
 
-    /// Worst (lowest) AUC of a detector across the root sweep.
-    pub fn worst_auc(&self, detector: &str) -> Option<f64> {
-        self.rows.iter().filter(|r| r.detector == detector).map(|r| r.auc).min_by(f64::total_cmp)
-    }
-
     /// CSV rendering:
     /// `root,detector,auc,detection_rate,false_alarm_rate,median_latency_rounds,median_loc_error_hops`.
     pub fn to_csv(&self) -> String {

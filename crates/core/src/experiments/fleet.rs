@@ -32,6 +32,14 @@
 //! retried chunk replays cleanly and a finished campaign is
 //! bit-identical to a never-failed one.
 //!
+//! A chunk that finishes its last round becomes one chunk record: its
+//! per-round event totals ([`EventStream::round_total`]), its
+//! correction windows and its burst count. The records are the fleet's
+//! only event count. [`FleetResult::per_patch_events`] merges them, and
+//! strikes are scored from that merge by one [`ThresholdDetector`] spike
+//! gate per patch. A chunk that fails both supervised attempts leaves no
+//! record, so its partial rounds count nowhere.
+//!
 //! ## Checkpoint / resume
 //!
 //! Chunk results are pure functions of `(patch, chunk)` at a fixed seed,
@@ -370,15 +378,15 @@ pub struct PatchSummary {
 pub struct FleetResult {
     /// Fleet-level metrics (the checkpoint-resume-stable part).
     pub metrics: FleetMetrics,
-    /// Every injected strike, scored from the **online alarm stream**
-    /// (the per-round counts the supervised sink assembled in flight,
-    /// folded through [`OnlineDetector::push`]). The offline reference
-    /// [`score_strikes`] over [`FleetResult::per_patch_events`] must
-    /// agree row for row on a clean campaign.
+    /// Every injected strike, scored from
+    /// [`FleetResult::per_patch_events`] by folding each patch's counts
+    /// through a [`ThresholdDetector`] spike gate
+    /// ([`OnlineDetector::push`]). The offline reference
+    /// [`score_strikes`] over the same counts agrees row for row.
     pub strikes: Vec<StrikeRow>,
-    /// Per-patch per-round detection-event totals merged **offline**
-    /// from the finished chunk records — the checkpoint-stable batch
-    /// view the online tally is pinned against.
+    /// Per-patch per-round detection-event totals merged from the
+    /// finished chunk records — the checkpoint-stable count every strike
+    /// row is scored from.
     pub per_patch_events: Vec<Vec<u64>>,
     /// Per-patch rollups.
     pub per_patch: Vec<PatchSummary>,
@@ -480,14 +488,8 @@ fn score_chunk(
 ) -> ChunkRecord {
     let rounds = events.rounds();
     let shots = events.shots();
-    let n_stab = events.num_stabs();
     let words = shots.div_ceil(64);
-    let mut events_per_round = vec![0u64; rounds];
-    for (r, count) in events_per_round.iter_mut().enumerate() {
-        for i in 0..n_stab {
-            *count += events.plane(r, i).iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        }
-    }
+    let events_per_round = (0..rounds).map(|r| events.round_total(r)).collect();
     let windows = rounds / 2;
     let mut corrections_per_window = vec![0u32; windows];
     let mut scratch = ShotBatch::new(code.circuit.num_clbits(), shots);
@@ -631,7 +633,7 @@ fn parse_checkpoint(text: &str, digest: u64) -> Option<HashMap<(usize, usize), C
 /// Per-patch baseline mean and standard deviation of the per-round event
 /// count over quiet rounds — outside every strike's flare (four decay
 /// spans is conservatively past the transient's tail). Shared by the
-/// offline reference scorer and the online alarm stream so both gates
+/// offline reference scorer and the production gate fold so both
 /// threshold the same calibration.
 fn quiet_baselines(
     cfg: &FleetConfig,
@@ -698,8 +700,8 @@ fn strike_row(
 /// the **offline oracle**: a whole-campaign batch pass over the merged
 /// chunk records. It has no production caller: [`run_fleet`] scores
 /// through `score_strikes_online`, and this function exists so tests
-/// and the benchmark harness can check that the online rows equal it on
-/// a clean campaign. The spike gate thresholds the baseline-subtracted
+/// and the benchmark harness can check that the fold's rows equal it.
+/// The spike gate thresholds the baseline-subtracted
 /// residual (`events − µ ≥ max(4σ, 2)`), exactly the comparison
 /// [`ThresholdDetector`] applies per push, so the two paths cannot drift
 /// apart on floating-point grouping.
@@ -724,54 +726,14 @@ pub fn score_strikes(
         .collect()
 }
 
-/// Per-patch per-round detection-event counts assembled **in-stream** by
-/// the supervised sink — the online mirror of the chunk records' offline
-/// totals. Each chunk contributes its rounds as an in-order prefix
-/// ([`Self::record`] under the patch's tally lock), so the counts exist
-/// round by round while the campaign runs instead of materialising only
-/// at the final merge. Supervised retries are absorbed by idempotence:
-/// a retried chunk replays a bit-identical stream, and a round the
-/// chunk already contributed is skipped rather than double-counted.
-struct OnlineTally {
-    /// Events per round, summed over stabilizers, shots and chunks.
-    counts: Vec<u64>,
-    /// Rounds contributed per chunk (always a prefix — rounds arrive in
-    /// order within a chunk, and retries restart at round 0).
-    delivered: Vec<usize>,
-}
-
-impl OnlineTally {
-    fn new(rounds: usize, chunks: usize) -> Self {
-        OnlineTally { counts: vec![0; rounds], delivered: vec![0; chunks] }
-    }
-
-    /// Fold `chunk`'s round-`round` event count into the patch totals.
-    fn record(&mut self, chunk: usize, round: usize, count: u64) {
-        if round == self.delivered[chunk] {
-            self.counts[round] += count;
-            self.delivered[chunk] += 1;
-        }
-    }
-
-    /// Feed a checkpointed chunk record into the tally — skipped chunks
-    /// never reach the sink on a resumed campaign, but their counts are
-    /// pure functions of `(patch, chunk)`, so replaying the record keeps
-    /// the online stream identical to an uninterrupted run's.
-    fn replay(&mut self, chunk: usize, events_per_round: &[u64]) {
-        for (r, &c) in events_per_round.iter().enumerate() {
-            self.record(chunk, r, c);
-        }
-    }
-}
-
-/// Score the strike timeline against the **online alarm stream**: the
-/// sink-assembled per-round counts folded through
-/// [`OnlineDetector::push`], one [`ThresholdDetector`] spike-gate state
-/// per patch per strike window. Detection coverage, alarm rounds and
-/// recovery times in [`FleetResult`] come from this path; it must agree
-/// with the offline reference ([`score_strikes`]) row for row on a
-/// campaign whose every chunk completed — the per-shot batch detectors
-/// pin the same fold/batch identity in `radqec-detect`.
+/// Score the strike timeline by folding the merged chunk records'
+/// per-round counts through [`OnlineDetector::push`], one
+/// [`ThresholdDetector`] spike-gate state per patch per strike window.
+/// Detection coverage, alarm rounds and recovery times in
+/// [`FleetResult`] come from this path. It reads the same counts as the
+/// offline reference ([`score_strikes`]) and agrees with it row for
+/// row — the per-shot batch detectors pin the same fold/batch identity
+/// in `radqec-detect`.
 fn score_strikes_online(
     cfg: &FleetConfig,
     strikes: &[StrikeEvent],
@@ -834,12 +796,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     let budget = AtomicUsize::new(cfg.max_chunks.unwrap_or(usize::MAX));
     let chaos_armed = AtomicBool::new(cfg.chaos_panic.is_some());
     let chunks_per_patch = cfg.shots.div_ceil(cfg.frame_chunk);
-    let tallies: Vec<Mutex<OnlineTally>> = (0..cfg.patches)
-        .map(|_| Mutex::new(OnlineTally::new(cfg.rounds, chunks_per_patch)))
-        .collect();
     let mut per_patch = Vec::with_capacity(cfg.patches);
     let mut decoder_snapshots = Vec::with_capacity(cfg.patches);
-    for (patch, tally) in tallies.iter().enumerate() {
+    for patch in 0..cfg.patches {
         let engine = StreamEngine::builder(cfg.code, cfg.rounds)
             .shots(cfg.shots)
             .seed(mix_seed(cfg.seed, patch as u64, 0x1EE7))
@@ -872,37 +831,15 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
                     {
                         panic!("chaos: injected fault in patch {patch} chunk {}", slice.chunk);
                     }
-                    let mut acc = sinks[slice.chunk].lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut slot =
+                        sinks[slice.chunk].lock().unwrap_or_else(PoisonError::into_inner);
                     if slice.round == 0 {
-                        *acc = Some(EventAccumulator::new(spec, slice.shots));
+                        *slot = Some(EventAccumulator::new(spec, slice.shots));
                     }
-                    let done = {
-                        let acc = acc.as_mut().expect("round 0 arrives first");
-                        acc.push_round(slice.round, slice.syndrome_rows());
-                        // Feed the round's event count into the patch's
-                        // online alarm stream the moment it exists — the
-                        // accumulator finalises a round's event planes on
-                        // push, so this is the earliest any monitor can
-                        // see it.
-                        let stream = acc.stream();
-                        let count: u64 = (0..stream.num_stabs())
-                            .map(|i| {
-                                stream
-                                    .plane(slice.round, i)
-                                    .iter()
-                                    .map(|w| u64::from(w.count_ones()))
-                                    .sum::<u64>()
-                            })
-                            .sum();
-                        tally.lock().unwrap_or_else(PoisonError::into_inner).record(
-                            slice.chunk,
-                            slice.round,
-                            count,
-                        );
-                        acc.rounds_pushed() == cfg.rounds
-                    };
-                    if done {
-                        let events = acc.take().expect("just pushed").finish();
+                    let acc = slot.as_mut().expect("round 0 arrives first");
+                    acc.push_round(slice.round, slice.syndrome_rows());
+                    if acc.rounds_pushed() == cfg.rounds {
+                        let events = slot.take().expect("just pushed").finish();
                         let rec = score_chunk(&code, &decoder, &events, cfg.burst_windows);
                         progress.insert((patch, slice.chunk), rec);
                     }
@@ -947,23 +884,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     for (patch, events) in per_patch_events.iter().enumerate() {
         per_patch[patch].events = events.iter().sum();
     }
-    // Close the online stream: chunks skipped from a checkpoint never
-    // reached the sink, so their recorded counts replay into the tally
-    // (idempotent — chunks the sink already delivered are untouched),
-    // and production strike scoring runs on the online alarm stream.
-    let online_events: Vec<Vec<u64>> = {
-        for (&(patch, chunk), rec) in &done {
-            tallies[patch]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .replay(chunk, &rec.events_per_round);
-        }
-        tallies
-            .into_iter()
-            .map(|t| t.into_inner().unwrap_or_else(PoisonError::into_inner).counts)
-            .collect()
-    };
-    let strike_rows = score_strikes_online(cfg, &strikes, &online_events);
+    let strike_rows = score_strikes_online(cfg, &strikes, &per_patch_events);
     // Distributions the flight deck reports: detection latency in rounds
     // and time to recovery in µs, one sample per scored strike; the gate
     // alarm itself lands in the flight recorder.
@@ -1128,21 +1049,24 @@ mod tests {
         RepetitionCode::bit_flip(3).into()
     }
 
+    /// The offline oracle's rows over a finished campaign's own counts.
+    fn oracle_rows(cfg: &FleetConfig, res: &FleetResult) -> Vec<StrikeRow> {
+        let layout = FleetLayout::tile(cfg.code, cfg.patches);
+        score_strikes(cfg, &poisson_strikes(cfg, &layout.device), &res.per_patch_events)
+    }
+
     #[test]
     fn online_alarm_stream_matches_offline_strike_scoring() {
-        // The production strike table is scored from the counts the
-        // supervised sink pushed round by round through the online
-        // spike gates; the offline reference batch-scores the merged
-        // chunk records. On a clean campaign the two must agree row for
-        // row — both on the assembled counts and on every alarm round.
+        // The production strike table folds the merged chunk records
+        // round by round through one online spike gate per patch; the
+        // offline reference batch-scores the same records. The two must
+        // agree row for row, down to every alarm round.
         let cfg = quick(2000);
         let res = run_fleet(&cfg);
         assert!(res.complete);
         assert!(res.metrics.strikes > 0, "the quick campaign must inject strikes");
-        let layout = FleetLayout::tile(cfg.code, cfg.patches);
-        let strikes = poisson_strikes(&cfg, &layout.device);
-        let offline = score_strikes(&cfg, &strikes, &res.per_patch_events);
-        assert_eq!(res.strikes, offline, "online alarm stream diverged from the offline reference");
+        let offline = oracle_rows(&cfg, &res);
+        assert_eq!(res.strikes, offline, "gate fold diverged from the offline reference");
         let offline_total: u64 = res.per_patch_events.iter().flat_map(|e| e.iter()).sum();
         assert_eq!(offline_total, res.metrics.total_events);
     }
@@ -1158,6 +1082,7 @@ mod tests {
         assert!(chaotic.complete);
         assert_eq!(clean.metrics, chaotic.metrics, "retry must be invisible in the physics");
         assert_eq!(clean.strikes, chaotic.strikes);
+        assert_eq!(chaotic.strikes, oracle_rows(&cfg, &chaotic));
         // The flight recorder pins *which round* the retried chunk had
         // reached, and the patch CSV surfaces it.
         assert_eq!(clean.first_retry_round(), None);
@@ -1196,6 +1121,11 @@ mod tests {
         assert_eq!(skipped, 3, "exactly the checkpointed chunks are skipped");
         assert_eq!(resumed.metrics, baseline.metrics, "resume must be bit-identical");
         assert_eq!(resumed.strikes, baseline.strikes);
+        assert_eq!(
+            resumed.strikes,
+            oracle_rows(&resumed_cfg, &resumed),
+            "skipped chunks' records score like delivered ones"
+        );
         // A checkpoint from a different config is ignored wholesale.
         let mut other = quick(300);
         other.checkpoint = Some(path.clone());

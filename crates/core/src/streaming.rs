@@ -1183,9 +1183,7 @@ mod tests {
         for batch in &batches {
             let ev = EventStream::extract(batch, spec);
             for (r, sum) in per_round.iter_mut().enumerate() {
-                for i in 0..ev.num_stabs() {
-                    *sum += u64::from(ev.plane(r, i).iter().map(|w| w.count_ones()).sum::<u32>());
-                }
+                *sum += ev.round_total(r);
             }
         }
         assert!(per_round[0] > 0, "impact round must fire: {per_round:?}");

@@ -32,12 +32,6 @@ impl StreamSpec {
         debug_assert!(round < self.rounds && stab < self.num_stabs);
         (round * self.num_stabs + stab) as u32
     }
-
-    /// Physical qubit whose measurement produced (round, stab).
-    #[inline]
-    pub fn ancilla_at(&self, round: usize, stab: usize) -> u32 {
-        self.ancilla_physical[round * self.num_stabs + stab]
-    }
 }
 
 /// Per-round detection-event bit-planes for a batch of streamed shots.
@@ -163,6 +157,15 @@ impl EventStream {
                 }
             }
         }
+    }
+
+    /// Detection events of one round, summed over stabilizers and shots
+    /// (popcount of the round's planes) — the per-round count the fleet's
+    /// spike gate and the stream decoder's detector consume.
+    pub fn round_total(&self, round: usize) -> u64 {
+        let base = round * self.num_stabs * self.words;
+        let planes = &self.planes[base..base + self.num_stabs * self.words];
+        planes.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 
     /// Total detection events across the whole stream (popcount of every
@@ -377,5 +380,10 @@ mod tests {
         assert_eq!(per_shot, vec![0, 2]);
         ev.round_shot_counts(1, &mut per_shot);
         assert_eq!(per_shot, vec![0, 2]);
+        // The round total is the sum of the per-shot counts.
+        for r in 0..2 {
+            ev.round_shot_counts(r, &mut per_shot);
+            assert_eq!(ev.round_total(r), per_shot.iter().map(|&c| u64::from(c)).sum::<u64>());
+        }
     }
 }

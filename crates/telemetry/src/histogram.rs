@@ -91,13 +91,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Record `count` occurrences of `value` in one pair of adds.
-    #[inline]
-    pub fn record_n(&self, value: u64, count: u64) {
-        self.buckets[bucket_index(value)].fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(value.saturating_mul(count), Ordering::Relaxed);
-    }
-
     /// Fold another histogram (e.g. a per-worker shard) into this one.
     /// Exactly equivalent to having recorded the shard's values here.
     pub fn merge_from(&self, other: &Histogram) {

@@ -6,12 +6,12 @@
 //! * **[`MetricsRegistry`]** — named atomic [`Counter`]s / [`Gauge`]s and
 //!   lock-free log-bucketed [`Histogram`]s, resolved to `Arc` handles once
 //!   at engine construction (the hot path never touches the name map).
-//!   One process-wide registry ([`MetricsRegistry::global`]) plus private
-//!   per-engine registries; [`MetricsSnapshot`]s merge across both and
-//!   export as JSON or Prometheus text exposition.
+//!   Engines own private registries or share one the caller passes in;
+//!   [`MetricsSnapshot`]s merge across registries and export as
+//!   Prometheus text exposition.
 //! * **[`SpanTimer`]** — a scope guard that records the elapsed
 //!   nanoseconds of a pipeline stage (generate → extract → detect →
-//!   decode → commit) into a histogram on drop. When telemetry is
+//!   decode) into a histogram on drop. When telemetry is
 //!   disabled ([`set_enabled`]`(false)`) constructing one is a single
 //!   relaxed load and no clock is read.
 //! * **[`FlightRecorder`]** — a bounded, pre-allocated ring of
@@ -24,9 +24,10 @@
 //! Pick a dotted name (add it to [`names`] if it crosses a crate
 //! boundary), resolve the handle once where the owning structure is
 //! built (`registry.counter(names::...)`), and bump the handle on the
-//! hot path. Snapshots pick it up automatically; the bench crate's
-//! `telemetry_fields` helper turns histogram names ending in `_ns` into
-//! `*_us_{p50,p99}` JSON fields.
+//! hot path. Snapshots pick it up automatically; a throughput bin
+//! exports a histogram as BENCH fields through the bench crate's
+//! `Record::p50_p99`, which scales the bucket bounds (nanoseconds to
+//! microseconds for `_ns` spans).
 //!
 //! ## Invariants
 //!
@@ -85,8 +86,6 @@ pub mod names {
     pub const STAGE_DETECT_NS: &str = "stage.detect_ns";
     /// Wall time of one decode call, nanoseconds (histogram).
     pub const STAGE_DECODE_NS: &str = "stage.decode_ns";
-    /// Wall time of checkpoint/commit per chunk, nanoseconds (histogram).
-    pub const STAGE_COMMIT_NS: &str = "stage.commit_ns";
 
     /// Shots decoded (counter).
     pub const DECODE_SHOTS: &str = "decode.shots";

@@ -1,21 +1,20 @@
 //! Named metric registry: counters, gauges and histograms addressable by
-//! dotted string names, plus mergeable snapshots with JSON / Prometheus
-//! text export.
+//! dotted string names, plus mergeable snapshots with Prometheus text
+//! export.
 //!
 //! A [`MetricsRegistry`] hands out `Arc` handles via get-or-create
 //! lookups; engines resolve their handles once at construction so the
 //! hot path touches only the atomic inside the handle, never the name
-//! map. There is one process-wide registry at
-//! [`MetricsRegistry::global`], and engines may also own private
-//! registries (the stream/injection engines do, so per-engine stats stay
-//! isolated); [`MetricsSnapshot::merge_from`] folds any number of
+//! map. Engines own private registries (the stream/injection engines
+//! do, so per-engine stats stay isolated) or share one passed in by the
+//! caller; [`MetricsSnapshot::merge_from`] folds any number of
 //! registries into one export.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A monotonically increasing named counter.
 #[derive(Default)]
@@ -70,17 +69,10 @@ pub struct MetricsRegistry {
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
-static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-
 impl MetricsRegistry {
     /// A fresh, empty registry (engines own these for isolated stats).
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static MetricsRegistry {
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// Get or create the counter named `name`.
@@ -129,7 +121,7 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time copy of a registry's metrics, mergeable across
-/// registries and exportable as JSON or Prometheus text exposition.
+/// registries and exportable as Prometheus text exposition.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -169,44 +161,6 @@ impl MetricsSnapshot {
     /// Counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// JSON object mapping metric names to values; histograms expand to
-    /// `{count, sum, mean, p50, p90, p99, max}` sub-objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        let field = |out: &mut String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-        };
-        for (k, v) in &self.counters {
-            field(&mut out, &mut first);
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        for (k, v) in &self.gauges {
-            field(&mut out, &mut first);
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        for (k, h) in &self.histograms {
-            field(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "\"{k}\":{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\
-                 \"p99\":{},\"max\":{}}}",
-                h.count(),
-                h.sum(),
-                h.mean().unwrap_or(0.0),
-                h.quantile(0.50).unwrap_or(0),
-                h.quantile(0.90).unwrap_or(0),
-                h.quantile(0.99).unwrap_or(0),
-                h.max_bound().unwrap_or(0),
-            );
-        }
-        out.push('}');
-        out
     }
 
     /// Prometheus text exposition (version 0.0.4): counters and gauges

@@ -52,9 +52,7 @@ fn per_round_rates(engine: &StreamEngine, fault: &StreamFault, noise: &NoiseSpec
     for batch in engine.stream_batches(fault, noise) {
         let events = EventStream::extract(&batch, spec);
         for (r, sum) in sums.iter_mut().enumerate() {
-            for i in 0..spec.num_stabs {
-                *sum += events.plane(r, i).iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-            }
+            *sum += events.round_total(r);
         }
     }
     sums.into_iter().map(|s| s as f64 / engine.shots() as f64).collect()
