@@ -463,6 +463,31 @@ mod tests {
         cfg.shots = 512;
         cfg.roots = Some(vec![2]);
         let res = run_detection(&cfg);
+        // Every field pinned exactly (f64 by bit pattern): the sweep is
+        // deterministic at a fixed seed, so any drift in the campaign,
+        // calibration or detector code shows up here.
+        #[rustfmt::skip]
+        let want = [
+            (2, "threshold", 0x3fed49e000000000, 0x3fca000000000000, 0x3f80000000000000, Some(0), None),
+            (2, "cusum", 0x3fecb5b400000000, 0x3fd4800000000000, 0x3f9a000000000000, Some(1), None),
+            (2, "cluster", 0x3fed212800000000, 0x3fb7000000000000, 0x3f60000000000000, Some(1), Some(0)),
+        ];
+        let got: Vec<_> = res
+            .rows
+            .iter()
+            .map(|r| {
+                (
+                    r.root,
+                    r.detector.as_str(),
+                    r.auc.to_bits(),
+                    r.detection_rate.to_bits(),
+                    r.false_alarm_rate.to_bits(),
+                    r.median_latency_rounds,
+                    r.median_loc_error_hops,
+                )
+            })
+            .collect();
+        assert_eq!(got, want);
         assert_eq!(res.rows.len(), 3, "three detectors per root");
         for det in ["threshold", "cusum", "cluster"] {
             let row = res.row(2, det).unwrap_or_else(|| panic!("{det} row missing"));

@@ -398,6 +398,24 @@ mod tests {
         cfg.detect_shots = 128;
         cfg.roots = Some(vec![2]);
         let res = run_mitigation(&cfg);
+        // Every field pinned exactly (f64 by bit pattern): the sweep is
+        // deterministic at a fixed seed, so any drift in the engine, mask
+        // or closed-loop localization code shows up here.
+        #[rustfmt::skip]
+        let want = [
+            ("rep-(5,1)", 2, "unaware", None, 0x3fc3000000000000, 0x3fe2600000000000),
+            ("rep-(5,1)", 2, "oracle", Some(2), 0x3fc2a66666666666, 0x3fe1600000000000),
+            ("rep-(5,1)", 2, "detected", Some(3), 0x3fc2cccccccccccd, 0x3fe1c00000000000),
+        ];
+        let got: Vec<_> = res
+            .rows
+            .iter()
+            .map(|r| {
+                let (code, policy) = (r.code_name.as_str(), r.policy);
+                (code, r.root, policy, r.mask_root, r.ler.to_bits(), r.peak_ler.to_bits())
+            })
+            .collect();
+        assert_eq!(got, want);
         assert_eq!(res.rows.len(), 3, "three policies per root");
         let unaware = res.row("rep-(5,1)", 2, "unaware").expect("unaware row");
         let oracle = res.row("rep-(5,1)", 2, "oracle").expect("oracle row");
