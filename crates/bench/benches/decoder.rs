@@ -1,7 +1,7 @@
 //! Criterion bench: end-to-end MWPM decode latency per shot
 //! on realistic syndromes (noisy shots of the paper's codes), plus the
-//! batch pipeline — legacy memoised per-record decoding vs. the tiered
-//! bulk decoder, cold (fresh LUT/cache) and warm (engine-lifetime cache).
+//! tiered bulk decoder's batch pipeline, cold (fresh LUT/cache) and warm
+//! (engine-lifetime cache).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use radqec_circuit::{ShotBatch, ShotRecord};
@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-fn sample_shots(spec: CodeSpec, count: usize) -> (Vec<ShotRecord>, MwpmDecoder) {
+fn noisy_shots(spec: CodeSpec, count: usize) -> (Vec<ShotRecord>, MwpmDecoder) {
     let code = spec.build();
     let mwpm = MwpmDecoder::new(&code);
     let mut rng = StdRng::seed_from_u64(3);
@@ -35,7 +35,7 @@ fn bench_decoders(c: &mut Criterion) {
         ("xxzz33", CodeSpec::from(XxzzCode::new(3, 3))),
         ("xxzz55", CodeSpec::from(XxzzCode::new(5, 5))),
     ] {
-        let (shots, mwpm) = sample_shots(spec, 64);
+        let (shots, mwpm) = noisy_shots(spec, 64);
         group.bench_with_input(BenchmarkId::new("mwpm", name), &(), |b, _| {
             b.iter(|| {
                 for s in &shots {
@@ -68,11 +68,8 @@ fn bench_batch_pipeline(c: &mut Criterion) {
         ("xxzz55", CodeSpec::from(XxzzCode::new(5, 5))),
     ] {
         let code = spec.build();
-        let (shots, mwpm) = sample_shots(spec, 256);
+        let (shots, _) = noisy_shots(spec, 256);
         let batch = to_batch(code.circuit.num_clbits(), &shots);
-        group.bench_with_input(BenchmarkId::new("legacy", name), &(), |b, _| {
-            b.iter(|| black_box(Decoder::decode_batch(&mwpm, &batch)));
-        });
         group.bench_with_input(BenchmarkId::new("tiered_cold", name), &(), |b, _| {
             b.iter(|| {
                 let dec = BulkDecoder::new(&code);

@@ -1,13 +1,12 @@
-//! Decode-only and end-to-end throughput of the tiered bulk decoder vs.
-//! the legacy per-record path, emitting a `BENCH_decoder.json` trajectory
-//! entry.
+//! Decode-only and end-to-end throughput of the tiered bulk decoder,
+//! emitting a `BENCH_decoder.json` trajectory entry.
 //!
 //! Decode-only: identical frame-sampler [`ShotBatch`]es are decoded by each
-//! tier configuration — `legacy` (per-record trait path with its per-batch
-//! memo), `blossom` / `analytic` (tiers disabled, fresh cache per pass,
-//! i.e. every distinct syndrome pays its solve), `tiered_cold` (full
-//! cascade, fresh LUT/cache per pass) and `tiered_warm` (full cascade,
-//! engine-lifetime cache — the steady state of a campaign).
+//! tier configuration — `blossom` / `analytic` (tiers disabled, fresh
+//! cache per pass, i.e. every distinct syndrome pays its solve),
+//! `tiered_cold` (full cascade, fresh LUT/cache per pass) and
+//! `tiered_warm` (full cascade, engine-lifetime cache — the steady state
+//! of a campaign).
 //!
 //! End-to-end: the injection-engine sample loop on both samplers (one
 //! warm-up, then `reps` timed samples), with each sampler's logical-error
@@ -21,7 +20,7 @@
 use radqec_bench::{arg_count, arg_flag, BenchFile, Record, NS_TO_US};
 use radqec_circuit::ShotBatch;
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
-use radqec_core::decoder::{BulkDecoder, Decoder, MwpmDecoder, TierConfig};
+use radqec_core::decoder::{BulkDecoder, Decoder, TierConfig};
 use radqec_core::injection::{InjectionEngine, SamplerKind};
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 use radqec_telemetry::{names, MetricsRegistry};
@@ -130,8 +129,8 @@ fn main() -> ExitCode {
     let reps = arg_count("reps", 3);
     let mut bench = BenchFile::from_args("BENCH_decoder.json");
     println!(
-        "workload                   legacy/s  blossom/s analytic/s  tiercold/s  tierwarm/s \
-         e2e_frame/s frame_ler   tab_ler"
+        "workload                  blossom/s analytic/s  tiercold/s  tierwarm/s e2e_frame/s \
+         frame_ler   tab_ler"
     );
     for w in workloads() {
         let engine = InjectionEngine::builder(w.spec).shots(shots).seed(seed).build();
@@ -141,7 +140,6 @@ fn main() -> ExitCode {
         // on exactly the syndrome mix a campaign sees.
         let batches = engine.frame_batches_at_sample(&w.fault, &w.noise, 0);
 
-        let legacy = time_decode(&batches, reps, false, || Box::new(MwpmDecoder::new(&code)));
         let blossom_tiers = TierConfig { lut: false, analytic: false, ..Default::default() };
         let blossom = time_decode(&batches, reps, true, || {
             Box::new(BulkDecoder::with_tiers(&code, blossom_tiers))
@@ -172,8 +170,8 @@ fn main() -> ExitCode {
         let (tab_ler, tab_sps) = time_end_to_end(&w, SamplerKind::Tableau, shots, seed, reps);
 
         println!(
-            "{:<24} {legacy:>10.0} {blossom:>10.0} {analytic:>10.0} {tiered_cold:>11.0} \
-             {tiered_warm:>11.0} {frame_sps:>11.0} {frame_ler:>9.4} {tab_ler:>9.4}",
+            "{:<24} {blossom:>10.0} {analytic:>10.0} {tiered_cold:>11.0} {tiered_warm:>11.0} \
+             {frame_sps:>11.0} {frame_ler:>9.4} {tab_ler:>9.4}",
             w.name
         );
         bench.push(
@@ -181,7 +179,6 @@ fn main() -> ExitCode {
                 .str("workload", w.name)
                 .int("shots", shots)
                 .int("seed", seed)
-                .float("legacy_decode_shots_per_sec", legacy, 1)
                 .float("blossom_decode_shots_per_sec", blossom, 1)
                 .float("analytic_decode_shots_per_sec", analytic, 1)
                 .float("tiered_cold_decode_shots_per_sec", tiered_cold, 1)

@@ -204,17 +204,7 @@ fn main() -> ExitCode {
         let snap = engine.metrics_snapshot();
         bench.merge(&snap);
 
-        // Boundary-calibration study: the same sweep's corner + central
-        // roots with per-root null calibration on (cluster rows only).
-        let mut norm_cfg = DetectionConfig::new(w.spec);
-        norm_cfg.shots = shots;
-        norm_cfg.rounds = rounds;
-        norm_cfg.seed = seed;
-        norm_cfg.roots = Some(vec![corner, root]);
-        norm_cfg.boundary_norm = true;
-        let norm_res = run_detection(&norm_cfg);
         let corner_raw = res.row(corner, "cluster").expect("corner cluster row").auc;
-        let corner_norm = norm_res.row(corner, "cluster").expect("corner norm row").auc;
 
         header(&format!(
             "{} — {} on {}, {} rounds, {} shots/campaign",
@@ -252,10 +242,6 @@ fn main() -> ExitCode {
             stats.chunks_stolen,
             stats.workspace_allocations,
             stats.workspace_reuses
-        );
-        println!(
-            "boundary calibration @ root {corner}: cluster auc {corner_raw:.3} raw vs \
-             {corner_norm:.3} per-root-calibrated"
         );
         println!(
             "{:>6} {:>10} {:>7} {:>7} {:>7} {:>5} {:>5}",
@@ -317,8 +303,7 @@ fn main() -> ExitCode {
                 .float("cluster_auc", cluster.auc, 4)
                 .opt_int("cluster_median_loc_error_hops", cluster.median_loc_error_hops)
                 .int("corner_root", corner)
-                .float("cluster_corner_auc_raw", corner_raw, 4)
-                .float("cluster_corner_auc_calibrated", corner_norm, 4),
+                .float("cluster_corner_auc_raw", corner_raw, 4),
         );
     }
     bench.finish()

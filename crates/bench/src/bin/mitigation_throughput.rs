@@ -188,7 +188,6 @@ fn mask_stats(cfg: &MitigationConfig, root: u32) -> (usize, f64) {
     let mut small = MitigationConfig::new(cfg.codes.clone());
     small.shots = cfg.shots.min(1024);
     small.seed = cfg.seed;
-    small.native = cfg.native;
     let engine = mitigation_engine(&small, cfg.codes[0]);
     let fault = FaultSpec::Radiation { model: cfg.model, root };
     let strike = StrikeMask::try_new(engine.topology(), root, cfg.radius, 1.0)

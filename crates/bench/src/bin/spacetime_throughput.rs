@@ -65,7 +65,6 @@ fn main() -> ExitCode {
             radius: cfg.radius,
             baseline,
             sigma,
-            ..StreamDecoderConfig::default()
         };
         let run = |adaptive| {
             let decoder = StreamDecoder::new(&engine, decoder_cfg(adaptive), TierConfig::default());

@@ -5,7 +5,7 @@
 //! bit, with shot `s` living at bit `s % 64` of word `s / 64`. Batch
 //! executors (the Pauli-frame sampler in `radqec-noise`) fill whole rows
 //! with single word operations; decoders either extract per-shot records or
-//! use [`ShotBatch::packed_shot`] as a compact memoisation key.
+//! read the rows directly.
 
 use crate::backend::ShotRecord;
 use crate::gate::Clbit;
@@ -179,37 +179,6 @@ impl ShotBatch {
             *dst = self.bits[ra.start + i] ^ self.bits[rb.start + i];
         }
     }
-
-    /// All classical bits of one shot packed into little-endian `u64` words
-    /// (clbit `c` at bit `c % 64` of word `c / 64`), reusing `out`'s
-    /// allocation — the any-width counterpart of [`ShotBatch::packed_shot`]
-    /// for memoising records wider than 128 bits.
-    pub fn packed_shot_words(&self, shot: usize, out: &mut Vec<u64>) {
-        debug_assert!(shot < self.shots);
-        out.clear();
-        out.resize((self.num_clbits as usize).div_ceil(64), 0);
-        for c in 0..self.num_clbits {
-            if self.get(c, shot) {
-                out[c as usize / 64] |= 1u64 << (c % 64);
-            }
-        }
-    }
-
-    /// All classical bits of one shot packed into a `u128` (bit `c` =
-    /// clbit `c`) — a cheap memoisation key for batch decoding.
-    ///
-    /// # Panics
-    /// Panics when the batch has more than 128 classical bits.
-    pub fn packed_shot(&self, shot: usize) -> u128 {
-        assert!(self.num_clbits <= 128, "too many clbits to pack");
-        let mut key = 0u128;
-        for c in 0..self.num_clbits {
-            if self.get(c, shot) {
-                key |= 1u128 << c;
-            }
-        }
-        key
-    }
 }
 
 #[cfg(test)]
@@ -241,22 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_shot_words_matches_packed_shot() {
-        let mut b = ShotBatch::new(70, 3);
-        for c in [0u32, 5, 63, 64, 69] {
-            b.flip(c, 1);
-        }
-        b.flip(2, 2);
-        let mut words = vec![0xDEAD_BEEFu64; 7]; // stale contents must be cleared
-        for s in 0..3 {
-            b.packed_shot_words(s, &mut words);
-            assert_eq!(words.len(), 2);
-            let key = (words[0] as u128) | ((words[1] as u128) << 64);
-            assert_eq!(key, b.packed_shot(s), "shot {s}");
-        }
-    }
-
-    #[test]
     fn record_extraction_roundtrips() {
         let mut b = ShotBatch::new(3, 5);
         b.flip(0, 1);
@@ -264,9 +217,6 @@ mod tests {
         b.flip(1, 4);
         let r = b.record(1);
         assert!(r.get(0) && !r.get(1) && r.get(2));
-        assert_eq!(b.packed_shot(1), 0b101);
-        assert_eq!(b.packed_shot(4), 0b010);
-        assert_eq!(b.packed_shot(0), 0);
         let mut reuse = ShotRecord::new(3);
         b.fill_record(4, &mut reuse);
         assert_eq!(reuse, b.record(4));

@@ -182,6 +182,10 @@ pub enum EngineBuildError {
         /// The requested round count.
         rounds: usize,
     },
+    /// A campaign of zero shots.
+    NoShots,
+    /// A frame-batch chunk of zero shots.
+    ZeroFrameChunk,
 }
 
 impl std::fmt::Display for EngineBuildError {
@@ -197,6 +201,8 @@ impl std::fmt::Display for EngineBuildError {
             EngineBuildError::TooFewRounds { rounds } => {
                 write!(f, "memory experiment needs at least 2 rounds, got {rounds}")
             }
+            EngineBuildError::NoShots => write!(f, "need at least one shot"),
+            EngineBuildError::ZeroFrameChunk => write!(f, "frame chunk must be positive"),
         }
     }
 }
@@ -271,9 +277,8 @@ impl<E> EngineBuilder<E> {
     }
 
     /// Shots per campaign (default 1000): per temporal sample offline,
-    /// per stream when streaming.
+    /// per stream when streaming. Zero is rejected by `try_build`.
     pub fn shots(mut self, shots: usize) -> Self {
-        assert!(shots > 0, "need at least one shot");
         self.shots = shots;
         self
     }
@@ -288,17 +293,25 @@ impl<E> EngineBuilder<E> {
     /// Override the shots-per-frame-batch size (default:
     /// [`default_frame_chunk`] of the campaign's shot count). Changing it
     /// changes the per-chunk RNG streams, i.e. which shots are sampled —
-    /// not the sampled distribution.
+    /// not the sampled distribution. Zero is rejected by `try_build`.
     pub fn frame_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk > 0, "frame chunk must be positive");
         self.frame_chunk = Some(chunk);
         self
     }
 
     /// The per-engine core these knobs configure, recording into
-    /// `metrics`.
-    pub(crate) fn campaign(&self, metrics: Arc<MetricsRegistry>) -> Campaign {
-        Campaign {
+    /// `metrics`; `Err` on zero shots or a zero frame chunk.
+    pub(crate) fn campaign(
+        &self,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Result<Campaign, EngineBuildError> {
+        if self.shots == 0 {
+            return Err(EngineBuildError::NoShots);
+        }
+        if self.frame_chunk == Some(0) {
+            return Err(EngineBuildError::ZeroFrameChunk);
+        }
+        Ok(Campaign {
             sampler: self.sampler,
             seed: self.seed,
             grid: ChunkGrid {
@@ -307,7 +320,7 @@ impl<E> EngineBuilder<E> {
             },
             pool: WorkspacePool::default(),
             metrics,
-        }
+        })
     }
 }
 
@@ -477,6 +490,20 @@ mod tests {
         assert_eq!(want.to_string(), "topology linear5 too small for xxzz-(3,3)");
         let err = StreamEngine::builder(rep5(), 3).topology(linear(5)).try_build().err();
         assert!(matches!(err, Some(EngineBuildError::TopologyTooSmall { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn try_build_rejects_zero_shots_and_a_zero_frame_chunk() {
+        let err = InjectionEngine::builder(rep5()).shots(0).try_build().err();
+        assert_eq!(err, Some(EngineBuildError::NoShots));
+        assert_eq!(EngineBuildError::NoShots.to_string(), "need at least one shot");
+        let err = StreamEngine::builder(rep5(), 3).frame_chunk(0).try_build().err();
+        assert_eq!(err, Some(EngineBuildError::ZeroFrameChunk));
+        let err = StreamEngine::builder(rep5(), 3).shots(0).try_build().err();
+        assert_eq!(err, Some(EngineBuildError::NoShots));
+        let err = InjectionEngine::builder(rep5()).frame_chunk(0).try_build().err();
+        assert_eq!(err, Some(EngineBuildError::ZeroFrameChunk));
+        assert!(InjectionEngine::builder(rep5()).shots(1).frame_chunk(1).try_build().is_ok());
     }
 
     #[test]

@@ -129,7 +129,6 @@ pub use spacetime::{
 pub use stream::{StreamDecodeReport, StreamDecoder, StreamDecoderConfig};
 
 use radqec_circuit::{ShotBatch, ShotRecord};
-use std::collections::HashMap;
 
 /// A syndrome decoder: maps one shot's classical record to the corrected
 /// logical readout value.
@@ -141,28 +140,16 @@ pub trait Decoder: Send + Sync {
     /// Decoder display name.
     fn name(&self) -> &str;
 
-    /// Decode every shot of a batch, memoising by record pattern.
-    ///
-    /// Decoders are pure functions of the classical record (enforced by the
-    /// decoder-invariant property tests), and realistic noise rates produce
-    /// heavily repeated syndromes across a batch, so decoding runs once per
-    /// *distinct* record instead of once per shot. The memo keys whole
-    /// packed records, so codes of any width dedupe. [`BulkDecoder`]
-    /// overrides this with the tiered bit-plane pipeline.
+    /// Decode every shot of a batch, one [`Decoder::decode`] call per
+    /// shot. [`BulkDecoder`] overrides this with the tiered bit-plane
+    /// pipeline; the default serves per-shot decoders such as the
+    /// [`MwpmDecoder`] oracle.
     fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
-        let mut memo: HashMap<Vec<u64>, bool> = HashMap::new();
-        let mut key = Vec::new();
         let mut scratch = ShotRecord::new(batch.num_clbits());
         (0..batch.shots())
             .map(|s| {
-                batch.packed_shot_words(s, &mut key);
-                if let Some(&v) = memo.get(&key) {
-                    return v;
-                }
                 batch.fill_record(s, &mut scratch);
-                let v = self.decode(&scratch);
-                memo.insert(key.clone(), v);
-                v
+                self.decode(&scratch)
             })
             .collect()
     }
@@ -185,54 +172,5 @@ pub trait Decoder: Send + Sync {
     /// tiered [`BulkDecoder`]); `None` otherwise.
     fn decode_stats(&self) -> Option<DecoderStats> {
         None
-    }
-}
-
-#[cfg(test)]
-mod mod_tests {
-    use super::*;
-    use crate::codes::{QecCode, RepetitionCode};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// Decoder wrapper counting how often `decode` actually runs.
-    struct Counting<D> {
-        inner: D,
-        calls: AtomicUsize,
-    }
-
-    impl<D: Decoder> Decoder for Counting<D> {
-        fn decode(&self, shot: &ShotRecord) -> bool {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.decode(shot)
-        }
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-    }
-
-    #[test]
-    fn wide_records_still_memoise() {
-        // rep-(65,1): 131 clbits, wider than a u128 record key.
-        let code = RepetitionCode::bit_flip(65).build();
-        let nc = code.circuit.num_clbits();
-        assert!(nc > 128, "need a wide record, got {nc}");
-        let dec = Counting { inner: MwpmDecoder::new(&code), calls: AtomicUsize::new(0) };
-        let mut batch = ShotBatch::new(nc, 96);
-        // Three distinct record patterns, repeated across the batch.
-        for s in 0..96 {
-            match s % 3 {
-                0 => {}
-                1 => batch.flip(code.stabilizers[7].cbit_round1, s),
-                _ => {
-                    batch.flip(code.stabilizers[3].cbit_round1, s);
-                    batch.flip(code.stabilizers[3].cbit_round2, s);
-                }
-            }
-        }
-        let out = dec.decode_batch(&batch);
-        assert_eq!(dec.calls.load(Ordering::Relaxed), 3, "wide batch must dedupe");
-        for (s, &v) in out.iter().enumerate() {
-            assert_eq!(v, dec.inner.decode(&batch.record(s)), "shot {s}");
-        }
     }
 }

@@ -10,9 +10,10 @@
 //! 2. scored by the online change detector ([`CusumDetector`] over the
 //!    chunk's mean events-per-shot residual),
 //! 3. once alarmed: localized ([`Localizer`] over the post-alarm window,
-//!    modal vote across sampled shots, re-voted for `cluster_window`
-//!    rounds as context accumulates) and projected into a full-strength
-//!    [`DecoderMask`] ([`DecoderMask::project_memory`]),
+//!    modal vote across sampled shots, re-voted for
+//!    [`Localizer::DEFAULT_WINDOW`] rounds as context accumulates) and
+//!    projected into a full-strength [`DecoderMask`]
+//!    ([`DecoderMask::project_memory`]),
 //! 4. pushed into every replica's window decoder under the mask active
 //!    *this* round.
 //!
@@ -77,10 +78,6 @@ pub struct StreamDecoderConfig {
     /// [`CusumDetector::calibrated`], whose 0.5-event floor is scaled for
     /// per-shot *count* statistics, not this shot-averaged one.
     pub sigma: f64,
-    /// Trailing rounds the localizer scores at alarm time.
-    pub cluster_window: usize,
-    /// Shots sampled for the localization vote (capped at chunk width).
-    pub sample_shots: usize,
 }
 
 impl Default for StreamDecoderConfig {
@@ -91,11 +88,13 @@ impl Default for StreamDecoderConfig {
             radius: 3,
             baseline: 0.0,
             sigma: 1.0,
-            cluster_window: 3,
-            sample_shots: 8,
         }
     }
 }
+
+/// Shots of a chunk sampled for the localization vote at alarm time
+/// (capped at the chunk width).
+const LOCALIZE_SAMPLE_SHOTS: usize = 8;
 
 /// Per-chunk outcome of a finished chunk (overwritten on retry — chunk
 /// streams are deterministic, so the rewrite is idempotent).
@@ -204,12 +203,7 @@ impl<'e> StreamDecoder<'e> {
         let decoder =
             SpaceTimeDecoder::try_for_memory(memory, cfg.window, tiers, engine.metrics())?;
         let readout = memory.final_readout.as_ref().ok_or(SpaceTimeError::NoFinalReadout)?;
-        let localizer = Localizer::new(
-            engine.stream_spec(),
-            engine.topology(),
-            cfg.cluster_window.max(1),
-            0.33,
-        );
+        let localizer = Localizer::with_defaults(engine.stream_spec(), engine.topology());
         Ok(StreamDecoder {
             engine,
             decoder,
@@ -289,12 +283,12 @@ impl<'e> StreamDecoder<'e> {
             return;
         }
         // Localize from the first alarm on, re-voting each round until
-        // `cluster_window` rounds of post-alarm context have accumulated:
+        // a localizer window of post-alarm context has accumulated:
         // the alarm round alone rarely pins the root, and the windows the
         // mask must reweight are not solved until `W` rounds later, so the
         // refinement is free.
         if let Some(alarm) = st.det.alarm_round {
-            if r <= alarm + self.cfg.cluster_window {
+            if r <= alarm + Localizer::DEFAULT_WINDOW {
                 if let Some(mask) = self.localize_mask(st, alarm, slice) {
                     st.base_mask = Some(mask);
                 }
@@ -342,9 +336,9 @@ impl<'e> StreamDecoder<'e> {
     ) -> Option<DecoderMask> {
         let events = st.acc.stream();
         let end = slice.round + 1;
-        let start = (alarm + 1).saturating_sub(self.cfg.cluster_window.max(1));
+        let start = (alarm + 1).saturating_sub(Localizer::DEFAULT_WINDOW);
         let mut votes: HashMap<u32, (usize, f64)> = HashMap::new();
-        let sampled = self.cfg.sample_shots.max(1).min(slice.shots);
+        let sampled = LOCALIZE_SAMPLE_SHOTS.min(slice.shots);
         for shot in 0..sampled {
             if let Some(cluster) = self.localizer.window_eval(events, shot, start, end) {
                 let entry = votes.entry(cluster.root).or_insert((0, 0.0));

@@ -15,14 +15,24 @@
 //!   the alarm, over alarmed strike shots;
 //! * **median localization error** — hops between the clusterer's root
 //!   estimate and the true root (spatial clusterer only).
+//!
+//! Every sweep hosts the code on its native SWAP-free embedding
+//! ([`CodeSpec::native_embedding`]): detection studies the device a
+//! deployed code would run on, and the fitted 5×k mesh's routing SWAPs
+//! both inflate the intrinsic event rate and smear the strike's spatial
+//! footprint. Shots come from the frame sampler, and clusters are scored
+//! by [`Localizer::with_defaults`]. The cluster score is the raw
+//! matched-filter peak for every root: corner strikes separate worse than
+//! central ones, but rescaling the score per root moved the corner AUC
+//! by at most 0.02, so the gap is signal-limited and no calibration is
+//! applied.
 
 use crate::codes::CodeSpec;
-use crate::injection::SamplerKind;
 use crate::streaming::{StreamEngine, StreamFault};
 use radqec_circuit::ShotBatch;
 use radqec_detect::{
     median_u32, quantile, roc_auc, ClusterDetector, CusumDetector, EventStream, Localizer,
-    OnlineDetector, RootCalibration, ThresholdDetector,
+    OnlineDetector, ThresholdDetector,
 };
 use radqec_noise::{NoiseSpec, RadiationModel};
 
@@ -43,31 +53,8 @@ pub struct DetectionConfig {
     pub model: RadiationModel,
     /// Strike positions. `None`: five evenly spaced data-carrying sites.
     pub roots: Option<Vec<u32>>,
-    /// Host the code on its native SWAP-free embedding
-    /// ([`CodeSpec::native_embedding`]) — default true: detection studies
-    /// the device a deployed code would actually run on, and the fitted
-    /// 5×k mesh's hundreds of routing SWAPs per round both inflate the
-    /// intrinsic event rate and smear the strike's spatial footprint.
-    /// `false` falls back to the paper's fitted-mesh transpilation.
-    pub native: bool,
-    /// Boundary-aware per-root cluster-score calibration — default
-    /// false, preserving the raw matched-filter score. When true, the
-    /// sweep fits a [`RootCalibration`] from the null campaign (per-root
-    /// score quantiles, pooled over 2-hop neighbourhoods) and rescales
-    /// every cluster score by its elected root's null level before
-    /// thresholding and ROC analysis. (The model-based alternative,
-    /// `Localizer::with_boundary_norm`, is a separate opt-in on the
-    /// localizer itself; measurements show both leave the corner AUC gap
-    /// essentially unchanged — it is signal-limited, see ROADMAP.)
-    pub boundary_norm: bool,
-    /// Shot sampler (default frame batch).
-    pub sampler: SamplerKind,
     /// Master seed.
     pub seed: u64,
-    /// Localizer window (rounds) and per-round damping.
-    pub window: usize,
-    /// Per-round recency damping of the localizer window.
-    pub decay: f64,
 }
 
 impl DetectionConfig {
@@ -80,21 +67,8 @@ impl DetectionConfig {
             noise: NoiseSpec::paper_default(),
             model: RadiationModel::default(),
             roots: None,
-            native: true,
-            boundary_norm: false,
-            sampler: SamplerKind::FrameBatch,
             seed: 0xDE7EC7,
-            window: Localizer::DEFAULT_WINDOW,
-            decay: Localizer::DEFAULT_DECAY,
         }
-    }
-
-    /// The ISSUE 3 acceptance workload: XXZZ-(5,5) (d = 5) at paper-default
-    /// noise, 10⁴ streamed shots per campaign.
-    pub fn acceptance() -> Self {
-        let mut cfg = DetectionConfig::new(crate::codes::XxzzCode::new(5, 5).into());
-        cfg.shots = 10_000;
-        cfg
     }
 }
 
@@ -252,43 +226,9 @@ fn run_cluster_detector(det: &ClusterDetector, campaign: &Campaign) -> CampaignT
     trace
 }
 
-/// Raw single-event score floor of the cluster alarm (a lone event — or
-/// its time-like repeat — may never alarm, whatever the calibration).
-const CLUSTER_RAW_FLOOR: f64 = 1.05;
-
-/// The boundary-calibrated cluster evaluation (`DetectionConfig::
-/// boundary_norm`): every window score is rescaled by the shot's elected
-/// root's *null* reference level ([`RootCalibration`]) before scoring and
-/// thresholding, so corner-rooted strikes are compared against
-/// corner-null behaviour instead of the chip-wide (centre-dominated)
-/// score pool. The raw floor still gates alarms.
-fn run_cluster_calibrated(
-    probe: &ClusterDetector,
-    campaign: &Campaign,
-    cal: &RootCalibration,
-    level: f64,
-) -> CampaignTrace {
-    let mut trace = CampaignTrace { scores: Vec::new(), alarms: Vec::new(), roots: Vec::new() };
-    let mut windows = Vec::new();
-    for ev in &campaign.events {
-        for s in 0..ev.shots() {
-            let root = probe.window_trace(ev, s, &mut windows);
-            let mut score = 0.0f64;
-            let mut alarm = None;
-            for (r, &raw) in windows.iter().enumerate() {
-                let norm = cal.normalize(root, raw);
-                score = score.max(norm);
-                if alarm.is_none() && norm >= level && raw >= CLUSTER_RAW_FLOOR {
-                    alarm = Some(r);
-                }
-            }
-            trace.scores.push(score);
-            trace.alarms.push(alarm);
-            trace.roots.push(root);
-        }
-    }
-    trace
-}
+/// Score floor of the cluster alarm: a lone event — or its time-like
+/// repeat — may never alarm, whatever the null calibration.
+const CLUSTER_SCORE_FLOOR: f64 = 1.05;
 
 fn rate_of(alarms: &[Option<usize>]) -> f64 {
     alarms.iter().filter(|a| a.is_some()).count() as f64 / alarms.len() as f64
@@ -305,14 +245,11 @@ fn median_latency(alarms: &[Option<usize>]) -> Option<u32> {
 
 /// Run the detection sweep.
 pub fn run_detection(cfg: &DetectionConfig) -> DetectionResult {
-    let mut builder = StreamEngine::builder(cfg.code, cfg.rounds)
+    let engine = StreamEngine::builder(cfg.code, cfg.rounds)
         .shots(cfg.shots)
         .seed(cfg.seed)
-        .sampler(cfg.sampler);
-    if cfg.native {
-        builder = builder.native();
-    }
-    let engine = builder.build();
+        .native()
+        .build();
     let spec = engine.stream_spec();
 
     // Null campaign: shared by every root (one stream, one calibration).
@@ -325,66 +262,31 @@ pub fn run_detection(cfg: &DetectionConfig) -> DetectionResult {
     let std = null.residual_std(&baseline);
     let cusum = CusumDetector::calibrated(std);
     let threshold = ThresholdDetector { threshold: (4.0 * std.max(0.5)).max(2.0) };
-    let localizer = Localizer::new(spec, engine.topology(), cfg.window, cfg.decay);
     // Cluster alarm level: above the null stream's 99.5th score percentile,
     // floored above 1.0 so a single event — or its time-like repeat — can
-    // never alarm even on a noiseless calibration. A single window-trace
+    // never alarm even on a noiseless calibration. A single window-score
     // pass over the null campaign provides both the calibration scores
     // and, once the level is fixed, every null alarm round — the window
     // scans (the expensive part) run exactly once.
-    let probe = ClusterDetector::new(localizer.clone(), f64::INFINITY);
-    let mut null_window_scores: Vec<Vec<f64>> = Vec::with_capacity(cfg.shots);
-    let mut null_cluster =
-        CampaignTrace { scores: Vec::new(), alarms: Vec::new(), roots: Vec::new() };
-    for ev in &null.events {
-        for s in 0..ev.shots() {
-            let mut windows = Vec::new();
-            let root = probe.window_trace(ev, s, &mut windows);
-            null_cluster.scores.push(windows.iter().copied().fold(0.0, f64::max));
-            null_cluster.roots.push(root);
-            null_window_scores.push(windows);
-        }
-    }
-    // Boundary-aware mode: fit each root's null score baseline from the
-    // probe pass and re-express scores and the alarm level on the
-    // calibrated scale (see `run_cluster_calibrated`).
-    let calibration = cfg.boundary_norm.then(|| {
-        RootCalibration::fit(
-            null_cluster.roots.iter().copied().zip(null_cluster.scores.iter().copied()),
-            engine.topology(),
-            0.9,
-        )
-    });
-    let cluster_level;
-    match &calibration {
-        Some(cal) => {
-            let norm_scores: Vec<f64> = null_cluster
-                .roots
-                .iter()
-                .zip(&null_cluster.scores)
-                .map(|(&root, &s)| cal.normalize(root, s))
-                .collect();
-            cluster_level = 1.1 * quantile(&norm_scores, 0.995);
-            null_cluster.alarms = null_window_scores
-                .iter()
-                .zip(&null_cluster.roots)
-                .map(|(windows, &root)| {
-                    windows.iter().position(|&raw| {
-                        cal.normalize(root, raw) >= cluster_level && raw >= CLUSTER_RAW_FLOOR
-                    })
-                })
-                .collect();
-            null_cluster.scores = norm_scores;
-        }
-        None => {
-            cluster_level = (1.1 * quantile(&null_cluster.scores, 0.995)).max(CLUSTER_RAW_FLOOR);
-            null_cluster.alarms = null_window_scores
-                .iter()
-                .map(|windows| windows.iter().position(|&s| s >= cluster_level))
-                .collect();
-        }
-    }
-    let cluster = ClusterDetector::new(localizer, cluster_level);
+    let mut cluster =
+        ClusterDetector::new(Localizer::with_defaults(spec, engine.topology()), f64::INFINITY);
+    let null_window_scores: Vec<Vec<f64>> = null
+        .events
+        .iter()
+        .flat_map(|ev| (0..ev.shots()).map(|s| cluster.window_scores(ev, s)))
+        .collect();
+    let null_scores: Vec<f64> =
+        null_window_scores.iter().map(|w| w.iter().copied().fold(0.0, f64::max)).collect();
+    let cluster_level = (1.1 * quantile(&null_scores, 0.995)).max(CLUSTER_SCORE_FLOOR);
+    let null_cluster = CampaignTrace {
+        scores: null_scores,
+        alarms: null_window_scores
+            .iter()
+            .map(|windows| windows.iter().position(|&s| s >= cluster_level))
+            .collect(),
+        roots: Vec::new(),
+    };
+    cluster.threshold = cluster_level;
 
     let roots = cfg.roots.clone().unwrap_or_else(|| {
         // Five evenly spaced *data-carrying* physical sites (initial
@@ -408,14 +310,10 @@ pub fn run_detection(cfg: &DetectionConfig) -> DetectionResult {
             engine.stream_batches(&StreamFault::Strike { model: cfg.model, root }, &cfg.noise);
         let strike = campaign(&strike_batches, &engine);
         let dists = engine.topology().distances_from(root);
-        let cluster_trace = match &calibration {
-            Some(cal) => run_cluster_calibrated(&probe, &strike, cal, cluster_level),
-            None => run_cluster_detector(&cluster, &strike),
-        };
         let traces: [(String, CampaignTrace); 3] = [
             (threshold.name().into(), run_counts_detector(&threshold, &strike, &baseline)),
             (cusum.name().into(), run_counts_detector(&cusum, &strike, &baseline)),
-            ("cluster".into(), cluster_trace),
+            ("cluster".into(), run_cluster_detector(&cluster, &strike)),
         ];
         for ((detector, trace), null_trace) in traces.into_iter().zip(&null_traces) {
             let loc_errors: Vec<u32> = trace

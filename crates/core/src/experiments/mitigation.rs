@@ -96,14 +96,6 @@ pub struct MitigationConfig {
     pub detect_shots: usize,
     /// Rounds per shot of the detection campaign (default 10).
     pub detect_rounds: usize,
-    /// Host the two-round experiment on the code's native embedding
-    /// extended by a readout-ancilla seat (default true). Mitigation, like
-    /// detection, studies the device a deployed code would actually run
-    /// on: the fitted 5×k mesh needs hundreds of routing SWAPs for
-    /// xxzz-(5,5), which push the *intrinsic* logical error to chance —
-    /// leaving no signal for any decoder, masked or not. `false` falls
-    /// back to the paper's fitted-mesh transpilation.
-    pub native: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -121,18 +113,8 @@ impl MitigationConfig {
             policies: vec![MaskPolicy::Unaware, MaskPolicy::Oracle, MaskPolicy::Detected],
             detect_shots: 512,
             detect_rounds: 10,
-            native: true,
             seed: 0x3117_C0DE,
         }
-    }
-
-    /// The ISSUE 5 acceptance workload: XXZZ-(5,5) at paper-default noise,
-    /// the model's 10 temporal samples, 10⁴ frame shots per sample, fixed
-    /// seed.
-    pub fn acceptance() -> Self {
-        let mut cfg = MitigationConfig::new(vec![crate::codes::XxzzCode::new(5, 5).into()]);
-        cfg.shots = 10_000;
-        cfg
     }
 }
 
@@ -243,16 +225,19 @@ fn native_experiment_host(spec: CodeSpec, code: &CodeCircuit) -> Option<(Topolog
 }
 
 /// Build the sweep's engine for `code`: the native experiment host when
-/// configured and available, the default fitted mesh otherwise. Shared by
-/// [`run_mitigation`] and the `mitigation_throughput` bench so their
-/// engines (and hence layouts, strike frames and decode paths) agree.
+/// the code has one, the default fitted mesh otherwise. Mitigation, like
+/// detection, studies the device a deployed code would run on: the fitted
+/// 5×k mesh needs hundreds of routing SWAPs for xxzz-(5,5), which push
+/// the *intrinsic* logical error to chance and leave no signal for any
+/// decoder, masked or not. Shared by [`run_mitigation`] and the
+/// `mitigation_throughput` bench so their engines (and hence layouts,
+/// strike frames and decode paths) agree.
 pub fn mitigation_engine(cfg: &MitigationConfig, code: CodeSpec) -> InjectionEngine {
-    let mut builder = InjectionEngine::builder(code).shots(cfg.shots).seed(cfg.seed);
-    if cfg.native {
-        if let Some((topo, l2p)) = native_experiment_host(code, &code.build()) {
-            builder = builder.topology(topo).initial_layout(l2p);
-        }
-    }
+    let builder = InjectionEngine::builder(code).shots(cfg.shots).seed(cfg.seed);
+    let builder = match native_experiment_host(code, &code.build()) {
+        Some((topo, l2p)) => builder.topology(topo).initial_layout(l2p),
+        None => builder,
+    };
     builder.build()
 }
 

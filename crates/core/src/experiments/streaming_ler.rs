@@ -200,7 +200,6 @@ pub fn run_streaming_ler(cfg: &StreamingLerConfig) -> StreamingLerResult {
             radius: cfg.radius,
             baseline,
             sigma,
-            ..StreamDecoderConfig::default()
         };
         let run = |adaptive| {
             let decoder = StreamDecoder::new(&engine, decoder_cfg(adaptive), TierConfig::default());

@@ -38,12 +38,13 @@ impl InjectionEngineBuilder {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::build`]: `Err` on a topology smaller than the code
-    /// or an invalid or too short initial layout.
+    /// Fallible [`Self::build`]: `Err` on zero shots, a zero frame chunk, a
+    /// topology smaller than the code or an invalid or too short initial
+    /// layout.
     pub fn try_build(self) -> Result<InjectionEngine, EngineBuildError> {
         // The decoder records into the engine's registry, so one snapshot
         // covers workspace gauges and the whole `decode.*` family.
-        let campaign = self.campaign(Arc::new(MetricsRegistry::new()));
+        let campaign = self.campaign(Arc::new(MetricsRegistry::new()))?;
         let code = self.spec.build();
         let host = Host::place(&code.circuit, &code.name, self.placement)?;
         let decoder = Box::new(BulkDecoder::with_metrics(&code, Arc::clone(&campaign.metrics)));

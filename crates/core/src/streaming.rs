@@ -338,9 +338,9 @@ impl StreamEngineBuilder {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Self::build`]: `Err` on fewer than 2 rounds, a topology
-    /// smaller than the memory circuit, or an invalid or too short
-    /// initial layout.
+    /// Fallible [`Self::build`]: `Err` on fewer than 2 rounds, zero shots,
+    /// a zero frame chunk, a topology smaller than the memory circuit, or
+    /// an invalid or too short initial layout.
     pub fn try_build(mut self) -> Result<StreamEngine, EngineBuildError> {
         let (rounds, final_readout) = (self.engine.rounds, self.engine.final_readout);
         if rounds < 2 {
@@ -351,7 +351,7 @@ impl StreamEngineBuilder {
         // registry's name map again.
         let metrics = self.engine.metrics.take().unwrap_or_default();
         let recorder = self.engine.recorder.take().unwrap_or_default();
-        let campaign = self.campaign(Arc::clone(&metrics));
+        let campaign = self.campaign(Arc::clone(&metrics))?;
         let cache = || context_cache().lock().unwrap_or_else(PoisonError::into_inner);
         let kind = self.placement.kind;
         let key = (kind != HostKind::Custom).then_some((self.spec, rounds, final_readout, kind));

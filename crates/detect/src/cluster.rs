@@ -9,7 +9,6 @@
 //! scattered intrinsic noise.
 
 use crate::events::{EventStream, StreamSpec};
-use crate::roc::quantile;
 use radqec_topology::Topology;
 
 /// Damped-defect centroid localizer (see module docs).
@@ -39,13 +38,6 @@ pub struct Localizer {
     /// merely by seeing more of the chip — leaving the *local excess*
     /// that only co-located events can produce.
     background: Vec<f64>,
-    /// Boundary-calibration factor per candidate: the chip-mean diffuse
-    /// wide-kernel background over the candidate's own (α = ½). Scores
-    /// are multiplied by it in boundary-norm mode.
-    norm: Vec<f64>,
-    /// Normalise the detection score against each candidate root's null
-    /// baseline (see [`Localizer::with_boundary_norm`]).
-    normalize: bool,
     /// Candidate root qubits (every qubit of the topology).
     num_qubits: usize,
 }
@@ -84,12 +76,6 @@ impl Localizer {
                 total / row_of.len() as f64
             })
             .collect();
-        let wide_background: Vec<f64> = (0..num_qubits)
-            .map(|q| row_of.iter().map(|&k| spatial_weight(rows[k][q])).sum::<f64>())
-            .collect();
-        let mean_bg = wide_background.iter().sum::<f64>() / num_qubits.max(1) as f64;
-        let norm: Vec<f64> =
-            wide_background.iter().map(|&bg| (mean_bg / bg.max(1e-12)).sqrt()).collect();
         Localizer {
             window,
             decay,
@@ -98,28 +84,8 @@ impl Localizer {
             row_of,
             rows,
             background,
-            norm,
-            normalize: false,
             num_qubits,
         }
-    }
-
-    /// Boundary-aware per-root score normalisation (ROADMAP follow-up:
-    /// corner strikes separate much worse than central ones). The raw
-    /// detection statistic — the wide kernel's peak — is biased towards
-    /// chip-central candidates, which collect background mass from more
-    /// detectors; a corner strike can never reach the alarm level that a
-    /// *central-null* calibration implies. With normalisation on, every
-    /// candidate's wide mass is *rescaled* by `√(b̄ / b_q)` — the
-    /// chip-mean diffuse background over the candidate's own — so corner
-    /// and central roots alarm on an equal footing. A ratio (not an
-    /// excess subtraction): under the per-gate reset model magnitude is
-    /// signal, so the raw mass is kept and only the boundary bias is
-    /// divided out; √ because a strike's mass deficit at the boundary is
-    /// milder than the null background's.
-    pub fn with_boundary_norm(mut self, on: bool) -> Self {
-        self.normalize = on;
-        self
     }
 
     /// [`Localizer::new`] with the default window and damping.
@@ -185,12 +151,9 @@ impl Localizer {
             // Detection statistic: the peak of the wide kernel — under
             // the per-gate reset model a strike elevates the *whole*
             // chip's event rate (compounded `S(d)` per round), so
-            // magnitude is signal, not background. In boundary-norm mode
-            // the peak is taken over per-candidate null z-scores instead
-            // (see `with_boundary_norm`).
-            let stat = if self.normalize { wide * self.norm[q] } else { wide };
-            if best_mass.is_none_or(|m| stat > m) {
-                best_mass = Some(stat);
+            // magnitude is signal, not background.
+            if best_mass.is_none_or(|m| wide > m) {
+                best_mass = Some(wide);
             }
             // Localization statistic: the sharp kernel's *local excess*
             // over the diffuse expectation of an equally noisy but
@@ -209,9 +172,7 @@ impl Localizer {
         // *time-like* chain (the signature of an isolated measurement
         // blip, which fires the same detector in consecutive rounds), not
         // a spatial cluster: cap it at a single event's score so it can
-        // never outrank a genuine two-position spread. The cap carries
-        // over to the normalised scale, where a lone event's z can spike
-        // at low-baseline (corner) candidates.
+        // never outrank a genuine two-position spread.
         if positions < 2 {
             score = score.min(1.0);
         }
@@ -291,11 +252,6 @@ impl ClusterDetector {
         ClusterDetector { localizer, threshold }
     }
 
-    /// The wrapped localizer.
-    pub fn localizer(&self) -> &Localizer {
-        &self.localizer
-    }
-
     /// Run the sliding window over one shot: `(score, alarm round, root
     /// estimate)`. The score is the maximum windowed cluster score; the
     /// root comes from the maximising window (alarmed or not, so
@@ -326,101 +282,18 @@ impl ClusterDetector {
 
     /// The threshold-independent part of [`Self::detect_shot`]: every
     /// trailing-window cluster score (index = round, 0.0 for event-free
-    /// windows, appended into `scores`) plus the best window's root
-    /// estimate. A calibration pass uses this to pick the alarm level
+    /// windows). A calibration pass uses this to pick the alarm level
     /// *after* scanning a null campaign and then derive each shot's alarm
     /// round in `O(rounds)` — without re-running the expensive window
     /// scans ([`Self::threshold`] is ignored).
-    pub fn window_trace(
-        &self,
-        events: &EventStream,
-        shot: usize,
-        scores: &mut Vec<f64>,
-    ) -> Option<u32> {
+    pub fn window_scores(&self, events: &EventStream, shot: usize) -> Vec<f64> {
         let w = self.localizer.window;
-        scores.clear();
-        let mut best: Option<(f64, u32)> = None;
-        for r in 0..events.rounds() {
-            let start = (r + 1).saturating_sub(w);
-            match self.localizer.window_eval(events, shot, start, r + 1) {
-                Some(cluster) => {
-                    if best.is_none_or(|(s, _)| cluster.score > s) {
-                        best = Some((cluster.score, cluster.root));
-                    }
-                    scores.push(cluster.score);
-                }
-                None => scores.push(0.0),
-            }
-        }
-        best.map(|(_, root)| root)
-    }
-}
-
-/// Per-root score calibration learned from a **measured** null campaign —
-/// the empirical complement of [`Localizer::with_boundary_norm`]'s
-/// diffuse-background rescale. `fit` collects each candidate root's null
-/// score distribution (shots whose best window elected that root) and
-/// stores a per-root reference quantile; `normalize` rescales a score by
-/// the elected root's reference, so a corner root — whose null scores
-/// are structurally lower than a central root's — is compared against
-/// corner-null behaviour instead of the chip-wide pool.
-#[derive(Debug, Clone)]
-pub struct RootCalibration {
-    level: Vec<f64>,
-    global: f64,
-}
-
-impl RootCalibration {
-    /// Minimum pooled null shots before a neighbourhood's quantile is
-    /// trusted over the global one.
-    pub const MIN_SAMPLES: usize = 25;
-    /// Hop radius of the pooling neighbourhood: null shots rarely elect
-    /// any *single* corner root often enough to fit a quantile, but the
-    /// boundary *region* collects plenty.
-    pub const POOL_RADIUS: u32 = 2;
-
-    /// Fit from `(best root, score)` pairs of a null campaign;
-    /// `ref_quantile` (0..1) picks the per-root reference level. Each
-    /// candidate pools the null scores of roots within
-    /// [`Self::POOL_RADIUS`] hops on `topo`.
-    pub fn fit(
-        samples: impl IntoIterator<Item = (Option<u32>, f64)>,
-        topo: &Topology,
-        ref_quantile: f64,
-    ) -> Self {
-        let num_qubits = topo.num_qubits() as usize;
-        let mut per: Vec<Vec<f64>> = vec![Vec::new(); num_qubits];
-        let mut all: Vec<f64> = Vec::new();
-        for (root, score) in samples {
-            if let Some(r) = root {
-                per[r as usize].push(score);
-            }
-            all.push(score);
-        }
-        let global = quantile(&all, ref_quantile).max(1e-6);
-        let level = (0..num_qubits)
-            .map(|q| {
-                let dists = topo.distances_from(q as u32);
-                let pool: Vec<f64> = (0..num_qubits)
-                    .filter(|&p| dists[p] <= Self::POOL_RADIUS)
-                    .flat_map(|p| per[p].iter().copied())
-                    .collect();
-                if pool.len() >= Self::MIN_SAMPLES {
-                    quantile(&pool, ref_quantile).max(1e-6)
-                } else {
-                    global
-                }
+        (0..events.rounds())
+            .map(|r| {
+                let start = (r + 1).saturating_sub(w);
+                self.localizer.window_eval(events, shot, start, r + 1).map_or(0.0, |c| c.score)
             })
-            .collect();
-        RootCalibration { level, global }
-    }
-
-    /// Rescale `score` by the elected root's null reference level.
-    pub fn normalize(&self, root: Option<u32>, score: f64) -> f64 {
-        match root {
-            Some(r) => score / self.level[r as usize],
-            None => score / self.global,
-        }
+            .collect()
     }
 }
 
@@ -507,66 +380,6 @@ mod tests {
         let quiet = ShotBatch::new(10, 1);
         let evq = EventStream::extract(&quiet, &spec);
         assert_eq!(det.detect_shot(&evq, 0), (0.0, None, None));
-    }
-
-    #[test]
-    fn boundary_norm_boosts_low_background_candidates() {
-        let (spec, topo) = toy();
-        let raw = Localizer::with_defaults(&spec, &topo);
-        let norm = Localizer::with_defaults(&spec, &topo).with_boundary_norm(true);
-        // A burst at the chain's end (stab 0, ancilla 1): the boundary
-        // candidate's normalised score must exceed its raw score (its
-        // diffuse background is below the chip mean), and a central
-        // burst's must shrink.
-        let mut batch = ShotBatch::new(10, 2);
-        batch.flip(spec.cbit(0, 0), 0);
-        batch.flip(spec.cbit(0, 1), 0);
-        batch.flip(spec.cbit(0, 2), 1);
-        batch.flip(spec.cbit(0, 3), 1);
-        let ev = EventStream::extract(&batch, &spec);
-        let edge_raw = raw.window_eval(&ev, 0, 0, 1).unwrap();
-        let edge_norm = norm.window_eval(&ev, 0, 0, 1).unwrap();
-        let mid_raw = raw.window_eval(&ev, 1, 0, 1).unwrap();
-        let mid_norm = norm.window_eval(&ev, 1, 0, 1).unwrap();
-        // The boundary burst gains ground on the central burst once both
-        // are scored against their own diffuse baselines.
-        assert!(
-            edge_norm.score / mid_norm.score > edge_raw.score / mid_raw.score,
-            "norm {:.3}/{:.3} vs raw {:.3}/{:.3}",
-            edge_norm.score,
-            mid_norm.score,
-            edge_raw.score,
-            mid_raw.score
-        );
-        // Root estimates are untouched by the score normalisation.
-        assert_eq!(edge_norm.root, edge_raw.root);
-        assert_eq!(mid_norm.root, mid_raw.root);
-    }
-
-    #[test]
-    fn root_calibration_pools_and_normalizes() {
-        let topo = linear(9);
-        // Null scores: boundary region (roots 0–2) runs at level ~1,
-        // centre (roots 4–8) at level ~3; every root individually is
-        // below MIN_SAMPLES, but the radius-2 pools are not.
-        let mut samples: Vec<(Option<u32>, f64)> = Vec::new();
-        for i in 0..20 {
-            for r in [0u32, 1, 2] {
-                samples.push((Some(r), 1.0 + 0.001 * f64::from(i)));
-            }
-            for r in [4u32, 5, 6, 7, 8] {
-                samples.push((Some(r), 3.0 + 0.001 * f64::from(i)));
-            }
-        }
-        samples.push((None, 2.0));
-        let cal = RootCalibration::fit(samples, &topo, 0.9);
-        // Same raw score ranks much higher against the boundary baseline.
-        let at_edge = cal.normalize(Some(0), 2.0);
-        let at_centre = cal.normalize(Some(7), 2.0);
-        assert!(at_edge > 1.5 && at_centre < 1.0, "edge {at_edge:.2} centre {at_centre:.2}");
-        // Rootless shots fall back to the global level.
-        let global = cal.normalize(None, 2.0);
-        assert!(global > at_centre && global < at_edge);
     }
 
     #[test]

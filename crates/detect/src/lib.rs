@@ -70,9 +70,9 @@ mod events;
 mod mask;
 mod roc;
 
-pub use cluster::{ClusterDetector, Localizer, RootCalibration, WindowCluster};
+pub use cluster::{ClusterDetector, Localizer, WindowCluster};
 pub use detectors::CountDetectorState;
 pub use detectors::{CusumDetector, Detection, OnlineDetector, ThresholdDetector};
 pub use events::{EventAccumulator, EventStream, StreamSpec};
 pub use mask::{MaskError, StrikeMask};
-pub use roc::{median_f64, median_u32, quantile, roc_auc};
+pub use roc::{median_u32, quantile, roc_auc};

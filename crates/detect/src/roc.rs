@@ -1,8 +1,8 @@
 //! ROC analysis and small order statistics for detection sweeps.
 
 /// Nearest-rank `p`-quantile (`0..=1`) of a sample, by sorting a copy —
-/// deterministic, shared by every calibration path (cluster per-root
-/// levels, detection alarm levels). Returns 0 for an empty sample.
+/// deterministic; the detection sweep derives its cluster alarm level
+/// from it. Returns 0 for an empty sample.
 pub fn quantile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
@@ -33,22 +33,6 @@ pub fn roc_auc(positives: &[f64], negatives: &[f64]) -> f64 {
         u += below as f64 + 0.5 * (not_above - below) as f64;
     }
     u / (positives.len() as f64 * negatives.len() as f64)
-}
-
-/// Median of a float sample (mean of the central pair for even lengths).
-///
-/// # Panics
-/// Panics on an empty sample.
-pub fn median_f64(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty(), "median of empty sample");
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        0.5 * (v[mid - 1] + v[mid])
-    }
 }
 
 /// Median of an integer sample (lower-median for even lengths, so the
@@ -89,8 +73,6 @@ mod tests {
 
     #[test]
     fn medians() {
-        assert_eq!(median_f64(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median_f64(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median_u32(&[5, 1, 3]), 3);
         assert_eq!(median_u32(&[4, 1, 2, 3]), 2);
         assert_eq!(median_u32(&[7]), 7);

@@ -112,9 +112,6 @@ fn exhaustive_syndrome_equivalence_on_lut_eligible_codes() {
         for (name, dec) in &tiered {
             assert_eq!(dec.decode_batch(&batch), expected, "{} tier {name} batch", code.name);
         }
-        // The legacy memoised trait path must agree as well.
-        let legacy: &dyn radqec_core::decoder::Decoder = &oracle;
-        assert_eq!(legacy.decode_batch(&batch), expected, "{} legacy batch", code.name);
     }
 }
 
