@@ -275,6 +275,21 @@ mod acceptance_tests {
         cfg.shots = 512;
         let res = run_streaming_ler(&cfg);
         assert_eq!(res.rows.len(), 2);
+        // Every report field of both arms, exactly: 512 shots are two
+        // 256-shot chunks, and both alarm. The window schedule, the mask
+        // fit and every solve feed these counts, so a refactor of the
+        // window decoder or the sink must leave them untouched.
+        let report = |errors, first_alarm_round| StreamDecodeReport {
+            shots: 512,
+            errors,
+            chunk_alarms: 2,
+            first_alarm_round: Some(first_alarm_round),
+        };
+        let pinned = [(57, 198, 0), (243, 251, 1)];
+        for (row, &(adaptive, unaware, alarm)) in res.rows.iter().zip(&pinned) {
+            assert_eq!(row.adaptive, report(adaptive, alarm), "{} adaptive", row.code_name);
+            assert_eq!(row.unaware, report(unaware, alarm), "{} unaware", row.code_name);
+        }
         for row in &res.rows {
             assert!(row.adaptive.chunk_alarms > 0, "{}: the strike must alarm", row.code_name);
             assert!(
