@@ -123,8 +123,7 @@ pub use graph::{DetectorGraph, DetectorNode, EdgeKind};
 pub use mask::{DecoderMask, MASK_BASE_WEIGHT, MASK_REF_PROB};
 pub use mwpm::MwpmDecoder;
 pub use spacetime::{
-    ReplicaState, SpaceTimeDecoder, SpaceTimeError, SpaceTimeScratch, WindowConfig,
-    WindowConfigError,
+    SpaceTimeDecoder, SpaceTimeError, WindowConfig, WindowConfigError, WindowState,
 };
 pub use stream::{StreamDecodeReport, StreamDecoder, StreamDecoderConfig};
 

@@ -41,19 +41,33 @@
 //! optimum. The property suites verify bit-identity both on synthetic
 //! streams and on real engine streams at the paper's noise, ±strike.
 //!
+//! # One window clock per chunk
+//!
+//! The window schedule depends only on the round count, so a chunk's
+//! replicas advance in lockstep through one [`WindowState`]: it holds the
+//! clock (window base, next round), the chunk's [`MatchingArena`] and its
+//! batched tier counters once. Each replica keeps only three things: its
+//! pending defects as a window-local `u128` key (bit
+//! `(round − base) · P + stab`, node-major like the solve cores' plane
+//! order), its committed flip and whether it ever saw a defect.
+//! [`SpaceTimeDecoder::push_round`] ORs one round's `P` event rows (one
+//! bit per replica) into the keys; a mid-stream solve re-bases each key's
+//! survivors by shifting out the `C · P` committed bits.
+//!
 //! # Tier reuse
 //!
 //! Window solves run on [`SolveCore`]s over multi-layer
 //! [`DetectorGraph::space_time`] graphs — the same LUT / analytic /
 //! sharded-cache / exact-matcher cascade as the bulk decoder, interned per
 //! `(window layers, mask)` pair, so warm windows decode from a table
-//! lookup. Mid-stream windows (which must also report *survivors*, not
-//! just a flip) memoise full outcomes per defect pattern in a per-context
-//! map; both paths share one [`MatchingArena`] per scratch. Contexts are
-//! interned in the same [`ContextTable`] type the bulk decoder keys its
-//! mask contexts by, so masked window contexts are LRU-capped at
-//! [`TierConfig::mask_capacity`] and counted as `decode.mask_hits` the
-//! same way. The two decoders keep separate front ends on purpose: the
+//! lookup. A solve fetches its context once per chunk-round, at the first
+//! replica with pending defects. Mid-stream windows (which must also
+//! report *survivors*, not just a flip) memoise full outcomes per defect
+//! pattern in a per-context map; both paths share the chunk's arena.
+//! Contexts are interned in the same [`ContextTable`] type the bulk
+//! decoder keys its mask contexts by, so masked window contexts are
+//! LRU-capped at [`TierConfig::mask_capacity`] and counted as
+//! `decode.mask_hits` the same way. The two decoders keep separate front ends on purpose: the
 //! bulk decoder hands defects to the matcher stab-major, this one
 //! node-major, and that order decides the matcher's tie-break.
 //!
@@ -145,9 +159,11 @@ pub enum SpaceTimeError {
 impl fmt::Display for SpaceTimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpaceTimeError::NoFinalReadout => {
-                write!(f, "space-time decoding needs a readout-terminated memory circuit")
-            }
+            SpaceTimeError::NoFinalReadout => write!(
+                f,
+                "space-time decoding needs a readout-terminated memory \
+                 (build the stream with `final_readout()`)"
+            ),
             SpaceTimeError::KeyTooWide { bits } => {
                 write!(f, "window of {bits} detector bits exceeds the 128-bit defect key")
             }
@@ -213,38 +229,43 @@ struct WindowContext {
     memo: Mutex<HashMap<u128, WindowOutcome>>,
 }
 
-/// Per-replica (per-shot) streaming state: the running flip, the pending
-/// defect set, and the window base. Create with
-/// [`SpaceTimeDecoder::begin`]; drive with `push_round`; close with
-/// `finish`.
-#[derive(Debug, Clone)]
-pub struct ReplicaState {
-    /// Pending defects as `(absolute detector round, stab)`, ascending.
-    pending: Vec<(u32, u32)>,
+/// One replica's share of a chunk's window state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Replica {
+    /// Pending defects, window-local: bit `(round − base) · P + stab`.
+    pending: u128,
     /// Crossing parity committed so far.
     flip: bool,
-    /// First detector round of the current window.
-    base: usize,
-    /// Next detector round this replica expects.
-    next_round: usize,
     /// Whether any detection event arrived (trivial-shot accounting).
     saw_defect: bool,
 }
 
-impl ReplicaState {
-    /// Defects currently carried (not yet committed).
-    pub fn pending_defects(&self) -> usize {
-        self.pending.len()
-    }
+/// A chunk of replicas streaming through one window schedule (module
+/// docs: one window clock per chunk). Create with
+/// [`SpaceTimeDecoder::begin`]; drive with [`SpaceTimeDecoder::push_round`];
+/// close with [`SpaceTimeDecoder::finish`].
+pub struct WindowState {
+    /// First detector round of the current window.
+    base: usize,
+    /// Next detector round the chunk expects.
+    next_round: usize,
+    replicas: Vec<Replica>,
+    /// The chunk's matching arena.
+    ctx: Ctx,
+    /// Batched tier counters, flushed by `finish`.
+    local: LocalStats,
 }
 
-/// Reusable per-worker scratch: one matching arena + batched tier
-/// counters. Flush into the decoder's metrics with
-/// [`SpaceTimeDecoder::flush`] between chunks.
-#[derive(Default)]
-pub struct SpaceTimeScratch {
-    ctx: Ctx,
-    local: LocalStats,
+impl WindowState {
+    /// First detector round of the current window.
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// Defects `replica` currently carries (not yet committed).
+    pub fn pending_defects(&self, replica: usize) -> usize {
+        self.replicas[replica].pending.count_ones() as usize
+    }
 }
 
 /// The sliding-window space-time decoder (see module docs).
@@ -267,22 +288,9 @@ pub struct SpaceTimeDecoder {
 impl SpaceTimeDecoder {
     /// Build a decoder for a readout-terminated memory stream: `rounds`
     /// syndrome layers plus the terminal detector layer the projected
-    /// data readout induces (`detector_rounds = rounds + 1`).
-    ///
-    /// # Panics
-    /// Panics where [`Self::try_for_memory`] returns an error.
-    pub fn for_memory(
-        memory: &MemoryCircuit,
-        cfg: WindowConfig,
-        tiers: TierConfig,
-        metrics: &MetricsRegistry,
-    ) -> Self {
-        Self::try_for_memory(memory, cfg, tiers, metrics).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::for_memory`], or the reason the stream cannot be decoded:
-    /// no final data readout, an invalid window, or a window wider than
-    /// the 128-bit defect key.
+    /// data readout induces (`detector_rounds = rounds + 1`), or the
+    /// reason the stream cannot be decoded: no final data readout, an
+    /// invalid window, or a window wider than the 128-bit defect key.
     pub fn try_for_memory(
         memory: &MemoryCircuit,
         cfg: WindowConfig,
@@ -323,127 +331,111 @@ impl SpaceTimeDecoder {
         self.detector_rounds
     }
 
-    /// Fresh per-replica streaming state.
-    pub fn begin(&self) -> ReplicaState {
-        ReplicaState { pending: Vec::new(), flip: false, base: 0, next_round: 0, saw_defect: false }
+    /// Fresh streaming state for a chunk of `replicas` replicas.
+    pub fn begin(&self, replicas: usize) -> WindowState {
+        WindowState {
+            base: 0,
+            next_round: 0,
+            replicas: vec![Replica::default(); replicas],
+            ctx: Ctx::default(),
+            local: LocalStats::default(),
+        }
     }
 
-    /// Flush a scratch's batched tier counters into the decoder's metric
-    /// registry handles.
-    pub fn flush(&self, scratch: &mut SpaceTimeScratch) {
-        self.stats.flush(scratch.local);
-        scratch.local = LocalStats::default();
-    }
-
-    /// Push one detector round: `events` are the primary stabilizers that
-    /// fired this round, ascending. Solves (and commits) a window when
-    /// one fills and more rounds are still due; the mask active *at solve
-    /// time* reweights that window's graph.
+    /// Push one detector round for the whole chunk: `row(i)` is primary
+    /// stabilizer `i`'s event row, bit `shot` set when replica `shot`
+    /// fired it. Solves (and commits) a window when one fills and more
+    /// rounds are still due; the mask active *at solve time* reweights
+    /// that window's graph.
     ///
     /// # Panics
     /// Panics when more rounds arrive than the decoder was built for.
-    pub fn push_round(
+    pub fn push_round<'a>(
         &self,
-        state: &mut ReplicaState,
-        events: impl IntoIterator<Item = usize>,
+        state: &mut WindowState,
+        row: impl Fn(usize) -> &'a [u64],
         mask: Option<&DecoderMask>,
-        scratch: &mut SpaceTimeScratch,
     ) {
         let round = state.next_round;
         assert!(round < self.detector_rounds, "stream already has all {round} rounds");
-        for stab in events {
-            debug_assert!(stab < self.primary_count, "event on non-primary stabilizer {stab}");
-            state.pending.push((round as u32, stab as u32));
-            state.saw_defect = true;
+        let layer = (round - state.base) * self.primary_count;
+        for stab in 0..self.primary_count {
+            let bit = 1u128 << (layer + stab);
+            for (w, &word) in row(stab).iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let shot = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    if let Some(rep) = state.replicas.get_mut(shot) {
+                        rep.pending |= bit;
+                        rep.saw_defect = true;
+                    }
+                }
+            }
         }
         state.next_round += 1;
         if state.next_round == state.base + self.cfg.window
             && state.base + self.cfg.window < self.detector_rounds
         {
-            self.advance_window(state, mask, scratch);
+            self.advance_window(state, mask);
         }
     }
 
-    /// Close the stream: commit the final window in full and return the
-    /// replica's accumulated flip (XOR against the raw logical readout to
-    /// correct it).
+    /// Close the stream: commit every replica's final window in full,
+    /// flush the chunk's tier counters into the decoder's metrics, and
+    /// return each replica's accumulated flip (XOR against its raw logical
+    /// readout to correct it).
     ///
     /// # Panics
     /// Panics unless exactly `detector_rounds` rounds were pushed.
-    pub fn finish(
-        &self,
-        state: &mut ReplicaState,
-        mask: Option<&DecoderMask>,
-        scratch: &mut SpaceTimeScratch,
-    ) -> bool {
+    pub fn finish(&self, state: WindowState, mask: Option<&DecoderMask>) -> Vec<bool> {
         assert_eq!(state.next_round, self.detector_rounds, "stream is missing rounds");
-        scratch.local.shots += 1;
-        if !state.saw_defect {
-            scratch.local.trivial += 1;
-        }
-        if !state.pending.is_empty() {
-            let layers = self.detector_rounds - state.base;
-            let ctx = self.context(layers, mask);
-            let key = Self::window_key(state, self.primary_count);
-            state.flip ^= ctx.core.flip_of_key(key, &mut scratch.ctx, &mut scratch.local);
-            state.pending.clear();
-        }
-        state.base = self.detector_rounds;
-        state.flip
+        let WindowState { base, replicas, mut ctx, mut local, .. } = state;
+        let mut wctx = None;
+        let flips = replicas
+            .iter()
+            .map(|rep| {
+                local.shots += 1;
+                local.trivial += u64::from(!rep.saw_defect);
+                if rep.pending == 0 {
+                    return rep.flip;
+                }
+                let wctx =
+                    wctx.get_or_insert_with(|| self.context(self.detector_rounds - base, mask));
+                rep.flip ^ wctx.core.flip_of_key(rep.pending, &mut ctx, &mut local)
+            })
+            .collect();
+        self.stats.flush(local);
+        flips
     }
 
     /// Decode one replica's full event history in one call (tests and the
     /// offline reference): `rounds[r]` lists the primary stabilizers that
     /// fired at detector round `r`.
-    pub fn decode_history(
-        &self,
-        rounds: &[Vec<usize>],
-        mask: Option<&DecoderMask>,
-        scratch: &mut SpaceTimeScratch,
-    ) -> bool {
+    pub fn decode_history(&self, rounds: &[Vec<usize>], mask: Option<&DecoderMask>) -> bool {
         assert_eq!(rounds.len(), self.detector_rounds, "history has wrong round count");
-        let mut state = self.begin();
+        let mut state = self.begin(1);
         for events in rounds {
-            self.push_round(&mut state, events.iter().copied(), mask, scratch);
+            let rows: Vec<_> =
+                (0..self.primary_count).map(|i| [u64::from(events.contains(&i))]).collect();
+            self.push_round(&mut state, |i| &rows[i], mask);
         }
-        self.finish(&mut state, mask, scratch)
+        self.finish(state, mask)[0]
     }
 
-    /// The pending set as a window-local `u128` key: bit
-    /// `(round − base) · P + stab` — node-major, matching the
-    /// [`SolveCore::window`] plane order.
-    fn window_key(state: &ReplicaState, p: usize) -> u128 {
-        let mut key = 0u128;
-        for &(r, s) in &state.pending {
-            let layer = r as usize - state.base;
-            key |= 1u128 << (layer * p + s as usize);
-        }
-        key
-    }
-
-    /// Solve the full window `[base, base + W)` and commit its oldest `C`
-    /// layers (module docs: the commit/discard contract).
-    fn advance_window(
-        &self,
-        state: &mut ReplicaState,
-        mask: Option<&DecoderMask>,
-        scratch: &mut SpaceTimeScratch,
-    ) {
-        let p = self.primary_count;
-        let outcome = if state.pending.is_empty() {
-            WindowOutcome { flip: false, survivors: 0 }
-        } else {
-            let ctx = self.context(self.cfg.window, mask);
-            let key = Self::window_key(state, p);
-            self.window_outcome(&ctx, key, scratch)
-        };
-        state.flip ^= outcome.flip;
-        state.pending.clear();
-        let mut bits = outcome.survivors;
-        while bits != 0 {
-            let node = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            state.pending.push(((state.base + node / p) as u32, (node % p) as u32));
+    /// Solve every replica's full window `[base, base + W)` and commit its
+    /// oldest `C` layers (module docs: the commit/discard contract). An
+    /// empty window commits nothing and fetches no context.
+    fn advance_window(&self, state: &mut WindowState, mask: Option<&DecoderMask>) {
+        let committed_bits = (self.cfg.commit * self.primary_count) as u32;
+        let mut wctx = None;
+        for rep in state.replicas.iter_mut().filter(|rep| rep.pending != 0) {
+            let wctx = wctx.get_or_insert_with(|| self.context(self.cfg.window, mask));
+            let outcome = self.window_outcome(wctx, rep.pending, &mut state.ctx, &mut state.local);
+            rep.flip ^= outcome.flip;
+            // Survivors sit above the commit region; `C · P = 128` (a
+            // full-window commit) leaves none.
+            rep.pending = outcome.survivors.checked_shr(committed_bits).unwrap_or(0);
         }
         state.base += self.cfg.commit;
     }
@@ -454,22 +446,34 @@ impl SpaceTimeDecoder {
         &self,
         wctx: &WindowContext,
         key: u128,
-        scratch: &mut SpaceTimeScratch,
+        ctx: &mut Ctx,
+        local: &mut LocalStats,
     ) -> WindowOutcome {
         debug_assert_ne!(key, 0);
         let commit_nodes = self.cfg.commit * self.primary_count;
         if let Some(&hit) = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            scratch.local.cache_hits += 1;
+            local.cache_hits += 1;
             return hit;
         }
         let outcome = if commit_nodes < 128 && key >> commit_nodes == 0 {
             // Every defect sits inside the commit region: the window is a
             // full commit — route it through the tier cascade (LUT /
             // analytic / cache / blossom) like a final window.
-            let flip = wctx.core.flip_of_key(key, &mut scratch.ctx, &mut scratch.local);
+            let flip = wctx.core.flip_of_key(key, ctx, local);
             WindowOutcome { flip, survivors: 0 }
         } else {
-            self.match_window(wctx, key, commit_nodes, scratch)
+            // The exact matcher over a mixed commit/tentative window, fed
+            // its defects in ascending key-bit order.
+            ctx.defects.clear();
+            let mut bits = key;
+            while bits != 0 {
+                ctx.defects.push(bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+            local.matchings += 1;
+            let g = wctx.core.graph();
+            let (flip, survivors) = commit_matching(g, &ctx.defects, &mut ctx.arena, commit_nodes);
+            WindowOutcome { flip, survivors }
         };
         let mut memo = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner);
         if memo.len() >= WINDOW_MEMO_CAP {
@@ -477,29 +481,6 @@ impl SpaceTimeDecoder {
         }
         memo.insert(key, outcome);
         outcome
-    }
-
-    /// The exact matcher over a mixed commit/tentative window, walking
-    /// the matching into finalized parity + survivors.
-    fn match_window(
-        &self,
-        wctx: &WindowContext,
-        key: u128,
-        commit_nodes: usize,
-        scratch: &mut SpaceTimeScratch,
-    ) -> WindowOutcome {
-        let g = wctx.core.graph();
-        let (arena, defects) = (&mut scratch.ctx.arena, &mut scratch.ctx.defects);
-        defects.clear();
-        let mut bits = key;
-        while bits != 0 {
-            let node = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            defects.push(node);
-        }
-        scratch.local.matchings += 1;
-        let (flip, survivors) = commit_matching(g, defects, arena, commit_nodes);
-        WindowOutcome { flip, survivors }
     }
 
     /// Intern (or fetch) the solve context of `(layers, mask)`. Unmasked
@@ -544,7 +525,7 @@ mod tests {
         metrics: &MetricsRegistry,
     ) -> SpaceTimeDecoder {
         let memory = RepetitionCode::bit_flip(5).build_memory_readout(rounds);
-        SpaceTimeDecoder::for_memory(&memory, cfg, TierConfig::default(), metrics)
+        SpaceTimeDecoder::try_for_memory(&memory, cfg, TierConfig::default(), metrics).unwrap()
     }
 
     /// A seeded random event history: each (round, primary stab) plane
@@ -599,21 +580,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the 128-bit defect key")]
-    fn for_memory_panics_on_a_too_wide_window() {
-        let d7 = XxzzCode::new(7, 7).build_memory_readout(9);
-        let metrics = MetricsRegistry::new();
-        SpaceTimeDecoder::for_memory(&d7, WindowConfig::default(), TierConfig::default(), &metrics);
-    }
-
-    #[test]
     fn empty_history_is_trivial_and_counted() {
         let metrics = MetricsRegistry::new();
         let dec = rep5_decoder(9, WindowConfig::new(4, 2), &metrics);
-        let mut scratch = SpaceTimeScratch::default();
         let history = vec![Vec::new(); dec.detector_rounds()];
-        assert!(!dec.decode_history(&history, None, &mut scratch));
-        dec.flush(&mut scratch);
+        assert!(!dec.decode_history(&history, None));
         assert_eq!(metrics.counter(names::DECODE_SHOTS).get(), 1);
         assert_eq!(metrics.counter(names::DECODE_TRIVIAL).get(), 1);
         assert_eq!(metrics.counter(names::DECODE_MATCHINGS).get(), 0);
@@ -629,11 +600,10 @@ mod tests {
             &[0],
             dec.detector_rounds(),
         );
-        let mut scratch = SpaceTimeScratch::default();
         for stab in 0..4 {
             let mut history = vec![Vec::new(); dec.detector_rounds()];
             history[5] = vec![stab];
-            let flip = dec.decode_history(&history, None, &mut scratch);
+            let flip = dec.decode_history(&history, None);
             let want = graph.crossing_parity(graph.node(stab, 5), graph.boundary());
             assert_eq!(flip, want, "stab {stab}");
             // Stab 0's cheapest boundary exit crosses readout qubit 0.
@@ -653,13 +623,12 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let dec = rep5_decoder(9, WindowConfig::new(4, 2), &metrics);
         let offline = rep5_decoder(9, WindowConfig::offline(10), &metrics);
-        let mut scratch = SpaceTimeScratch::default();
         let mut history = vec![Vec::new(); dec.detector_rounds()];
         history[1] = vec![2];
         history[2] = vec![2];
-        let windowed = dec.decode_history(&history, None, &mut scratch);
+        let windowed = dec.decode_history(&history, None);
         assert!(!windowed, "time-like pair crosses no readout qubit");
-        assert_eq!(windowed, offline.decode_history(&history, None, &mut scratch));
+        assert_eq!(windowed, offline.decode_history(&history, None));
     }
 
     #[test]
@@ -669,21 +638,40 @@ mod tests {
         // silently dropped with its parity lost.
         let metrics = MetricsRegistry::new();
         let dec = rep5_decoder(9, WindowConfig::new(4, 2), &metrics);
-        let mut scratch = SpaceTimeScratch::default();
-        let mut state = dec.begin();
+        let mut state = dec.begin(1);
+        let (fired, quiet) = ([[1u64], [0], [0], [0]], [[0u64]; 4]);
         // Rounds 0..3 fill the first window; the lone defect at round 3
         // (stab 0) is tentative when the window solves after round 3.
         for r in 0..4 {
-            let events = if r == 3 { vec![0usize] } else { Vec::new() };
-            dec.push_round(&mut state, events, None, &mut scratch);
+            let events = if r == 3 { &fired } else { &quiet };
+            dec.push_round(&mut state, |i| &events[i], None);
         }
-        assert_eq!(state.pending_defects(), 1, "tentative defect must survive the commit");
+        assert_eq!(state.pending_defects(0), 1, "tentative defect must survive the commit");
         for _ in 4..dec.detector_rounds() {
-            dec.push_round(&mut state, Vec::new(), None, &mut scratch);
+            dec.push_round(&mut state, |i| &quiet[i], None);
         }
-        let flip = dec.finish(&mut state, None, &mut scratch);
+        let flip = dec.finish(state, None)[0];
         // Stab 0 at any round exits through readout qubit 0: flip = true.
         assert!(flip, "survivor's boundary parity must land in the final flip");
+    }
+
+    #[test]
+    fn window_clock_follows_the_commit_schedule() {
+        // W = 6, C = 2 over 11 detector layers: the first window fills at
+        // layer 5, each later solve two layers on, and the terminal push
+        // (layer 10) solves nothing — the final window starts at layer 6.
+        let metrics = MetricsRegistry::new();
+        let dec = rep5_decoder(10, WindowConfig::new(6, 2), &metrics);
+        let mut state = dec.begin(3);
+        let quiet = [0u64; 1];
+        let bases: Vec<usize> = (0..dec.detector_rounds())
+            .map(|_| {
+                dec.push_round(&mut state, |_| &quiet, None);
+                state.base()
+            })
+            .collect();
+        assert_eq!(bases, [0, 0, 0, 0, 0, 2, 2, 4, 4, 6, 6]);
+        assert_eq!(dec.finish(state, None), [false; 3]);
     }
 
     #[test]
@@ -691,11 +679,10 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let dec = rep5_decoder(11, WindowConfig::new(6, 2), &metrics);
         let offline = rep5_decoder(11, WindowConfig::offline(12), &metrics);
-        let mut scratch = SpaceTimeScratch::default();
         for seed in 0..200 {
             let history = random_history(12, 4, 0.03, 0xA11CE + seed);
-            let w = dec.decode_history(&history, None, &mut scratch);
-            let o = offline.decode_history(&history, None, &mut scratch);
+            let w = dec.decode_history(&history, None);
+            let o = offline.decode_history(&history, None);
             assert_eq!(w, o, "seed {seed}: windowed vs whole-history diverged");
         }
     }
@@ -735,21 +722,22 @@ mod tests {
                 .build();
             let memory = engine.memory();
             let primary = memory.primary_stabilizers().len();
-            let windowed = SpaceTimeDecoder::for_memory(
+            let windowed = SpaceTimeDecoder::try_for_memory(
                 memory,
                 WindowConfig::default(),
                 TierConfig::default(),
                 &metrics,
-            );
-            let offline = SpaceTimeDecoder::for_memory(
+            )
+            .unwrap();
+            let offline = SpaceTimeDecoder::try_for_memory(
                 memory,
                 WindowConfig::offline(rounds + 1),
                 TierConfig::default(),
                 &metrics,
-            );
+            )
+            .unwrap();
             let root = engine.transpiled().initial_layout.physical(memory.n_data / 2);
             let strike = StreamFault::Strike { model: RadiationModel::default(), root };
-            let mut scratch = SpaceTimeScratch::default();
             for fault in [StreamFault::None, strike] {
                 for batch in engine.stream_batches(&fault, &noise) {
                     let events = EventStream::extract(&batch, engine.stream_spec());
@@ -775,8 +763,8 @@ mod tests {
                                 })
                                 .collect(),
                         );
-                        let w = windowed.decode_history(&history, None, &mut scratch);
-                        let o = offline.decode_history(&history, None, &mut scratch);
+                        let w = windowed.decode_history(&history, None);
+                        let o = offline.decode_history(&history, None);
                         assert_eq!(
                             w, o,
                             "{}, {fault:?}, shot {shot}: windowed vs offline diverged",
@@ -795,26 +783,27 @@ mod tests {
             (RepetitionCode::bit_flip(3).build_memory_readout(9), 2),
             (XxzzCode::new(3, 3).build_memory_readout(9), 4),
         ] {
-            let offline = SpaceTimeDecoder::for_memory(
+            let offline = SpaceTimeDecoder::try_for_memory(
                 &memory,
                 WindowConfig::offline(10),
                 TierConfig::default(),
                 &metrics,
-            );
+            )
+            .unwrap();
             let configs =
                 [WindowConfig::new(4, 1), WindowConfig::new(6, 2), WindowConfig::new(6, 3)];
             let decoders: Vec<_> = configs
                 .iter()
                 .map(|&cfg| {
-                    SpaceTimeDecoder::for_memory(&memory, cfg, TierConfig::default(), &metrics)
+                    SpaceTimeDecoder::try_for_memory(&memory, cfg, TierConfig::default(), &metrics)
+                        .unwrap()
                 })
                 .collect();
-            let mut scratch = SpaceTimeScratch::default();
             for seed in 0..120 {
                 let history = random_history(10, primary, 0.03, 0xBEEF + seed);
-                let want = offline.decode_history(&history, None, &mut scratch);
+                let want = offline.decode_history(&history, None);
                 for (dec, cfg) in decoders.iter().zip(&configs) {
-                    let got = dec.decode_history(&history, None, &mut scratch);
+                    let got = dec.decode_history(&history, None);
                     assert_eq!(got, want, "{} seed {seed} cfg {cfg:?}", memory.name);
                 }
             }
@@ -825,13 +814,10 @@ mod tests {
     fn warm_windows_hit_the_outcome_memo() {
         let metrics = MetricsRegistry::new();
         let dec = rep5_decoder(11, WindowConfig::new(6, 2), &metrics);
-        let mut scratch = SpaceTimeScratch::default();
         let history = random_history(12, 4, 0.1, 77);
-        let cold = dec.decode_history(&history, None, &mut scratch);
-        dec.flush(&mut scratch);
+        let cold = dec.decode_history(&history, None);
         let cold_matchings = metrics.counter(names::DECODE_MATCHINGS).get();
-        let warm = dec.decode_history(&history, None, &mut scratch);
-        dec.flush(&mut scratch);
+        let warm = dec.decode_history(&history, None);
         assert_eq!(cold, warm);
         assert_eq!(
             metrics.counter(names::DECODE_MATCHINGS).get(),
@@ -846,32 +832,34 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let memory = RepetitionCode::bit_flip(5).build_memory_readout(9);
         let tiers = TierConfig { mask_capacity: 2, ..TierConfig::default() };
-        let dec = SpaceTimeDecoder::for_memory(&memory, WindowConfig::new(4, 2), tiers, &metrics);
-        let mut scratch = SpaceTimeScratch::default();
+        let dec =
+            SpaceTimeDecoder::try_for_memory(&memory, WindowConfig::new(4, 2), tiers, &metrics)
+                .unwrap();
         let history = random_history(10, 4, 0.1, 5);
         // Three distinct quantised masks plus a no-op: masked contexts
         // stay within the cap, the no-op shares the unmasked context.
         for p in [0.9, 0.6, 0.3, 0.0001] {
             let mask = DecoderMask::from_probs(vec![p; 5], vec![p; 4]);
-            dec.decode_history(&history, Some(&mask), &mut scratch);
+            dec.decode_history(&history, Some(&mask));
         }
         let (unmasked, masked) = dec.context_counts();
         assert!(masked <= 2, "mask contexts must be LRU-capped, got {masked}");
         assert!(unmasked >= 1);
         // A saturating mask on the struck qubit changes the decode of a
         // two-defect pattern whose tie the weights break differently.
-        let offline = SpaceTimeDecoder::for_memory(
+        let offline = SpaceTimeDecoder::try_for_memory(
             &memory,
             WindowConfig::offline(10),
             TierConfig::default(),
             &metrics,
-        );
+        )
+        .unwrap();
         let hot = DecoderMask::from_probs(vec![1.0, 0.0, 0.0, 0.0, 0.0], vec![0.0; 4]);
         let mut diverged = false;
         for seed in 0..80 {
             let history = random_history(10, 4, 0.12, 0xD00D + seed);
-            let plain = offline.decode_history(&history, None, &mut scratch);
-            let masked = offline.decode_history(&history, Some(&hot), &mut scratch);
+            let plain = offline.decode_history(&history, None);
+            let masked = offline.decode_history(&history, Some(&hot));
             diverged |= plain != masked;
         }
         assert!(diverged, "a saturating mask must change at least one decode");
@@ -882,9 +870,9 @@ mod tests {
     fn finish_requires_every_round() {
         let metrics = MetricsRegistry::new();
         let dec = rep5_decoder(9, WindowConfig::new(4, 2), &metrics);
-        let mut scratch = SpaceTimeScratch::default();
-        let mut state = dec.begin();
-        dec.push_round(&mut state, vec![0usize], None, &mut scratch);
-        dec.finish(&mut state, None, &mut scratch);
+        let mut state = dec.begin(1);
+        let fired = [[1u64], [0], [0], [0]];
+        dec.push_round(&mut state, |i| &fired[i], None);
+        dec.finish(state, None);
     }
 }

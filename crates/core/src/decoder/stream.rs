@@ -14,8 +14,9 @@
 //!    [`Localizer::DEFAULT_WINDOW`] rounds as context accumulates) and
 //!    projected into a full-strength [`DecoderMask`]
 //!    ([`DecoderMask::project_memory`]),
-//! 4. pushed into every replica's window decoder under the mask active
-//!    *this* round.
+//! 4. pushed, as the round's primary event rows, into the chunk's one
+//!    [`WindowState`] (every replica advances in lockstep) under the mask
+//!    active *this* round.
 //!
 //! The mask's transient decays with the **fitted** excess estimate — the
 //! measured event excess relative to its peak — not with the fault
@@ -23,7 +24,9 @@
 //! the detection stream implies. The fit is *window-aligned*: a window is
 //! solved `W` rounds after its oldest round arrived, so each solve is
 //! priced by the hottest excess among the rounds still pending in the
-//! window, not by the (already decayed) excess at solve time.
+//! window, not by the (already decayed) excess at solve time. The
+//! pending region is read one push late (the chunk's `mask_base`, see
+//! `fitted_mask`).
 //!
 //! The final round of a [`StreamEngineBuilder::final_readout`] stream
 //! carries the transversal data readout. The sink projects it onto the
@@ -45,9 +48,7 @@
 //! [`MemoryReadout::expected`]: crate::codes::MemoryReadout::expected
 
 use super::mask::DecoderMask;
-use super::spacetime::{
-    ReplicaState, SpaceTimeDecoder, SpaceTimeError, SpaceTimeScratch, WindowConfig,
-};
+use super::spacetime::{SpaceTimeDecoder, SpaceTimeError, WindowConfig, WindowState};
 use super::TierConfig;
 use crate::streaming::{RoundSlice, StreamEngine, StreamFault};
 use radqec_detect::{
@@ -108,8 +109,7 @@ struct ChunkOutcome {
 /// In-flight per-chunk streaming state.
 struct ChunkState {
     acc: EventAccumulator,
-    replicas: Vec<ReplicaState>,
-    scratch: SpaceTimeScratch,
+    window: WindowState,
     det: CountDetectorState,
     /// The alarm-time projected mask, undecayed.
     base_mask: Option<DecoderMask>,
@@ -120,10 +120,10 @@ struct ChunkState {
     /// the solve-time excess would price the strike core as if the
     /// transient were already over.
     excess: Vec<f64>,
-    /// Mirror of the decoder's sliding-window base: the oldest round still
-    /// pending in every replica's window (replicas advance in lockstep —
-    /// the schedule depends only on the round count).
-    win_base: usize,
+    /// The decoder's window base as it stood one round earlier (one push
+    /// behind `window.base()`, and never updated by the terminal push):
+    /// the first round [`StreamDecoder::fitted_mask`] prices from.
+    mask_base: usize,
 }
 
 /// One chunk's cell: the in-flight state plus the last finished outcome.
@@ -178,13 +178,7 @@ impl<'e> StreamDecoder<'e> {
     /// # Panics
     /// Panics where [`Self::try_new`] returns an error.
     pub fn new(engine: &'e StreamEngine, cfg: StreamDecoderConfig, tiers: TierConfig) -> Self {
-        match Self::try_new(engine, cfg, tiers) {
-            Ok(sink) => sink,
-            Err(SpaceTimeError::NoFinalReadout) => panic!(
-                "streaming decode needs a readout-terminated memory (builder.final_readout())"
-            ),
-            Err(e) => panic!("{e}"),
-        }
+        Self::try_new(engine, cfg, tiers).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build the sink over `engine`'s stream, or the reason its window
@@ -245,12 +239,11 @@ impl<'e> StreamDecoder<'e> {
             // round 0: either way, start from scratch.
             cell.state = Some(ChunkState {
                 acc: EventAccumulator::new(self.engine.stream_spec(), slice.shots),
-                replicas: (0..slice.shots).map(|_| self.decoder.begin()).collect(),
-                scratch: SpaceTimeScratch::default(),
+                window: self.decoder.begin(slice.shots),
                 det: self.detector.begin(),
                 base_mask: None,
                 excess: Vec::new(),
-                win_base: 0,
+                mask_base: 0,
             });
         }
         let st = cell.state.as_mut().expect("round 0 opens a chunk before later rounds");
@@ -258,9 +251,8 @@ impl<'e> StreamDecoder<'e> {
         self.detect_round(st, &slice);
         self.decode_round(st, &slice);
         if slice.round + 1 == self.engine.rounds() {
-            let outcome = self.close_chunk(st, &slice);
-            self.decoder.flush(&mut cell.state.take().expect("state is live").scratch);
-            cell.outcome = Some(outcome);
+            let st = cell.state.take().expect("state is live");
+            cell.outcome = Some(self.close_chunk(st, &slice));
         }
         drop(cell);
         // One chunk-round of sink work covers `slice.shots` replicas;
@@ -297,8 +289,13 @@ impl<'e> StreamDecoder<'e> {
     }
 
     /// The mask for this round's window solves: `base_mask` scaled by the
-    /// hottest fitted excess among the rounds still pending in the window
-    /// (`[win_base..]`), normalised by the transient's peak. Both are
+    /// hottest fitted excess from `mask_base` on, normalised by the
+    /// transient's peak. `mask_base` lags the decoder's base by one push:
+    /// mid-stream solves at `C ≥ 2` see the same base either way, but the
+    /// final window after a solve on the push before it (`W = 6`, `C = 2`
+    /// over 11 layers: priced from round 4, solved from round 6), and
+    /// with `C = 1` every solve after the first, are priced from rounds
+    /// already committed. Both are
     /// measured above a `2σ` noise floor, so once the pending rounds'
     /// excess is indistinguishable from intrinsic fluctuation the mask
     /// drops to `None` instead of lingering as a mild bias over quiet
@@ -310,7 +307,7 @@ impl<'e> StreamDecoder<'e> {
         if peak <= 0.0 {
             return None;
         }
-        let live = st.excess[st.win_base.min(st.excess.len() - 1)..]
+        let live = st.excess[st.mask_base.min(st.excess.len() - 1)..]
             .iter()
             .fold(0.0, |a: f64, &b| a.max(b))
             - floor;
@@ -359,90 +356,45 @@ impl<'e> StreamDecoder<'e> {
         (!mask.is_noop()).then_some(mask)
     }
 
-    /// Push this round's detection events into every replica's window
-    /// under the mask fitted this round.
+    /// Push this round's primary event rows into the chunk's window under
+    /// the mask fitted this round.
     fn decode_round(&self, st: &mut ChunkState, slice: &RoundSlice) {
         let r = slice.round;
-        let primary = self.decoder.primary_count();
         let mask = self.fitted_mask(st);
-        let mut fired: Vec<usize> = Vec::new();
-        for shot in 0..slice.shots {
-            fired.clear();
-            {
-                let events = st.acc.stream();
-                fired.extend((0..primary).filter(|&i| events.event(r, i, shot)));
-            }
-            self.decoder.push_round(
-                &mut st.replicas[shot],
-                fired.iter().copied(),
-                mask.as_ref(),
-                &mut st.scratch,
-            );
-        }
-        self.advance_base(st, r);
-    }
-
-    /// Mirror the decoder's window schedule: pushing round `base + W`
-    /// solves and retires the window `[base, base + W)`, so the pending
-    /// region the fitted mask covers starts `C` rounds later.
-    fn advance_base(&self, st: &mut ChunkState, pushed_round: usize) {
-        let w = self.cfg.window;
-        if pushed_round == st.win_base + w.window && pushed_round < self.decoder.detector_rounds() {
-            st.win_base += w.commit;
-        }
+        st.mask_base = st.window.base();
+        let events = st.acc.stream();
+        self.decoder.push_round(&mut st.window, |i| events.plane(r, i), mask.as_ref());
     }
 
     /// Final-round close: project the data readout onto the stabilizers
     /// (the terminal detector layer), finish every replica's window, and
     /// score corrected parities against the (zero) reference frame.
-    fn close_chunk(&self, st: &mut ChunkState, slice: &RoundSlice) -> ChunkOutcome {
+    fn close_chunk(&self, st: ChunkState, slice: &RoundSlice) -> ChunkOutcome {
         assert!(
             slice.has_data_readout(),
             "final round of a readout-terminated stream must carry data rows"
         );
-        let words = slice.words();
-        let primary = self.decoder.primary_count();
-        // Terminal detector events, as bit-planes: the data readout's
-        // projected stabilizer parity XOR the last measured syndrome.
-        let mut terminal = vec![0u64; primary * words];
-        for (i, support) in self.decoder.supports.iter().enumerate() {
-            let row = &mut terminal[i * words..(i + 1) * words];
+        // `row` XOR the data-readout rows over `support`: a parity per shot.
+        let parity = |support: &[u32], mut row: Vec<u64>| {
             for &d in support {
-                for (w, bits) in row.iter_mut().zip(slice.data_row(d as usize)) {
-                    *w ^= bits;
-                }
+                row.iter_mut().zip(slice.data_row(d as usize)).for_each(|(w, bits)| *w ^= bits);
             }
-            for (w, bits) in row.iter_mut().zip(slice.syndrome_row(i)) {
-                *w ^= bits;
-            }
-        }
-        // Raw logical readout parity per shot.
-        let mut raw = vec![0u64; words];
-        for &d in &self.decoder.readout_support {
-            for (w, bits) in raw.iter_mut().zip(slice.data_row(d as usize)) {
-                *w ^= bits;
-            }
-        }
-        let mask = self.fitted_mask(st);
-        let mut errors = 0u64;
-        let mut fired: Vec<usize> = Vec::new();
-        for shot in 0..slice.shots {
-            fired.clear();
-            fired.extend(
-                (0..primary).filter(|&i| terminal[i * words + shot / 64] >> (shot % 64) & 1 == 1),
-            );
-            self.decoder.push_round(
-                &mut st.replicas[shot],
-                fired.iter().copied(),
-                mask.as_ref(),
-                &mut st.scratch,
-            );
-            let flip = self.decoder.finish(&mut st.replicas[shot], mask.as_ref(), &mut st.scratch);
-            let raw_parity = raw[shot / 64] >> (shot % 64) & 1 == 1;
-            if raw_parity ^ flip != self.readout_expected {
-                errors += 1;
-            }
-        }
+            row
+        };
+        // Terminal detector events, as rows: the data readout's projected
+        // stabilizer parity XOR the last measured syndrome.
+        let terminal: Vec<Vec<u64>> = (0..self.decoder.primary_count())
+            .map(|i| parity(&self.decoder.supports[i], slice.syndrome_row(i).to_vec()))
+            .collect();
+        let raw = parity(&self.decoder.readout_support, vec![0; slice.words()]);
+        let mask = self.fitted_mask(&st);
+        let mut window = st.window;
+        self.decoder.push_round(&mut window, |i| &terminal[i], mask.as_ref());
+        let flips = self.decoder.finish(window, mask.as_ref());
+        let wrong = |(s, &flip): (usize, &bool)| {
+            (raw[s / 64] >> (s % 64) & 1 == 1) ^ flip != self.readout_expected
+        };
+        let errors = flips.iter().enumerate().filter(|&s| wrong(s)).count() as u64;
         ChunkOutcome { shots: slice.shots as u64, errors, alarm_round: st.det.alarm_round }
     }
 
