@@ -1022,6 +1022,15 @@ mod tests {
         assert!(res.metrics.mean_time_to_recovery_us > 0.0);
         assert_eq!(res.degraded_shots(), 0, "default deadline must never degrade");
         assert!(res.max_cache_entries() <= FleetConfig::new(res_code()).cache_capacity);
+        // Exact campaign outcome. Tier counters are deliberately not pinned:
+        // a patch's chunks race on the shared LUT, so hits vs. matchings can
+        // differ by one between runs while every decoded flip is the same.
+        let m = &res.metrics;
+        assert_eq!((m.bursts, m.total_events), (830, 12738));
+        assert_eq!((m.strikes, m.detected, m.recovered), (32, 32, 32));
+        let per_patch: Vec<(u64, u64)> =
+            res.per_patch.iter().map(|p| (p.events, p.bursts)).collect();
+        assert_eq!(per_patch, [(6489, 410), (6249, 420)]);
         let csv = res.to_csv();
         assert_eq!(csv.lines().count(), res.metrics.strikes + 1);
         assert!(csv.starts_with("strike,root,onset_round,detected,first_alarm_round"));
