@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
-use radqec_core::decoder::{BulkDecoder, Decoder, MwpmDecoder};
+use radqec_core::decoder::{BulkDecoder, MwpmDecoder};
 use radqec_noise::{run_noisy_shot, ActiveFault, NoiseSpec};
 use radqec_stabilizer::StabilizerBackend;
 use rand::rngs::StdRng;

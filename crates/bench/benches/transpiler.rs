@@ -2,7 +2,7 @@
 //! for the paper's code/architecture pairs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use radqec_core::codes::{QecCode, RepetitionCode, XxzzCode};
+use radqec_core::codes::{RepetitionCode, XxzzCode};
 use radqec_topology::{devices, generators};
 use radqec_transpiler::{transpile, TranspileOptions};
 use std::hint::black_box;

@@ -20,7 +20,7 @@
 use radqec_bench::{arg_count, arg_flag, BenchFile, Record, NS_TO_US};
 use radqec_circuit::ShotBatch;
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
-use radqec_core::decoder::{BulkDecoder, Decoder, TierConfig};
+use radqec_core::decoder::{BulkDecoder, TierConfig};
 use radqec_core::injection::{InjectionEngine, SamplerKind};
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 use radqec_telemetry::{names, MetricsRegistry};
@@ -78,7 +78,7 @@ fn time_decode(
     batches: &[ShotBatch],
     reps: usize,
     cold: bool,
-    make_decoder: impl Fn() -> Box<dyn Decoder>,
+    make_decoder: impl Fn() -> BulkDecoder,
 ) -> f64 {
     let shots: usize = batches.iter().map(ShotBatch::shots).sum();
     let warm = make_decoder();
@@ -90,11 +90,11 @@ fn time_decode(
     let start = Instant::now();
     for _ in 0..reps {
         let fresh;
-        let dec: &dyn Decoder = if cold {
+        let dec = if cold {
             fresh = make_decoder();
-            fresh.as_ref()
+            &fresh
         } else {
-            warm.as_ref()
+            &warm
         };
         for b in batches {
             std::hint::black_box(dec.decode_batch(b));
@@ -141,26 +141,22 @@ fn main() -> ExitCode {
         let batches = engine.frame_batches_at_sample(&w.fault, &w.noise, 0);
 
         let blossom_tiers = TierConfig { lut: false, analytic: false, ..Default::default() };
-        let blossom = time_decode(&batches, reps, true, || {
-            Box::new(BulkDecoder::with_tiers(&code, blossom_tiers))
-        });
+        let blossom =
+            time_decode(&batches, reps, true, || BulkDecoder::with_tiers(&code, blossom_tiers));
         let analytic_tiers = TierConfig { lut: false, ..Default::default() };
-        let analytic = time_decode(&batches, reps, true, || {
-            Box::new(BulkDecoder::with_tiers(&code, analytic_tiers))
-        });
-        let tiered_cold = time_decode(&batches, reps, true, || Box::new(BulkDecoder::new(&code)));
+        let analytic =
+            time_decode(&batches, reps, true, || BulkDecoder::with_tiers(&code, analytic_tiers));
+        let tiered_cold = time_decode(&batches, reps, true, || BulkDecoder::new(&code));
         // The warm path records into a shared registry so the JSON gains
         // per-batch decode-latency percentiles for the steady state.
         let warm_registry = Arc::new(MetricsRegistry::new());
         let tiered_warm = time_decode(&batches, reps, false, || {
-            Box::new(
-                BulkDecoder::try_with_tiers_metrics(
-                    &code,
-                    TierConfig::default(),
-                    Arc::clone(&warm_registry),
-                )
-                .expect("default tiers are valid"),
+            BulkDecoder::try_with_tiers_metrics(
+                &code,
+                TierConfig::default(),
+                Arc::clone(&warm_registry),
             )
+            .expect("default tiers are valid")
         });
         let warm_snap = warm_registry.snapshot();
         bench.merge(&warm_snap);

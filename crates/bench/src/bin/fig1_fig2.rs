@@ -5,7 +5,7 @@
 //! the paper's qubit naming.
 
 use radqec_circuit::display;
-use radqec_core::codes::{QecCode, RepetitionCode, XxzzCode};
+use radqec_core::codes::{RepetitionCode, XxzzCode};
 
 fn main() {
     let rep = RepetitionCode::bit_flip(5).build();

@@ -2,8 +2,8 @@
 //!
 //! A [`Backend`] owns quantum state for a fixed number of qubits and knows
 //! how to apply the Clifford gate set, measure, and reset. Execution of a
-//! [`Circuit`] against a backend (including noise interception) lives here
-//! so the stabilizer and state-vector crates stay symmetric.
+//! [`Circuit`] against a backend lives here so the stabilizer and
+//! state-vector crates stay symmetric.
 
 use crate::circuit::Circuit;
 use crate::gate::{Gate, Qubit};
@@ -84,36 +84,16 @@ impl ShotRecord {
     }
 }
 
-/// Hook invoked around each executed gate; used by the noise models to
-/// append error operations without rewriting the circuit per shot.
-pub trait GateInterceptor<B: Backend + ?Sized> {
-    /// Called after `gate` (and its intrinsic effect) has been applied.
-    fn after_gate(&mut self, gate: &Gate, backend: &mut B, rng: &mut dyn RngCore);
-}
-
-/// A no-op interceptor: runs the circuit exactly as written.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoNoise;
-
-impl<B: Backend + ?Sized> GateInterceptor<B> for NoNoise {
-    #[inline]
-    fn after_gate(&mut self, _gate: &Gate, _backend: &mut B, _rng: &mut dyn RngCore) {}
-}
-
-/// Execute `circuit` on `backend` (which must already be initialised),
-/// calling the interceptor after every non-barrier operation.
+/// Execute `circuit` noiselessly on `backend` (which must already be
+/// initialised; a fresh |0…0⟩ is the caller's to manage). The noise
+/// executors run their own loops over the same gate dispatch.
 ///
 /// Returns the classical record of the shot.
-pub fn execute_with<B, I>(
+pub fn execute<B: Backend + ?Sized>(
     circuit: &Circuit,
     backend: &mut B,
-    interceptor: &mut I,
     rng: &mut dyn RngCore,
-) -> ShotRecord
-where
-    B: Backend + ?Sized,
-    I: GateInterceptor<B> + ?Sized,
-{
+) -> ShotRecord {
     assert!(
         circuit.num_qubits() <= backend.num_qubits(),
         "backend too small: circuit wants {}, backend has {}",
@@ -123,26 +103,13 @@ where
     let mut record = ShotRecord::new(circuit.num_clbits());
     for gate in circuit.ops() {
         match *gate {
-            Gate::Barrier => continue,
-            Gate::Measure { qubit, cbit } => {
-                let v = backend.measure(qubit, rng);
-                record.set(cbit, v);
-            }
+            Gate::Barrier => {}
+            Gate::Measure { qubit, cbit } => record.set(cbit, backend.measure(qubit, rng)),
             Gate::Reset(q) => backend.reset(q, rng),
             ref unitary => backend.apply_unitary(unitary),
         }
-        interceptor.after_gate(gate, backend, rng);
     }
     record
-}
-
-/// Execute `circuit` noiselessly (fresh |0…0⟩ assumed managed by caller).
-pub fn execute<B: Backend + ?Sized>(
-    circuit: &Circuit,
-    backend: &mut B,
-    rng: &mut dyn RngCore,
-) -> ShotRecord {
-    execute_with(circuit, backend, &mut NoNoise, rng)
 }
 
 #[cfg(test)]

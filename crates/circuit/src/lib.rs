@@ -33,7 +33,7 @@ mod gate;
 
 pub mod display;
 
-pub use backend::{execute, execute_with, Backend, GateInterceptor, NoNoise, ShotRecord};
+pub use backend::{execute, Backend, ShotRecord};
 pub use batch::ShotBatch;
 pub use circuit::Circuit;
 pub use dag::{CircuitDag, DagNode};

@@ -32,7 +32,7 @@ pub fn criticality_error_correlation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::{QecCode, RepetitionCode};
+    use crate::codes::RepetitionCode;
 
     #[test]
     fn data_qubits_dominate_criticality_in_repetition_code() {

@@ -32,7 +32,7 @@ pub struct MemoryStabilizer {
 }
 
 /// The transversal final data readout of a memory experiment assembled
-/// with [`QecCode::build_memory_readout`](super::QecCode::build_memory_readout):
+/// with [`CodeSpec::build_memory_readout`](super::CodeSpec::build_memory_readout):
 /// every data qubit measured once in the primary-family basis after the
 /// last stabilisation round, landing in classical bits
 /// `rounds · num_stabs + d`. The measured data layer yields both the raw
@@ -260,7 +260,7 @@ fn assemble_memory_inner(layout: CodeLayout, rounds: usize, final_readout: bool)
 
 #[cfg(test)]
 mod tests {
-    use super::super::{CodeSpec, QecCode, RepetitionCode, XxzzCode};
+    use super::super::{CodeSpec, RepetitionCode, XxzzCode};
     use super::*;
     use radqec_circuit::execute;
     use radqec_stabilizer::StabilizerBackend;

@@ -213,24 +213,6 @@ impl CodeCircuit {
     }
 }
 
-/// A code family instance that can be assembled into a [`CodeCircuit`].
-pub trait QecCode {
-    /// Build the full experiment circuit and its decoding structure.
-    fn build(&self) -> CodeCircuit;
-    /// Build the `rounds`-round memory experiment (syndrome streaming; see
-    /// [`MemoryCircuit`]).
-    fn build_memory(&self, rounds: usize) -> MemoryCircuit;
-    /// Build the `rounds`-round memory experiment with a final transversal
-    /// data readout (see [`MemoryReadout`]) — the space-time decoding
-    /// workload, where each replica's full history is scored against its
-    /// true logical frame.
-    fn build_memory_readout(&self, rounds: usize) -> MemoryCircuit;
-    /// Short name (used in experiment tables).
-    fn name(&self) -> String;
-    /// Total qubits the built circuit will use.
-    fn total_qubits(&self) -> u32;
-}
-
 /// Enumerable code kind for experiment configuration tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodeSpec {
@@ -288,8 +270,8 @@ impl CodeSpec {
     /// Total qubits of the built circuit.
     pub fn total_qubits(&self) -> u32 {
         match self {
-            CodeSpec::Repetition(c) => QecCode::total_qubits(c),
-            CodeSpec::Xxzz(c) => QecCode::total_qubits(c),
+            CodeSpec::Repetition(c) => c.total_qubits(),
+            CodeSpec::Xxzz(c) => c.total_qubits(),
         }
     }
 }

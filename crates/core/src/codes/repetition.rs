@@ -8,7 +8,7 @@
 
 use super::{
     assemble, assemble_memory, assemble_memory_readout, Basis, CodeCircuit, CodeLayout,
-    MemoryCircuit, QecCode, StabKind,
+    MemoryCircuit, StabKind,
 };
 use radqec_topology::{generators::linear, Topology};
 
@@ -97,29 +97,36 @@ impl RepetitionCode {
         l2p.extend((0..d - 1).map(|i| 2 * i + 1));
         (linear(2 * d - 1), l2p)
     }
-}
 
-impl QecCode for RepetitionCode {
-    fn build(&self) -> CodeCircuit {
+    /// Build the full experiment circuit and its decoding structure.
+    pub fn build(&self) -> CodeCircuit {
         assemble(self.layout())
     }
 
-    fn build_memory(&self, rounds: usize) -> MemoryCircuit {
+    /// Build the `rounds`-round memory experiment (syndrome streaming; see
+    /// [`MemoryCircuit`]).
+    pub fn build_memory(&self, rounds: usize) -> MemoryCircuit {
         assemble_memory(self.layout(), rounds)
     }
 
-    fn build_memory_readout(&self, rounds: usize) -> MemoryCircuit {
+    /// Build the `rounds`-round memory experiment with a final transversal
+    /// data readout (see [`MemoryReadout`](super::MemoryReadout)) — the
+    /// space-time decoding workload, where each replica's full history is
+    /// scored against its true logical frame.
+    pub fn build_memory_readout(&self, rounds: usize) -> MemoryCircuit {
         assemble_memory_readout(self.layout(), rounds)
     }
 
-    fn name(&self) -> String {
+    /// Short name (used in experiment tables).
+    pub fn name(&self) -> String {
         match self.flavor {
             RepetitionFlavor::BitFlip => format!("rep-({},1)", self.distance),
             RepetitionFlavor::PhaseFlip => format!("rep-(1,{})", self.distance),
         }
     }
 
-    fn total_qubits(&self) -> u32 {
+    /// Total qubits the built circuit will use.
+    pub fn total_qubits(&self) -> u32 {
         2 * self.distance
     }
 }

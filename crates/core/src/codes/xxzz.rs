@@ -16,7 +16,7 @@
 
 use super::{
     assemble, assemble_memory, assemble_memory_readout, Basis, CodeCircuit, CodeLayout,
-    MemoryCircuit, QecCode, StabKind,
+    MemoryCircuit, StabKind,
 };
 use radqec_topology::{generators::mesh, Topology};
 
@@ -178,26 +178,33 @@ impl XxzzCode {
         }
         Some((mesh(side as u32, side as u32), l2p))
     }
-}
 
-impl QecCode for XxzzCode {
-    fn build(&self) -> CodeCircuit {
+    /// Build the full experiment circuit and its decoding structure.
+    pub fn build(&self) -> CodeCircuit {
         assemble(self.layout())
     }
 
-    fn build_memory(&self, rounds: usize) -> MemoryCircuit {
+    /// Build the `rounds`-round memory experiment (syndrome streaming; see
+    /// [`MemoryCircuit`]).
+    pub fn build_memory(&self, rounds: usize) -> MemoryCircuit {
         assemble_memory(self.layout(), rounds)
     }
 
-    fn build_memory_readout(&self, rounds: usize) -> MemoryCircuit {
+    /// Build the `rounds`-round memory experiment with a final transversal
+    /// data readout (see [`MemoryReadout`](super::MemoryReadout)) — the
+    /// space-time decoding workload, where each replica's full history is
+    /// scored against its true logical frame.
+    pub fn build_memory_readout(&self, rounds: usize) -> MemoryCircuit {
         assemble_memory_readout(self.layout(), rounds)
     }
 
-    fn name(&self) -> String {
+    /// Short name (used in experiment tables).
+    pub fn name(&self) -> String {
         format!("xxzz-({},{})", self.dz, self.dx)
     }
 
-    fn total_qubits(&self) -> u32 {
+    /// Total qubits the built circuit will use.
+    pub fn total_qubits(&self) -> u32 {
         2 * self.dz * self.dx
     }
 }

@@ -5,7 +5,7 @@
 //! See the [`crate::decoder`] module docs for the tier-selection rules and
 //! the exactness argument; the short version is that every tier computes
 //! the same pure function `flip(defect_pattern)` as
-//! [`MwpmDecoder::decode_shot`], so [`BulkDecoder`] is bit-identical to
+//! [`MwpmDecoder::decode`], so [`BulkDecoder`] is bit-identical to
 //! [`MwpmDecoder`] on every record (enforced exhaustively for LUT-eligible
 //! codes and property-tested otherwise in `tests/decoder_tiers.rs`).
 //!
@@ -24,8 +24,7 @@ use crate::decoder::cache::{SyndromeCache, DEFAULT_CACHE_CAPACITY, LUT_MAX_BITS}
 use crate::decoder::contexts::ContextTable;
 use crate::decoder::graph::DetectorGraph;
 use crate::decoder::mask::DecoderMask;
-use crate::decoder::mwpm::{extract_defects, matching_flip, weight_of};
-use crate::decoder::Decoder;
+use crate::decoder::mwpm::{matching_flip, weight_of};
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_matching::MatchingArena;
 use radqec_telemetry::{names, Counter, Histogram, MetricsRegistry, SpanTimer};
@@ -120,7 +119,7 @@ impl fmt::Display for TierError {
 impl std::error::Error for TierError {}
 
 /// Counters describing where decode work went (snapshot of a
-/// [`BulkDecoder`]'s atomics; see [`Decoder::decode_stats`]).
+/// [`BulkDecoder`]'s atomics; see [`BulkDecoder::decode_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecoderStats {
     /// Shots decoded in total.
@@ -462,13 +461,13 @@ impl SolveCore {
 
 /// Tiered bulk decoder, bit-identical to [`MwpmDecoder`].
 ///
-/// [`Decoder::decode_batch`] extracts defect bit-planes straight from the
+/// [`BulkDecoder::decode_batch`] extracts defect bit-planes straight from the
 /// [`ShotBatch`] words (64 shots per operation) instead of materialising a
 /// [`ShotRecord`] per shot, then answers each shot's syndrome from the
 /// cheapest applicable tier. The cache member is shared by every batch,
 /// rayon chunk and temporal sample of the owning engine.
 ///
-/// [`Decoder::decode_batch_masked`] runs the same pipeline against an
+/// [`BulkDecoder::decode_batch_masked`] runs the same pipeline against an
 /// interned per-mask `SolveCore` (reweighted graph + private cache);
 /// no-op masks hand off to the unmasked path bit-identically.
 ///
@@ -478,7 +477,6 @@ pub struct BulkDecoder {
     cbits_round1: Vec<u32>,
     cbits_round2: Vec<u32>,
     readout_cbit: u32,
-    name: String,
     /// Interned mask contexts, keyed by quantised edge weights — the
     /// mask-keyed cache dimension. Shared by every batch of the engine,
     /// bounded by [`TierConfig::mask_capacity`].
@@ -541,7 +539,6 @@ impl BulkDecoder {
             cbits_round1: code.primary_stabilizers().iter().map(|s| s.cbit_round1).collect(),
             cbits_round2: code.primary_stabilizers().iter().map(|s| s.cbit_round2).collect(),
             readout_cbit: code.readout_cbit,
-            name: format!("mwpm[{}]", code.name),
             masked: ContextTable::new(tiers.mask_capacity, Arc::clone(&stats.mask_hits)),
             stats,
             metrics,
@@ -586,6 +583,97 @@ impl BulkDecoder {
         (!mask.is_noop()).then(|| self.masked.intern((), Some(mask.weight_key()), build))
     }
 
+    /// Decode one record into the corrected logical readout value (`true`
+    /// = logical |1⟩, the expected outcome of every experiment circuit in
+    /// the paper).
+    ///
+    /// Never inlined, on purpose: the tier cascade inlined into the
+    /// tableau shot loop cost that loop about 7 % at ~55 µs per shot
+    /// (radbench `paper_d3`, 2-vCPU VM; not re-measured since shots
+    /// became ~4× cheaper).
+    #[inline(never)]
+    pub fn decode(&self, shot: &ShotRecord) -> bool {
+        self.decode_in(shot, &self.core)
+    }
+
+    /// Decode every shot of a batch. Bit-plane defect extraction (64
+    /// shots per word op), then the tier cascade per shot — no per-shot
+    /// [`ShotRecord`]. Codes wider than the 128-bit key walk the same
+    /// planes shot by shot with a per-batch syndrome-keyed memo.
+    ///
+    /// In sharded-cache mode the *miss path* runs deferred: pass one
+    /// resolves trivial, analytic and cache-hit shots inline (the warm
+    /// steady state stays untouched) and groups cache *misses* by
+    /// distinct defect pattern; pass two solves each distinct missed
+    /// pattern with at most one blossom matching and scatters the flip to
+    /// every shot of the group (`solve_deferred`). A cold
+    /// radiation-impact batch repeats the same heavy syndromes across
+    /// many shots, so this collapses its matcher work to one solve per
+    /// *distinct* syndrome per batch instead of racing per-shot solves.
+    pub fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
+        self.decode_batch_in(batch, &self.core)
+    }
+
+    /// Strike-aware per-shot decode: the tier cascade against `mask`'s
+    /// interned reweighted context (no-op masks take the unaware path).
+    pub fn decode_masked(&self, shot: &ShotRecord, mask: &DecoderMask) -> bool {
+        self.decode_in(shot, self.masked_core(mask).as_deref().unwrap_or(&self.core))
+    }
+
+    /// Strike-aware batch decode — the same bit-plane pipeline as
+    /// [`Self::decode_batch`], answered from the mask's interned context
+    /// so repeated masked sweeps stay on a warm per-mask cache.
+    pub fn decode_batch_masked(&self, batch: &ShotBatch, mask: &DecoderMask) -> Vec<bool> {
+        self.decode_batch_in(batch, self.masked_core(mask).as_deref().unwrap_or(&self.core))
+    }
+
+    /// Where decode work went so far: a thin view over the `decode.*`
+    /// registry counters (plus cache and mask-table occupancy, derived on
+    /// read and mirrored into gauges).
+    pub fn decode_stats(&self) -> DecoderStats {
+        let (_, mask_contexts) = self.masked.counts();
+        let mask_evictions = self.masked.evictions();
+        self.metrics.gauge(names::DECODE_CACHE_ENTRIES).set(self.core.cache.len() as u64);
+        self.metrics.gauge(names::DECODE_CACHE_EVICTIONS).set(self.core.cache.evictions());
+        self.metrics.gauge(names::DECODE_MASK_CONTEXTS).set(mask_contexts as u64);
+        self.metrics.gauge(names::DECODE_MASK_EVICTIONS).set(mask_evictions);
+        DecoderStats {
+            shots: self.stats.shots.get(),
+            trivial: self.stats.trivial.get(),
+            cache_hits: self.stats.cache_hits.get(),
+            analytic: self.stats.analytic.get(),
+            matchings: self.stats.matchings.get(),
+            degraded: self.stats.degraded.get(),
+            cache_evictions: self.core.cache.evictions(),
+            cache_entries: self.core.cache.len(),
+            mask_contexts,
+            mask_hits: self.stats.mask_hits.get(),
+            mask_evictions,
+        }
+    }
+
+    /// Decode `shots` replicas straight from two rounds of primary
+    /// detection events: `rows(i, r)` is the event row (one bit per
+    /// replica) of primary stabilizer `i` in round `r ∈ {0, 1}`. Those
+    /// rows *are* the defect planes `2i + r`, and the readout is taken as
+    /// zero, so each returned bit says whether the matching applies a
+    /// logical correction. One `stage.decode_ns` span per call, like
+    /// [`Self::decode_batch`].
+    pub(crate) fn decode_event_rows<'a>(
+        &self,
+        shots: usize,
+        rows: impl Fn(usize, usize) -> &'a [u64],
+    ) -> Vec<bool> {
+        let _span = SpanTimer::start(&self.stats.decode_ns);
+        let words = shots.div_ceil(64);
+        let mut planes = Vec::with_capacity(self.core.planes * words);
+        for i in 0..self.core.graph.primary_count() {
+            planes.extend_from_slice(rows(i, 0));
+            planes.extend_from_slice(rows(i, 1));
+        }
+        self.decode_planes(&planes, &vec![0; words], shots, &self.core)
+    }
+
     /// Defect bit pattern of a single record: bit `2i` = round-1 syndrome
     /// of primary stabilizer `i`, bit `2i+1` = round-1/round-2 difference.
     #[inline]
@@ -600,35 +688,36 @@ impl BulkDecoder {
         key
     }
 
-    /// Batch path for codes wider than the 128-bit defect key (P > 64
-    /// primary stabilizers): per-record defect extraction with a per-batch
-    /// memo keyed by the *defect pattern* words — records differing only in
-    /// readout/secondary bits share one matching — and exact tier
-    /// accounting (memo hits count as cache hits).
-    fn decode_batch_wide(&self, batch: &ShotBatch, core: &SolveCore) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.shots());
-        let mut scratch = ShotRecord::new(batch.num_clbits());
+    /// Decode path for codes wider than the 128-bit defect key (P > 64
+    /// primary stabilizers), over the same defect planes as the narrow
+    /// path: each shot's defect list is read off the planes in ascending
+    /// plane order (the canonical `MwpmDecoder::defects` order), with a
+    /// per-call memo keyed by the *defect pattern* words — shots sharing
+    /// a syndrome share one matching — and exact tier accounting (memo
+    /// hits count as cache hits).
+    fn decode_planes_wide(
+        &self,
+        planes: &[u64],
+        readout: &[u64],
+        shots: usize,
+        core: &SolveCore,
+    ) -> Vec<bool> {
+        let words = shots.div_ceil(64);
+        let mut out = Vec::with_capacity(shots);
         let mut memo: HashMap<Box<[u64]>, bool> = Default::default();
         let mut keybuf = vec![0u64; core.planes.div_ceil(64)];
-        let mut ctx = core.budget_ctx(batch.shots());
-        let mut local = LocalStats { shots: batch.shots() as u64, ..Default::default() };
-        let p = core.graph.primary_count();
-        for s in 0..batch.shots() {
-            batch.fill_record(s, &mut scratch);
-            let raw = scratch.get(self.readout_cbit);
-            extract_defects(
-                &core.graph,
-                &self.cbits_round1,
-                &self.cbits_round2,
-                &scratch,
-                &mut ctx.defects,
-            );
-            // Memo key: the defect pattern as plane bits (plane 2i+r for
-            // node (stab i, round r)), derived from the node list.
-            keybuf.iter_mut().for_each(|w| *w = 0);
-            for &d in &ctx.defects {
-                let plane = 2 * (d % p) + d / p;
-                keybuf[plane / 64] |= 1u64 << (plane % 64);
+        let mut ctx = core.budget_ctx(shots);
+        let mut local = LocalStats { shots: shots as u64, ..Default::default() };
+        for s in 0..shots {
+            let (w, b) = (s / 64, s % 64);
+            let raw = (readout[w] >> b) & 1 == 1;
+            keybuf.iter_mut().for_each(|k| *k = 0);
+            ctx.defects.clear();
+            for plane in 0..core.planes {
+                if (planes[plane * words + w] >> b) & 1 == 1 {
+                    keybuf[plane / 64] |= 1u64 << (plane % 64);
+                    ctx.defects.push(core.node_of_plane(plane));
+                }
             }
             if ctx.defects.is_empty() {
                 local.trivial += 1;
@@ -703,11 +792,9 @@ impl BulkDecoder {
         if core.planes > 128 {
             // Wider than the u128 key (P > 64 primary stabilizers): a
             // one-shot batch through the wide path.
-            let mut batch = ShotBatch::new(shot.len() as u32, 1);
-            for (c, _) in shot.bits().iter().enumerate().filter(|(_, &b)| b) {
-                batch.flip(c as u32, 0);
-            }
-            return self.decode_batch_wide(&batch, core)[0];
+            let batch = ShotBatch::from_records(std::slice::from_ref(shot));
+            let planes = self.defect_planes(&batch);
+            return self.decode_planes_wide(&planes, batch.row(self.readout_cbit), 1, core)[0];
         }
         let raw = shot.get(self.readout_cbit);
         let key = self.key_of_record(shot);
@@ -722,34 +809,47 @@ impl BulkDecoder {
         v
     }
 
-    /// Decode a batch against `core` — the bit-plane bulk pipeline shared
-    /// by the unmasked and masked entry points (see
-    /// [`Decoder::decode_batch`] for the tier walk).
+    /// Decode a batch against `core` — one `stage.decode_ns` span around
+    /// plane extraction and the tier walk (see [`Self::decode_batch`]).
     fn decode_batch_in(&self, batch: &ShotBatch, core: &SolveCore) -> Vec<bool> {
         let _span = SpanTimer::start(&self.stats.decode_ns);
+        let planes = self.defect_planes(batch);
+        self.decode_planes(&planes, batch.row(self.readout_cbit), batch.shots(), core)
+    }
+
+    /// Interleaved defect planes of a batch, `batch.words()` words each:
+    /// row `2i` = round-1 syndrome of primary stabilizer `i`, row `2i+1`
+    /// = its round-1/round-2 XOR.
+    fn defect_planes(&self, batch: &ShotBatch) -> Vec<u64> {
+        let mut planes = Vec::with_capacity(self.core.planes * batch.words());
+        for (&c1, &c2) in self.cbits_round1.iter().zip(&self.cbits_round2) {
+            let (r1, r2) = (batch.row(c1), batch.row(c2));
+            planes.extend_from_slice(r1);
+            planes.extend(r1.iter().zip(r2).map(|(a, b)| a ^ b));
+        }
+        planes
+    }
+
+    /// The tier walk over interleaved defect planes (see
+    /// [`Self::defect_planes`]) and the raw readout row — the pipeline
+    /// behind both batch entry points and the event-row entry.
+    fn decode_planes(
+        &self,
+        planes: &[u64],
+        readout: &[u64],
+        shots: usize,
+        core: &SolveCore,
+    ) -> Vec<bool> {
         if core.planes > 128 {
-            return self.decode_batch_wide(batch, core);
+            return self.decode_planes_wide(planes, readout, shots, core);
         }
-        let words = batch.words();
-        let shots = batch.shots();
-        let p = core.graph.primary_count();
-        // Interleaved defect planes: row 2i = round-1 syndrome of stab i,
-        // row 2i+1 = round-1/round-2 XOR; `union` flags words with any
-        // defect so all-trivial word spans skip per-shot work entirely.
-        let mut planes = vec![0u64; core.planes * words];
+        let words = shots.div_ceil(64);
+        // `union` flags words with any defect so all-trivial word spans
+        // skip per-shot work entirely.
         let mut union = vec![0u64; words];
-        for i in 0..p {
-            let r1 = batch.row(self.cbits_round1[i]);
-            let r2 = batch.row(self.cbits_round2[i]);
-            for w in 0..words {
-                let d0 = r1[w];
-                let d1 = r1[w] ^ r2[w];
-                planes[2 * i * words + w] = d0;
-                planes[(2 * i + 1) * words + w] = d1;
-                union[w] |= d0 | d1;
-            }
+        for plane in planes.chunks_exact(words) {
+            union.iter_mut().zip(plane).for_each(|(u, &d)| *u |= d);
         }
-        let readout = batch.row(self.readout_cbit);
         let mut out = Vec::with_capacity(shots);
         let mut ctx = core.budget_ctx(shots);
         let mut local = LocalStats { shots: shots as u64, ..Default::default() };
@@ -798,75 +898,10 @@ impl BulkDecoder {
     }
 }
 
-impl Decoder for BulkDecoder {
-    fn decode(&self, shot: &ShotRecord) -> bool {
-        self.decode_in(shot, &self.core)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Bulk path: bit-plane defect extraction (64 shots per word op), then
-    /// the tier cascade per shot — no per-shot [`ShotRecord`]. Codes wider
-    /// than the 128-bit key decode per record with a per-batch
-    /// syndrome-keyed memo (`decode_batch_wide`).
-    ///
-    /// In sharded-cache mode the *miss path* runs deferred: pass one
-    /// resolves trivial, analytic and cache-hit shots inline (the warm
-    /// steady state stays untouched) and groups cache *misses* by
-    /// distinct defect pattern; pass two solves each distinct missed
-    /// pattern with at most one blossom matching and scatters the flip to
-    /// every shot of the group (`solve_deferred`). A cold
-    /// radiation-impact batch repeats the same heavy syndromes across
-    /// many shots, so this collapses its matcher work to one solve per
-    /// *distinct* syndrome per batch instead of racing per-shot solves.
-    fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
-        self.decode_batch_in(batch, &self.core)
-    }
-
-    /// Strike-aware per-shot decode: the tier cascade against `mask`'s
-    /// interned reweighted context (no-op masks take the unaware path).
-    fn decode_masked(&self, shot: &ShotRecord, mask: &DecoderMask) -> bool {
-        self.decode_in(shot, self.masked_core(mask).as_deref().unwrap_or(&self.core))
-    }
-
-    /// Strike-aware batch decode — the same bit-plane pipeline as
-    /// [`Decoder::decode_batch`], answered from the mask's interned
-    /// context so repeated masked sweeps stay on a warm per-mask cache.
-    fn decode_batch_masked(&self, batch: &ShotBatch, mask: &DecoderMask) -> Vec<bool> {
-        self.decode_batch_in(batch, self.masked_core(mask).as_deref().unwrap_or(&self.core))
-    }
-
-    /// A thin view over the `decode.*` registry counters (plus cache and
-    /// mask-table occupancy, derived on read and mirrored into gauges).
-    fn decode_stats(&self) -> Option<DecoderStats> {
-        let (_, mask_contexts) = self.masked.counts();
-        let mask_evictions = self.masked.evictions();
-        self.metrics.gauge(names::DECODE_CACHE_ENTRIES).set(self.core.cache.len() as u64);
-        self.metrics.gauge(names::DECODE_CACHE_EVICTIONS).set(self.core.cache.evictions());
-        self.metrics.gauge(names::DECODE_MASK_CONTEXTS).set(mask_contexts as u64);
-        self.metrics.gauge(names::DECODE_MASK_EVICTIONS).set(mask_evictions);
-        Some(DecoderStats {
-            shots: self.stats.shots.get(),
-            trivial: self.stats.trivial.get(),
-            cache_hits: self.stats.cache_hits.get(),
-            analytic: self.stats.analytic.get(),
-            matchings: self.stats.matchings.get(),
-            degraded: self.stats.degraded.get(),
-            cache_evictions: self.core.cache.evictions(),
-            cache_entries: self.core.cache.len(),
-            mask_contexts,
-            mask_hits: self.stats.mask_hits.get(),
-            mask_evictions,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::{QecCode, RepetitionCode, XxzzCode};
+    use crate::codes::{RepetitionCode, XxzzCode};
     use crate::decoder::MwpmDecoder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -933,7 +968,7 @@ mod tests {
         let code = RepetitionCode::bit_flip(3).build();
         let bulk = BulkDecoder::new(&code);
         bulk.prefill_lut();
-        let baseline = bulk.decode_stats().unwrap();
+        let baseline = bulk.decode_stats();
         let mut rng = StdRng::seed_from_u64(14);
         let mut n_nontrivial = 0;
         for _ in 0..50 {
@@ -943,7 +978,7 @@ mod tests {
                 n_nontrivial += 1;
             }
         }
-        let after = bulk.decode_stats().unwrap();
+        let after = bulk.decode_stats();
         assert_eq!(after.matchings, baseline.matchings, "prefilled LUT must not re-match");
         assert_eq!(after.cache_hits - baseline.cache_hits, n_nontrivial);
     }
@@ -985,7 +1020,7 @@ mod tests {
         for (s, &v) in got.iter().enumerate() {
             assert_eq!(v, mwpm.decode(&batch.record(s)), "shot {s}");
         }
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.shots, 192);
         assert_eq!(stats.trivial, 64);
         assert_eq!(stats.matchings, 2, "one blossom per distinct heavy syndrome");
@@ -998,7 +1033,7 @@ mod tests {
         // A second batch of the same syndromes is pure cross-batch cache.
         let again = bulk.decode_batch(&batch);
         assert_eq!(again, got);
-        let after = bulk.decode_stats().unwrap();
+        let after = bulk.decode_stats();
         assert_eq!(after.matchings, 2, "warm cache must answer the repeat batch");
     }
 
@@ -1029,7 +1064,7 @@ mod tests {
         for (s, &v) in got.iter().enumerate() {
             assert_eq!(v, mwpm.decode(&batch.record(s)), "shot {s}");
         }
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.shots, 90);
         assert_eq!(stats.trivial, 30);
         assert_eq!(stats.matchings, 2, "two distinct non-trivial syndromes");
@@ -1078,7 +1113,7 @@ mod tests {
             }
         }
         let got = bulk.decode_batch(&batch);
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.matchings, 0, "zero budget must never reach the blossom tier");
         assert_eq!(stats.degraded, 128);
         assert_eq!(stats.cache_entries, 0, "degraded answers must not be cached");
@@ -1090,12 +1125,12 @@ mod tests {
         // answers — the fallback is a pure function too.
         let again = bulk.decode_batch(&batch);
         assert_eq!(again, got);
-        let after = bulk.decode_stats().unwrap();
+        let after = bulk.decode_stats();
         assert_eq!(after.degraded, 256);
         assert_eq!(after.cache_entries, 0);
         // Per-shot path degrades identically.
         assert_eq!(bulk.decode(&batch.record(0)), got[0]);
-        assert_eq!(bulk.decode_stats().unwrap().degraded, 257);
+        assert_eq!(bulk.decode_stats().degraded, 257);
     }
 
     #[test]
@@ -1129,7 +1164,7 @@ mod tests {
             }
             assert_eq!(degraded.decode(&shot), exact.decode(&shot));
         }
-        assert!(degraded.decode_stats().unwrap().degraded > 0);
+        assert!(degraded.decode_stats().degraded > 0);
     }
 
     #[test]
@@ -1163,13 +1198,13 @@ mod tests {
         let masks = [hot.clone(), hot.scaled(0.5), hot.scaled(0.3)];
         let first: Vec<Vec<bool>> =
             masks.iter().map(|m| bulk.decode_batch_masked(&batch, m)).collect();
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.mask_contexts, 2, "ceiling must hold");
         assert_eq!(stats.mask_evictions, 1, "third intern evicts the LRU context");
         // Re-interning the evicted key rebuilds the same pure function.
         let again = bulk.decode_batch_masked(&batch, &masks[0]);
         assert_eq!(again, first[0]);
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.mask_contexts, 2);
         assert_eq!(stats.mask_evictions, 2);
     }
@@ -1184,7 +1219,7 @@ mod tests {
         let noop = hot.scaled(0.0);
         // No-op mask: unaware path, no context interned.
         let _ = bulk.decode_batch_masked(&batch, &noop);
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.mask_contexts, 0);
         assert_eq!(stats.mask_hits, 0);
         // First real mask interns; repeats hit; an equivalent mask (same
@@ -1192,12 +1227,12 @@ mod tests {
         let _ = bulk.decode_batch_masked(&batch, &hot);
         let _ = bulk.decode_batch_masked(&batch, &hot);
         let _ = bulk.decode_batch_masked(&batch, &hot.clone());
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.mask_contexts, 1);
         assert_eq!(stats.mask_hits, 2);
         // A differently-quantised mask opens a second dimension.
         let _ = bulk.decode_batch_masked(&batch, &hot.scaled(0.3));
-        let stats = bulk.decode_stats().unwrap();
+        let stats = bulk.decode_stats();
         assert_eq!(stats.mask_contexts, 2);
     }
 }

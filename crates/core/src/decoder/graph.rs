@@ -332,7 +332,7 @@ fn bfs(adj: &[Vec<(u32, bool)>], src: usize, skip: usize) -> (Vec<u32>, Vec<bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::{QecCode, RepetitionCode, XxzzCode};
+    use crate::codes::{RepetitionCode, XxzzCode};
 
     #[test]
     fn repetition_graph_is_a_ladder() {

@@ -192,7 +192,7 @@ impl DecoderMask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::{QecCode, RepetitionCode};
+    use crate::codes::RepetitionCode;
     use radqec_detect::StrikeMask;
     use radqec_topology::generators::linear;
 

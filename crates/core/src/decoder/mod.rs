@@ -5,13 +5,16 @@
 //! on every record**:
 //!
 //! * [`MwpmDecoder`] — the reference path: build the defect list from a
-//!   [`ShotRecord`], run one blossom matching per shot.
+//!   [`ShotRecord`](radqec_circuit::ShotRecord), run one blossom matching
+//!   per shot.
 //! * [`BulkDecoder`] — the production path (what the injection engine
-//!   builds): extracts defect **bit-planes** directly from a
-//!   [`ShotBatch`]'s words (64 shots per operation) and answers each
-//!   syndrome from a cascade of solve tiers.
+//!   and the fleet hold): extracts defect **bit-planes** directly from a
+//!   [`ShotBatch`](radqec_circuit::ShotBatch)'s words (64 shots per
+//!   operation) and answers each syndrome from a cascade of solve tiers.
 //!
-//! Both operate on the same [`DetectorGraph`] and read only a shot's
+//! They are plain types with no shared trait: each caller names the one
+//! it decodes with, and both expose `decode(&ShotRecord) -> bool`. Both
+//! operate on the same [`DetectorGraph`] and read only a shot's
 //! classical record, so they work identically on logical and transpiled
 //! circuits. Memory streams are decoded by the sliding-window
 //! [`SpaceTimeDecoder`] over multi-layer graphs of the same kind, with
@@ -89,7 +92,7 @@
 //! root + ring radius + decay estimate) — assigns log-likelihood integer
 //! weights to the detector graph's edges ([`DetectorGraph::reweighted`]),
 //! making struck-region paths cheap (erasure-style, after the Google
-//! cosmic-ray line of work). [`Decoder::decode_batch_masked`] runs the
+//! cosmic-ray line of work). [`BulkDecoder::decode_batch_masked`] runs the
 //! very same tier cascade against a per-mask interned context (reweighted
 //! graph + private syndrome LUT/cache — the mask-keyed cache dimension),
 //! and [`MwpmDecoder::masked`] is the per-shot reference it is validated
@@ -126,50 +129,3 @@ pub use spacetime::{
     SpaceTimeDecoder, SpaceTimeError, WindowConfig, WindowConfigError, WindowState,
 };
 pub use stream::{StreamDecodeReport, StreamDecoder, StreamDecoderConfig};
-
-use radqec_circuit::{ShotBatch, ShotRecord};
-
-/// A syndrome decoder: maps one shot's classical record to the corrected
-/// logical readout value.
-pub trait Decoder: Send + Sync {
-    /// Decode a shot. `true` = logical |1⟩ (the expected outcome of every
-    /// experiment circuit in the paper).
-    fn decode(&self, shot: &ShotRecord) -> bool;
-
-    /// Decoder display name.
-    fn name(&self) -> &str;
-
-    /// Decode every shot of a batch, one [`Decoder::decode`] call per
-    /// shot. [`BulkDecoder`] overrides this with the tiered bit-plane
-    /// pipeline; the default serves per-shot decoders such as the
-    /// [`MwpmDecoder`] oracle.
-    fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
-        let mut scratch = ShotRecord::new(batch.num_clbits());
-        (0..batch.shots())
-            .map(|s| {
-                batch.fill_record(s, &mut scratch);
-                self.decode(&scratch)
-            })
-            .collect()
-    }
-
-    /// Strike-aware decode: like [`Decoder::decode`], with a
-    /// [`DecoderMask`] describing a detected (or known) radiation strike.
-    /// The default ignores the mask — a mask-unaware decoder *is* the
-    /// unaware baseline the mitigation experiments compare against;
-    /// [`BulkDecoder`] overrides it with the reweighted-graph cascade.
-    fn decode_masked(&self, shot: &ShotRecord, _mask: &DecoderMask) -> bool {
-        self.decode(shot)
-    }
-
-    /// Strike-aware batch decode (see [`Decoder::decode_masked`]).
-    fn decode_batch_masked(&self, batch: &ShotBatch, _mask: &DecoderMask) -> Vec<bool> {
-        self.decode_batch(batch)
-    }
-
-    /// Where decode work went so far, for decoders that track it (the
-    /// tiered [`BulkDecoder`]); `None` otherwise.
-    fn decode_stats(&self) -> Option<DecoderStats> {
-        None
-    }
-}

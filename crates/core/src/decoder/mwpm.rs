@@ -4,7 +4,6 @@
 
 use crate::codes::CodeCircuit;
 use crate::decoder::graph::DetectorGraph;
-use crate::decoder::Decoder;
 use radqec_circuit::ShotRecord;
 use radqec_matching::{DefectMatch, MatchingArena};
 
@@ -101,7 +100,7 @@ pub(crate) fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
 }
 
 /// Readout-flip parity the minimum-weight matching of `defects` implies —
-/// the exact core of [`MwpmDecoder::decode_shot`], factored out so the
+/// the exact core of [`MwpmDecoder::decode`], factored out so the
 /// tiered [`BulkDecoder`](crate::decoder::BulkDecoder) provably computes
 /// the same function (it calls this very routine for its fallback tier and
 /// for populating its lookup table and cache).
@@ -167,34 +166,6 @@ pub(crate) fn commit_matching(
     (flip, survivors)
 }
 
-/// Push `shot`'s defect nodes onto `out` in the canonical order every
-/// decoder and tier shares: ascending primary stabilizer, round 0 before
-/// round 1 (round-1 detectors fire when the first syndrome deviates from
-/// the deterministic initial value 0, round-2 detectors when the syndrome
-/// changes between rounds). The single source of that ordering — the
-/// matcher's tie-breaking depends on it, so the bit-identity of
-/// [`MwpmDecoder`] and [`BulkDecoder`](crate::decoder::BulkDecoder) rests
-/// on both extracting through this helper.
-pub(crate) fn extract_defects(
-    graph: &DetectorGraph,
-    cbits_round1: &[u32],
-    cbits_round2: &[u32],
-    shot: &ShotRecord,
-    out: &mut Vec<usize>,
-) {
-    out.clear();
-    for i in 0..graph.primary_count() {
-        let s1 = shot.get(cbits_round1[i]);
-        let s2 = shot.get(cbits_round2[i]);
-        if s1 {
-            out.push(graph.node(i, 0));
-        }
-        if s1 != s2 {
-            out.push(graph.node(i, 1));
-        }
-    }
-}
-
 /// MWPM decoder over a code's primary detector graph.
 #[derive(Debug, Clone)]
 pub struct MwpmDecoder {
@@ -202,7 +173,6 @@ pub struct MwpmDecoder {
     cbits_round1: Vec<u32>,
     cbits_round2: Vec<u32>,
     readout_cbit: u32,
-    name: String,
 }
 
 impl MwpmDecoder {
@@ -216,7 +186,6 @@ impl MwpmDecoder {
             cbits_round1: code.primary_stabilizers().iter().map(|s| s.cbit_round1).collect(),
             cbits_round2: code.primary_stabilizers().iter().map(|s| s.cbit_round2).collect(),
             readout_cbit: code.readout_cbit,
-            name: format!("mwpm[{}]", code.name),
         }
     }
 
@@ -232,7 +201,6 @@ impl MwpmDecoder {
     pub fn masked(code: &CodeCircuit, mask: &crate::decoder::DecoderMask) -> Self {
         let mut dec = Self::new(code);
         dec.graph = mask.reweight(&dec.graph);
-        dec.name = format!("mwpm-masked[{}]", code.name);
         dec
     }
 
@@ -241,16 +209,33 @@ impl MwpmDecoder {
         &self.graph
     }
 
-    /// Extract defect nodes from a shot (see `extract_defects` for the
-    /// detector semantics and the canonical ordering).
+    /// Extract defect nodes from a shot in the canonical order every
+    /// decoder and tier shares: ascending primary stabilizer, round 0
+    /// before round 1 (round-1 detectors fire when the first syndrome
+    /// deviates from the deterministic initial value 0, round-2 detectors
+    /// when the syndrome changes between rounds). The matcher's
+    /// tie-breaking depends on that order; [`BulkDecoder`] reproduces it by
+    /// reading its defect planes `2i + r` in ascending order.
+    ///
+    /// [`BulkDecoder`]: crate::decoder::BulkDecoder
     pub fn defects(&self, shot: &ShotRecord) -> Vec<usize> {
         let mut defects = Vec::new();
-        extract_defects(&self.graph, &self.cbits_round1, &self.cbits_round2, shot, &mut defects);
+        for i in 0..self.graph.primary_count() {
+            let s1 = shot.get(self.cbits_round1[i]);
+            let s2 = shot.get(self.cbits_round2[i]);
+            if s1 {
+                defects.push(self.graph.node(i, 0));
+            }
+            if s1 != s2 {
+                defects.push(self.graph.node(i, 1));
+            }
+        }
         defects
     }
 
-    /// Decode a shot into the corrected logical readout value.
-    pub fn decode_shot(&self, shot: &ShotRecord) -> bool {
+    /// Decode a shot into the corrected logical readout value (`true` =
+    /// logical |1⟩).
+    pub fn decode(&self, shot: &ShotRecord) -> bool {
         let defects = self.defects(shot);
         let raw = shot.get(self.readout_cbit);
         if defects.is_empty() {
@@ -260,20 +245,10 @@ impl MwpmDecoder {
     }
 }
 
-impl Decoder for MwpmDecoder {
-    fn decode(&self, shot: &ShotRecord) -> bool {
-        self.decode_shot(shot)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::{QecCode, RepetitionCode, XxzzCode};
+    use crate::codes::{RepetitionCode, XxzzCode};
     use radqec_circuit::{execute, Circuit};
     use radqec_stabilizer::StabilizerBackend;
     use rand::rngs::StdRng;
@@ -293,7 +268,7 @@ mod tests {
             for seed in 0..5 {
                 let shot = run_noiseless(&code, seed);
                 assert!(dec.defects(&shot).is_empty(), "d={d}");
-                assert!(dec.decode_shot(&shot), "d={d} seed={seed}");
+                assert!(dec.decode(&shot), "d={d} seed={seed}");
             }
         }
     }
@@ -306,7 +281,7 @@ mod tests {
             for seed in 0..5 {
                 let shot = run_noiseless(&code, seed);
                 assert!(dec.defects(&shot).is_empty(), "({dz},{dx}) defects");
-                assert!(dec.decode_shot(&shot), "({dz},{dx}) seed={seed}");
+                assert!(dec.decode(&shot), "({dz},{dx}) seed={seed}");
             }
         }
     }
@@ -317,7 +292,7 @@ mod tests {
         let dec = MwpmDecoder::new(&code);
         for seed in 0..5 {
             let shot = run_noiseless(&code, seed);
-            assert!(dec.decode_shot(&shot), "seed={seed}");
+            assert!(dec.decode(&shot), "seed={seed}");
         }
     }
 
@@ -340,7 +315,7 @@ mod tests {
         let mut backend = StabilizerBackend::new(code.total_qubits());
         let mut rng = StdRng::seed_from_u64(17);
         let shot = execute(&broken, &mut backend, &mut rng);
-        dec.decode_shot(&shot)
+        dec.decode(&shot)
     }
 
     #[test]
@@ -397,7 +372,7 @@ mod tests {
             shot.set(code.stabilizers[s].cbit_round2, true);
         }
         shot.set(code.readout_cbit, true); // raw parity untouched by the error
-        assert!(dec.decode_shot(&shot), "correction must not flip the readout");
+        assert!(dec.decode(&shot), "correction must not flip the readout");
     }
 
     #[test]
@@ -410,6 +385,6 @@ mod tests {
         shot.set(code.stabilizers[0].cbit_round1, true);
         shot.set(code.stabilizers[0].cbit_round2, true);
         shot.set(code.readout_cbit, false); // data 0 flip corrupted the parity
-        assert!(dec.decode_shot(&shot), "boundary correction must restore logical 1");
+        assert!(dec.decode(&shot), "boundary correction must restore logical 1");
     }
 }

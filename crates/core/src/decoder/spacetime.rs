@@ -515,7 +515,7 @@ impl SpaceTimeDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::{QecCode, RepetitionCode, XxzzCode};
+    use crate::codes::{RepetitionCode, XxzzCode};
     use radqec_telemetry::names;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 

@@ -55,9 +55,11 @@
 //!
 //! Correction activity is measured by pair-decoding consecutive event
 //! rounds `(2w, 2w+1)` through the same tiered [`BulkDecoder`] the
-//! offline experiments use — the defect planes of the two-round decoder
-//! are exactly two event rounds, so each window reuses the campaign-wide
-//! syndrome cache. An odd final round is left unpaired (and unscored).
+//! offline experiments use. The two-round decoder's defect planes are
+//! exactly two event rounds of the primary stabilizers, so the decoder
+//! takes the chunk's event rows as its planes, with a zero readout, and
+//! each window reuses the campaign-wide syndrome cache. An odd final
+//! round is left unpaired (and unscored).
 //!
 //! ## Telemetry
 //!
@@ -74,7 +76,7 @@
 //!
 //! | BENCH field | registry metric | recorded by |
 //! |---|---|---|
-//! | `decode_latency_us_p50` / `_p99` | `stage.decode_ns` | [`BulkDecoder::decode_batch`] span per pair-decode window |
+//! | `decode_latency_us_p50` / `_p99` | `stage.decode_ns` | [`BulkDecoder`] span per pair-decode window |
 //! | `detection_latency_rounds_p50` / `_p99` | `detect.latency_rounds` | [`run_fleet`], alarm round − onset per detected strike |
 //! | `time_to_recovery_us_p50` / `_p99` | `fleet.time_to_recovery_us` | [`run_fleet`], per recovered strike |
 //! | `round_latency_us_p99` | `stream.round_ns` | [`StreamEngine`] per chunk-round (generation + sink) |
@@ -82,11 +84,10 @@
 //! Stage histograms record nanoseconds; the bench helper converts to
 //! microseconds on export.
 
-use crate::codes::{CodeCircuit, CodeSpec};
-use crate::decoder::{BulkDecoder, Decoder, DecoderStats, TierConfig};
+use crate::codes::CodeSpec;
+use crate::decoder::{BulkDecoder, DecoderStats, TierConfig};
 use crate::injection::mix_seed;
 use crate::streaming::{CampaignReport, MultiStrike, StreamEngine, StreamFault, StrikeEvent};
-use radqec_circuit::ShotBatch;
 use radqec_detect::{EventAccumulator, EventStream, OnlineDetector, ThresholdDetector};
 use radqec_noise::{NoiseSpec, RadiationModel};
 use radqec_telemetry::{
@@ -480,36 +481,17 @@ impl FleetResult {
 /// (see the module docs): windows of two event rounds feed the two-round
 /// decoder with a zeroed readout, so each decoded bit is exactly "the
 /// decoder applied a logical correction to this replica in this window".
-fn score_chunk(
-    code: &CodeCircuit,
-    decoder: &BulkDecoder,
-    events: &EventStream,
-    burst_windows: usize,
-) -> ChunkRecord {
+fn score_chunk(decoder: &BulkDecoder, events: &EventStream, burst_windows: usize) -> ChunkRecord {
     let rounds = events.rounds();
     let shots = events.shots();
-    let words = shots.div_ceil(64);
     let events_per_round = (0..rounds).map(|r| events.round_total(r)).collect();
     let windows = rounds / 2;
     let mut corrections_per_window = vec![0u32; windows];
-    let mut scratch = ShotBatch::new(code.circuit.num_clbits(), shots);
-    let mut diff = vec![0u64; words];
     let mut run = vec![0u32; shots];
     let mut bursts = 0u64;
     for (w, corrections) in corrections_per_window.iter_mut().enumerate() {
-        let (r0, r1) = (2 * w, 2 * w + 1);
-        for (i, stab) in code.stabilizers.iter().enumerate() {
-            let e0 = events.plane(r0, i);
-            let e1 = events.plane(r1, i);
-            for (d, (&a, &b)) in diff.iter_mut().zip(e0.iter().zip(e1)) {
-                *d = a ^ b;
-            }
-            // The decoder's defect planes are d0 = row1 and
-            // d1 = row1 XOR row2, so row2 = E_r0 ^ E_r1 makes d1 = E_r1.
-            scratch.set_row(stab.cbit_round1, false, e0);
-            scratch.set_row(stab.cbit_round2, false, &diff);
-        }
-        for (s, corrected) in decoder.decode_batch(&scratch).into_iter().enumerate() {
+        let decoded = decoder.decode_event_rows(shots, |i, r| events.plane(2 * w + r, i));
+        for (s, corrected) in decoded.into_iter().enumerate() {
             if corrected {
                 *corrections += 1;
                 run[s] += 1;
@@ -840,7 +822,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
                     acc.push_round(slice.round, slice.syndrome_rows());
                     if acc.rounds_pushed() == cfg.rounds {
                         let events = slot.take().expect("just pushed").finish();
-                        let rec = score_chunk(&code, &decoder, &events, cfg.burst_windows);
+                        let rec = score_chunk(&decoder, &events, cfg.burst_windows);
                         progress.insert((patch, slice.chunk), rec);
                     }
                 },
@@ -850,7 +832,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         // Mirror the engine's pool/reference gauges, then fold the patch
         // decoder's private registry into the fleet snapshot.
         let _ = engine.stream_stats();
-        let decode = decoder.decode_stats().expect("bulk decoder reports stats");
+        let decode = decoder.decode_stats();
         if decode.degraded > 0 {
             recorder
                 .record(cfg.rounds as u64, FlightEvent::DegradedDecode { shots: decode.degraded });

@@ -6,13 +6,13 @@
 //! The engine sits on the campaign core ([`crate::campaign`]) it shares
 //! with the stream engine: builder knobs, host step (placement,
 //! transpilation, tableau sampler, reference traces), chunk grid and
-//! workspace pool. It keeps the two-round [`CodeCircuit`], the boxed
+//! workspace pool. It keeps the two-round [`CodeCircuit`], its
 //! [`BulkDecoder`] and the rayon loop over a sample's chunks or shots.
 
 pub use crate::campaign::{default_frame_chunk, SamplerKind, TableauSampler};
 use crate::campaign::{Campaign, EngineBuildError, EngineBuilder, Host};
 use crate::codes::{CodeCircuit, CodeSpec};
-use crate::decoder::{BulkDecoder, Decoder, DecoderMask};
+use crate::decoder::{BulkDecoder, DecoderMask, DecoderStats};
 use radqec_circuit::ShotBatch;
 pub use radqec_noise::WorkspaceStats;
 use radqec_noise::{ActiveFault, FaultSpec, NoiseSpec, ResetBasis};
@@ -47,7 +47,7 @@ impl InjectionEngineBuilder {
         let campaign = self.campaign(Arc::new(MetricsRegistry::new()))?;
         let code = self.spec.build();
         let host = Host::place(&code.circuit, &code.name, self.placement)?;
-        let decoder = Box::new(BulkDecoder::with_metrics(&code, Arc::clone(&campaign.metrics)));
+        let decoder = BulkDecoder::with_metrics(&code, Arc::clone(&campaign.metrics));
         Ok(InjectionEngine { code, host, decoder, campaign })
     }
 }
@@ -59,11 +59,7 @@ impl InjectionEngineBuilder {
 pub struct InjectionEngine {
     code: CodeCircuit,
     host: Host,
-    /// Boxed on purpose: the dynamic call keeps the decode cascade from
-    /// being inlined into the tableau shot loop, which cost that loop about
-    /// 7 % at ~55 µs per shot (radbench `paper_d3`, 2-vCPU VM; not
-    /// re-measured since shots became ~4× cheaper).
-    decoder: Box<dyn Decoder>,
+    decoder: BulkDecoder,
     /// Sampler, seed, chunk grid, workspace pool and registry.
     campaign: Campaign,
 }
@@ -110,11 +106,10 @@ impl InjectionEngine {
     }
 
     /// Tier statistics of the engine's tiered MWPM decoder (always `Some`;
-    /// see [`DecoderStats`](crate::decoder::DecoderStats)). Accumulates
-    /// across every sample and batch of the engine's lifetime — the
-    /// engine-level syndrome cache in action.
-    pub fn decoder_stats(&self) -> Option<crate::decoder::DecoderStats> {
-        self.decoder.decode_stats()
+    /// see [`DecoderStats`]). Accumulates across every sample and batch of
+    /// the engine's lifetime — the engine-level syndrome cache in action.
+    pub fn decoder_stats(&self) -> Option<DecoderStats> {
+        Some(self.decoder.decode_stats())
     }
 
     /// Logical error rate at one temporal sample of `fault` (shot-parallel).
@@ -142,7 +137,7 @@ impl InjectionEngine {
     /// Strike-aware counterpart of [`Self::logical_error_at_sample`]: the
     /// same sampled shots (identical RNG streams — estimates are *paired*
     /// with the unaware run), decoded with `mask` feeding the decoder's
-    /// reweighting layer ([`Decoder::decode_batch_masked`]). The caller
+    /// reweighting layer ([`BulkDecoder::decode_batch_masked`]). The caller
     /// owns the mask's temporal decay: pass
     /// [`DecoderMask::scaled`](crate::decoder::DecoderMask::scaled) by the
     /// transient's `T(t_k)` to track the event across samples.
@@ -159,8 +154,8 @@ impl InjectionEngine {
     /// The engine's decoder (for harnesses that decode sampled batches
     /// themselves, e.g. the mitigation sweep's paired masked/unaware
     /// comparisons over one set of shots).
-    pub fn decoder(&self) -> &dyn Decoder {
-        self.decoder.as_ref()
+    pub fn decoder(&self) -> &BulkDecoder {
+        &self.decoder
     }
 
     /// Logical error rate at one temporal sample, decoded with `mask` when
@@ -442,7 +437,7 @@ mod tests {
     #[test]
     fn engine_decodes_with_the_tiered_mwpm_decoder() {
         let engine = InjectionEngine::builder(RepetitionCode::bit_flip(5).into()).shots(64).build();
-        assert_eq!(engine.decoder().name(), "mwpm[rep-(5,1)]");
+        assert_eq!(engine.decoder().graph().primary_count(), 4);
         assert!(engine.decoder_stats().is_some(), "engine decoder must expose tier stats");
     }
 

@@ -288,12 +288,12 @@ pub type StreamEngineBuilder = EngineBuilder<StreamKnobs>;
 
 impl StreamEngineBuilder {
     /// Terminate the memory with a transversal data readout
-    /// ([`QecCode::build_memory_readout`]): the last round measures every
+    /// ([`CodeSpec::build_memory_readout`]): the last round measures every
     /// data qubit in the primary basis, each round slice of the final
     /// round carries the data bit-planes, and the space-time decoder can
     /// score each replica's absolute logical frame.
     ///
-    /// [`QecCode::build_memory_readout`]: crate::codes::QecCode::build_memory_readout
+    /// [`CodeSpec::build_memory_readout`]: crate::codes::CodeSpec::build_memory_readout
     pub fn final_readout(mut self) -> Self {
         self.engine.final_readout = true;
         self

@@ -10,13 +10,6 @@
 //! detector reports a [`Detection`]: a scalar anomaly score (thresholded
 //! offline for ROC analysis) and the first round at which its own online
 //! rule fired (detection latency).
-//!
-//! [`OnlineDetector::push_recorded`] is the telemetry-aware push: the
-//! first alarm of a shot's stream lands in a
-//! [`radqec_telemetry::FlightRecorder`] as a round-stamped
-//! [`FlightEvent::DetectorAlarm`].
-
-use radqec_telemetry::{FlightEvent, FlightRecorder};
 
 /// Outcome of running one detector over one shot's stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,42 +50,11 @@ pub trait OnlineDetector: Send + Sync {
     /// Detector display name.
     fn name(&self) -> &str;
 
-    /// Static name for flight-recorder entries (the built-in detectors
-    /// override this with their display name; custom detectors that keep
-    /// the default show up as `"detector"`).
-    fn static_name(&self) -> &'static str {
-        "detector"
-    }
-
     /// Fresh per-shot state for the incremental API.
     fn begin(&self) -> CountDetectorState;
 
     /// Advance one shot's state by round `round`'s residual.
     fn push(&self, state: &mut CountDetectorState, round: usize, residual: f64);
-
-    /// [`Self::push`] with telemetry: when this push raises the state's
-    /// *first* alarm, a [`FlightEvent::DetectorAlarm`] stamped with the
-    /// alarm round lands in `recorder`. Alarm-free pushes (and every push
-    /// after the first alarm) record nothing, so the steady-state cost
-    /// over plain `push` is one `Option` check.
-    fn push_recorded(
-        &self,
-        state: &mut CountDetectorState,
-        round: usize,
-        residual: f64,
-        recorder: &FlightRecorder,
-    ) {
-        let was_alarmed = state.alarm_round.is_some();
-        self.push(state, round, residual);
-        if !was_alarmed {
-            if let Some(alarm) = state.alarm_round {
-                recorder.record(
-                    alarm as u64,
-                    FlightEvent::DetectorAlarm { detector: self.static_name() },
-                );
-            }
-        }
-    }
 
     /// Process one shot's per-round baseline-subtracted event counts
     /// (index = round) — a fold over [`Self::push`].
@@ -116,10 +78,6 @@ pub struct ThresholdDetector {
 
 impl OnlineDetector for ThresholdDetector {
     fn name(&self) -> &str {
-        "threshold"
-    }
-
-    fn static_name(&self) -> &'static str {
         "threshold"
     }
 
@@ -165,10 +123,6 @@ impl CusumDetector {
 
 impl OnlineDetector for CusumDetector {
     fn name(&self) -> &str {
-        "cusum"
-    }
-
-    fn static_name(&self) -> &'static str {
         "cusum"
     }
 
@@ -240,30 +194,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn push_recorded_flight_records_first_alarm_only() {
-        let det = CusumDetector { drift: 1.0, threshold: 6.0 };
-        let recorder = FlightRecorder::with_capacity(8);
-        let mut state = det.begin();
-        let mut plain = det.begin();
-        for (r, &c) in [0.0, 3.0, 3.0, 3.0, 3.0, 9.0].iter().enumerate() {
-            det.push_recorded(&mut state, r, c, &recorder);
-            det.push(&mut plain, r, c);
-        }
-        assert_eq!(state, plain, "recorded push must not change detection");
-        let entries = recorder.entries();
-        assert_eq!(entries.len(), 1, "only the first alarm is recorded");
-        assert_eq!(entries[0].round, 3);
-        assert_eq!(entries[0].event, FlightEvent::DetectorAlarm { detector: "cusum" });
-        // An alarm-free stream records nothing.
-        recorder.clear();
-        let mut quiet = det.begin();
-        for (r, &c) in [0.0, 1.0, 0.0].iter().enumerate() {
-            det.push_recorded(&mut quiet, r, c, &recorder);
-        }
-        assert!(recorder.is_empty());
     }
 
     #[test]

@@ -36,12 +36,11 @@
 //!    that a strike-aware decoder (`radqec_core::decoder`) consumes to
 //!    reweight matching inside the struck region.
 //!
-//! The crate deliberately depends only on `radqec-circuit` (records),
-//! `radqec-topology` (localization) and `radqec-telemetry` (pure
-//! observability — flight-recorded alarms via
-//! [`OnlineDetector::push_recorded`]): detectors see exactly what a
+//! The crate deliberately depends only on `radqec-circuit` (records) and
+//! `radqec-topology` (localization): detectors see exactly what a
 //! real-time decoder co-processor would see — classical bits and the
-//! device graph — never the simulator's ground truth.
+//! device graph — never the simulator's ground truth. Callers that
+//! flight-record alarms (the fleet's spike gate) do so themselves.
 //!
 //! ## BENCH_detect.json → registry metrics
 //!

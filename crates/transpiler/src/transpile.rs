@@ -12,10 +12,6 @@ pub struct TranspileOptions {
     pub layout: LayoutStrategy,
     /// Routing algorithm (ignored when `auto` is set).
     pub router: RouterKind,
-    /// Decompose each inserted SWAP into 3 CX gates (default true — routed
-    /// circuits then pay the full gate-count cost, which is what drives the
-    /// paper's Observation VIII).
-    pub keep_swaps: bool,
     /// Try every (layout, router) combination and keep the result with the
     /// fewest SWAPs — the equivalent of Qiskit's multi-trial default
     /// transpilation the paper relies on.
@@ -68,7 +64,9 @@ impl Transpiled {
 }
 
 /// Map `circuit` onto `topo`: choose an initial layout, route all two-qubit
-/// gates onto device edges, and (by default) decompose SWAPs into CX triples.
+/// gates onto device edges, and decompose each inserted SWAP into 3 CX
+/// gates — routed circuits then pay the full gate-count cost, which is what
+/// drives the paper's Observation VIII.
 ///
 /// # Panics
 /// Panics if the device has fewer qubits than the circuit or required
@@ -97,9 +95,7 @@ pub fn transpile(circuit: &Circuit, topo: &Topology, opts: &TranspileOptions) ->
         }
     }
     let mut t = best.expect("at least one transpilation trial");
-    if !opts.keep_swaps {
-        t.circuit = t.circuit.decompose_swaps();
-    }
+    t.circuit = t.circuit.decompose_swaps();
     t
 }
 
@@ -127,17 +123,13 @@ pub fn transpile_with_layout(
         circuit.num_qubits()
     );
     let routed = route(circuit, topo, &initial, opts.router);
-    let mut t = Transpiled {
-        circuit: routed.circuit,
+    Transpiled {
+        circuit: routed.circuit.decompose_swaps(),
         initial_layout: initial,
         final_layout: routed.final_layout,
         swap_count: routed.swap_count,
         seat_maps: routed.seat_maps,
-    };
-    if !opts.keep_swaps {
-        t.circuit = t.circuit.decompose_swaps();
     }
-    t
 }
 
 #[cfg(test)]
@@ -158,22 +150,6 @@ mod tests {
         assert_eq!(t.swap_count, 2);
         assert_eq!(t.circuit.count_by_name("swap"), 0);
         assert_eq!(t.circuit.count_by_name("cx"), 2 * 3 + 1);
-    }
-
-    #[test]
-    fn keep_swaps_option() {
-        let mut c = Circuit::new(4, 0);
-        c.cx(0, 3);
-        let t = transpile(
-            &c,
-            &linear(4),
-            &TranspileOptions {
-                layout: LayoutStrategy::Trivial,
-                keep_swaps: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(t.circuit.count_by_name("swap"), 2);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub use radqec_transpiler as transpiler;
 /// The most commonly used items across the workspace, for glob import.
 pub mod prelude {
     pub use radqec_circuit::{Backend, Circuit, Gate, ShotRecord};
-    pub use radqec_core::codes::{CodeSpec, QecCode, RepetitionCode, XxzzCode};
-    pub use radqec_core::decoder::{BulkDecoder, Decoder, MwpmDecoder};
+    pub use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
+    pub use radqec_core::decoder::{BulkDecoder, MwpmDecoder};
     pub use radqec_core::injection::{InjectionEngine, InjectionOutcome, SamplerKind};
     pub use radqec_core::streaming::{StreamEngine, StreamFault};
     pub use radqec_detect::{CusumDetector, EventStream, Localizer, OnlineDetector};

@@ -12,7 +12,7 @@
 //!
 //! The suite also pins the mask algebra itself: a zero-radius (or fully
 //! decayed) mask is a provable no-op — masked decoding takes the unaware
-//! path and its output is bit-identical to [`Decoder::decode_batch`] — and
+//! path and its output is bit-identical to [`BulkDecoder::decode_batch`] — and
 //! masks clipped to the device graph never index out of bounds, whatever
 //! root/radius/intensity configuration property testing throws at them.
 
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use radqec::prelude::*;
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_core::codes::CodeCircuit;
-use radqec_core::decoder::{BulkDecoder, Decoder, DecoderMask, TierConfig};
+use radqec_core::decoder::{BulkDecoder, DecoderMask, TierConfig};
 use radqec_detect::{MaskError, StrikeMask};
 use radqec_topology::generators::{linear, mesh};
 use radqec_transpiler::Layout;
@@ -210,7 +210,7 @@ fn noop_masks_decode_bit_identically_to_unaware() {
             );
         }
     }
-    let stats = bulk.decode_stats().unwrap();
+    let stats = bulk.decode_stats();
     assert_eq!(stats.mask_contexts, 0, "no-op masks must never intern a context");
     assert_eq!(stats.mask_hits, 0);
 }
@@ -258,9 +258,9 @@ fn masked_warm_path_reuses_the_mask_keyed_cache() {
     }
     let mask = DecoderMask::from_probs(vec![1.0, 0.25, 0.0, 0.0, 0.0], vec![0.25; 4]);
     let cold = bulk.decode_batch_masked(&batch, &mask);
-    let after_cold = bulk.decode_stats().unwrap();
+    let after_cold = bulk.decode_stats();
     let warm = bulk.decode_batch_masked(&batch, &mask);
-    let after_warm = bulk.decode_stats().unwrap();
+    let after_warm = bulk.decode_stats();
     assert_eq!(cold, warm, "warm masked decode must be bit-identical");
     assert_eq!(after_warm.matchings, after_cold.matchings, "warm repeat must not re-match");
     assert_eq!(after_warm.mask_contexts, 1);
