@@ -257,6 +257,18 @@ impl DetectorGraph {
         self.interior_parity[a][b]
     }
 
+    /// Canonically perturbed matching weight between defect nodes: the
+    /// pair weight of `a` and `b` off the diagonal, `a`'s boundary weight
+    /// on it (see `mwpm::pair_weight`).
+    #[inline]
+    pub(crate) fn match_weight(&self, a: DetectorNode, b: DetectorNode) -> i64 {
+        if a == b {
+            super::mwpm::boundary_weight(self, a)
+        } else {
+            super::mwpm::pair_weight(self, a, b)
+        }
+    }
+
     /// Total node count (including the boundary).
     pub fn num_nodes(&self) -> usize {
         self.adj.len()
@@ -463,6 +475,77 @@ mod tests {
             assert!(g.crossing_parity(g.node(0, layer), g.boundary()));
             assert!(!g.crossing_parity(g.node(3, layer), g.boundary()));
         }
+    }
+
+    /// FNV-1a over `distance`, `crossing_parity`, `pair_distance` and
+    /// `pair_crossing_parity` of every ordered node pair.
+    fn table_digest(g: &DetectorGraph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01b3);
+        for a in 0..g.num_nodes() {
+            for b in 0..g.num_nodes() {
+                eat(u64::from(g.distance(a, b)));
+                eat(u64::from(g.crossing_parity(a, b)));
+                eat(u64::from(g.pair_distance(a, b)));
+                eat(u64::from(g.pair_crossing_parity(a, b)));
+            }
+        }
+        h
+    }
+
+    /// A fixed mask spanning every weight class from background to
+    /// saturation.
+    fn fixed_mask(data: usize, stabs: usize) -> crate::decoder::DecoderMask {
+        const PROBS: [f64; 6] = [0.0, 0.03, 0.1, 0.3, 0.7, 1.0];
+        crate::decoder::DecoderMask::from_probs(
+            (0..data).map(|d| PROBS[(3 * d + 1) % 6]).collect(),
+            (0..stabs).map(|i| PROBS[(5 * i + 2) % 6]).collect(),
+        )
+    }
+
+    /// The geometry the space-time decoder builds for a `layers`-layer
+    /// window of a readout-terminated memory.
+    fn window_graph(memory: &crate::codes::MemoryCircuit, layers: usize) -> DetectorGraph {
+        let supports: Vec<Vec<u32>> =
+            memory.primary_stabilizers().iter().map(|s| s.support.clone()).collect();
+        let readout = &memory.final_readout.as_ref().unwrap().support;
+        DetectorGraph::space_time(
+            &(0..memory.n_data).collect::<Vec<_>>(),
+            &supports,
+            readout,
+            layers,
+        )
+    }
+
+    #[test]
+    fn reweighted_tables_are_pinned() {
+        // Digests recorded from the per-source `Vec` Dijkstra over
+        // `Vec<Vec<_>>` tables; any layout or traversal change must keep
+        // every distance and every canonical-path parity.
+        let (rep5, xxzz33) = (
+            RepetitionCode::bit_flip(5).build_memory_readout(10),
+            XxzzCode::new(3, 3).build_memory_readout(10),
+        );
+        let graphs = [
+            (window_graph(&rep5, 6), rep5.n_data as usize),
+            (window_graph(&xxzz33, 6), xxzz33.n_data as usize),
+            (DetectorGraph::new(&XxzzCode::new(5, 5).build()), 25),
+        ];
+        let digests: Vec<(u64, u64)> = graphs
+            .iter()
+            .map(|(g, data)| {
+                let mask = fixed_mask(*data, g.primary_count());
+                (table_digest(g), table_digest(&mask.reweight(g)))
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                (800485662599133526, 16152621958971278130),
+                (15429514546350798318, 15750418063266517418),
+                (14958638470130636286, 16220489965105358538),
+            ]
+        );
     }
 
     #[test]

@@ -133,8 +133,8 @@ pub(crate) fn commit_matching(
     let boundary = g.boundary();
     let matches = arena.match_defects(
         defects.len(),
-        |a, b| pair_weight(g, defects[a], defects[b]),
-        |a| boundary_weight(g, defects[a]),
+        |a, b| g.match_weight(defects[a], defects[b]),
+        |a| g.match_weight(defects[a], defects[a]),
     );
     let mut flip = false;
     // Tentative defects consumed by a commit-region partner, by defect
@@ -339,6 +339,43 @@ mod tests {
         let code = XxzzCode::new(5, 5).build();
         for d in 0..25 {
             assert!(single_data_error_corrected(&code, d), "uncorrected flip on data {d}");
+        }
+    }
+
+    #[test]
+    fn match_weights_are_the_perturbed_pair_and_boundary_weights() {
+        use crate::decoder::DecoderMask;
+        let (rep5, xxzz33) = (RepetitionCode::bit_flip(5).build(), XxzzCode::new(3, 3).build());
+        let supports: Vec<Vec<u32>> =
+            rep5.primary_stabilizers().iter().map(|s| s.support.clone()).collect();
+        let window = DetectorGraph::space_time(
+            &rep5.data_qubits,
+            &supports,
+            &rep5.logical_readout_support,
+            6,
+        );
+        let mask =
+            DecoderMask::from_probs(vec![1.0, 0.3, 0.0, 0.05, 0.7], vec![0.0, 0.9, 0.2, 0.0]);
+        let xxzz_mask = DecoderMask::from_probs(
+            (0..9).map(|d| [0.0, 0.4, 1.0][d % 3]).collect(),
+            vec![0.6, 0.0, 0.0, 0.15],
+        );
+        let graphs = [
+            DetectorGraph::new(&rep5),
+            DetectorGraph::new(&xxzz33),
+            DetectorGraph::new(&XxzzCode::new(5, 5).build()),
+            mask.reweight(&window),
+            mask.reweight(&DetectorGraph::new(&rep5)),
+            xxzz_mask.reweight(&DetectorGraph::new(&xxzz33)),
+            window,
+        ];
+        for (k, g) in graphs.iter().enumerate() {
+            for a in 0..g.boundary() {
+                assert_eq!(g.match_weight(a, a), boundary_weight(g, a), "graph {k}: boundary {a}");
+                for b in (0..g.boundary()).filter(|&b| b != a) {
+                    assert_eq!(g.match_weight(a, b), pair_weight(g, a, b), "graph {k}: {a}-{b}");
+                }
+            }
         }
     }
 

@@ -828,6 +828,90 @@ mod tests {
     }
 
     #[test]
+    fn a_masked_chunk_of_repeated_replicas_solves_each_distinct_key_once() {
+        for (memory, mask) in [
+            (
+                RepetitionCode::bit_flip(5).build_memory_readout(10),
+                DecoderMask::from_probs(vec![1.0, 0.3, 0.0, 0.05, 0.7], vec![0.0, 0.9, 0.2, 0.0]),
+            ),
+            (
+                XxzzCode::new(3, 3).build_memory_readout(10),
+                DecoderMask::from_probs(
+                    (0..9).map(|d| [0.0, 0.4, 1.0][d % 3]).collect(),
+                    vec![0.6, 0.0, 0.0, 0.15],
+                ),
+            ),
+        ] {
+            let metrics = MetricsRegistry::new();
+            let cfg = WindowConfig::new(6, 2);
+            let dec =
+                SpaceTimeDecoder::try_for_memory(&memory, cfg, TierConfig::default(), &metrics)
+                    .unwrap();
+            let (rounds, p) = (dec.detector_rounds(), dec.primary_count());
+            // Seven distinct histories (one empty), dealt to 70 replicas so
+            // that every history repeats, never in adjacent replicas.
+            let mut histories: Vec<_> =
+                (0..6).map(|s| random_history(rounds, p, 0.15, 0x6A0 + s)).collect();
+            histories.push(vec![Vec::new(); rounds]);
+            let of_replica: Vec<usize> = (0..70).map(|i| (i * 3) % histories.len()).collect();
+            let mut state = dec.begin(of_replica.len());
+            let mut distinct_keys = 0;
+            // Round `r`'s event rows, one bit per replica.
+            let rows_of = |r: usize| -> Vec<Vec<u64>> {
+                (0..p)
+                    .map(|i| {
+                        let mut row = vec![0u64; of_replica.len().div_ceil(64)];
+                        for (shot, &h) in of_replica.iter().enumerate() {
+                            if histories[h][r].contains(&i) {
+                                row[shot / 64] |= 1 << (shot % 64);
+                            }
+                        }
+                        row
+                    })
+                    .collect()
+            };
+            for r in 0..rounds {
+                let rows = rows_of(r);
+                // The keys the solve this push triggers (if any) sees.
+                let layer = (r - state.base()) * p;
+                let mut keys: Vec<u128> = (0..of_replica.len())
+                    .map(|shot| {
+                        (0..p).fold(state.replicas[shot].pending, |key, i| {
+                            key | u128::from(rows[i][shot / 64] >> (shot % 64) & 1) << (layer + i)
+                        })
+                    })
+                    .filter(|&key| key != 0)
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                if r + 1 == state.base() + cfg.window && r + 1 < rounds {
+                    distinct_keys += keys.len();
+                }
+                dec.push_round(&mut state, |i| &rows[i], Some(&mask));
+            }
+            let mut keys: Vec<u128> =
+                state.replicas.iter().map(|rep| rep.pending).filter(|&k| k != 0).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            distinct_keys += keys.len();
+            let flips = dec.finish(state, Some(&mask));
+            let matchings = metrics.counter(names::DECODE_MATCHINGS).get() as usize;
+            assert!(
+                matchings <= distinct_keys,
+                "{}: {matchings} matchings for {distinct_keys} distinct keys",
+                memory.name
+            );
+            let reference =
+                SpaceTimeDecoder::try_for_memory(&memory, cfg, TierConfig::default(), &metrics)
+                    .unwrap();
+            for (shot, (&flip, &h)) in flips.iter().zip(&of_replica).enumerate() {
+                let want = reference.decode_history(&histories[h], Some(&mask));
+                assert_eq!(flip, want, "{}: replica {shot} (history {h})", memory.name);
+            }
+        }
+    }
+
+    #[test]
     fn masked_windows_reweight_and_masked_contexts_are_capped() {
         let metrics = MetricsRegistry::new();
         let memory = RepetitionCode::bit_flip(5).build_memory_readout(9);
