@@ -8,6 +8,7 @@
 //! a correction path knows whether it flips the raw readout.
 
 use crate::codes::CodeCircuit;
+use std::sync::Arc;
 
 /// A node of the detector graph: `layer * P + stab` for each syndrome
 /// layer, `L * P` for the boundary (the classic 2-round graph is the
@@ -26,6 +27,30 @@ pub enum EdgeKind {
     Time(usize),
 }
 
+/// The edge structure of a detector graph, flat: node `v`'s edges are
+/// `edges[offsets[v]..offsets[v + 1]]`, in insertion order, with their
+/// [`EdgeKind`]s aligned in `kinds`. Shared by every reweighting of one
+/// geometry.
+#[derive(Debug)]
+struct Adjacency {
+    offsets: Vec<u32>,
+    /// `(neighbour, crosses_logical_readout)` per edge.
+    edges: Vec<(u32, bool)>,
+    kinds: Vec<EdgeKind>,
+}
+
+impl Adjacency {
+    fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The edge-index range of node `v`.
+    #[inline]
+    fn range(&self, v: usize) -> std::ops::Range<usize> {
+        self.offsets[v] as usize..self.offsets[v + 1] as usize
+    }
+}
+
 /// Space-time defect graph for the primary syndrome family of a code.
 #[derive(Debug, Clone)]
 pub struct DetectorGraph {
@@ -33,22 +58,21 @@ pub struct DetectorGraph {
     /// Number of syndrome layers (2 for the flat offline graph; the
     /// sliding-window space-time decoder builds W-layer graphs).
     layers: usize,
-    /// adj[v] = (neighbour, crosses_logical_readout).
-    adj: Vec<Vec<(u32, bool)>>,
-    /// Edge kind per adjacency entry, aligned with `adj` (kept separate so
-    /// the BFS walks stay over plain `(neighbour, crossing)` pairs; only
-    /// [`Self::reweighted`] reads it).
-    edge_kinds: Vec<Vec<EdgeKind>>,
-    /// All-pairs shortest-path distances (unit BFS in the unweighted
-    /// build; weighted Dijkstra after [`Self::reweighted`]).
-    dist: Vec<Vec<u32>>,
+    adj: Arc<Adjacency>,
+    /// All-pairs shortest-path distances, row-major `n × n` (unit BFS in
+    /// the unweighted build; weighted Dijkstra after [`Self::reweighted`]).
+    dist: Vec<u32>,
     /// Crossing parity along one canonical shortest path.
-    parity: Vec<Vec<bool>>,
+    parity: Vec<bool>,
     /// All-pairs distances with the boundary node *excluded* — the
     /// defect-pair metric (see [`Self::pair_distance`]).
-    interior_dist: Vec<Vec<u32>>,
+    interior_dist: Vec<u32>,
     /// Crossing parity along the canonical boundary-free path.
-    interior_parity: Vec<Vec<bool>>,
+    interior_parity: Vec<bool>,
+    /// Perturbed matching weights over the `L · P` defect nodes, row-major:
+    /// pair weights off the diagonal, boundary weights on it (filled once
+    /// per graph by `mwpm::match_weights`).
+    match_weights: Vec<i64>,
 }
 
 impl DetectorGraph {
@@ -77,8 +101,7 @@ impl DetectorGraph {
         let p = supports.len();
         let num_nodes = layers * p + 1;
         let boundary = layers * p;
-        let mut adj: Vec<Vec<(u32, bool)>> = vec![Vec::new(); num_nodes];
-        let mut edge_kinds: Vec<Vec<EdgeKind>> = vec![Vec::new(); num_nodes];
+        let mut adj: Vec<Vec<(u32, bool, EdgeKind)>> = vec![Vec::new(); num_nodes];
         let readout: std::collections::HashSet<u32> = readout_support.iter().copied().collect();
 
         // Space and boundary edges, replicated per layer.
@@ -95,19 +118,15 @@ impl DetectorGraph {
                 1 => {
                     for layer in 0..layers {
                         let v = layer * p + owners[0];
-                        adj[v].push((boundary as u32, crosses));
-                        edge_kinds[v].push(EdgeKind::Data(d));
-                        adj[boundary].push((v as u32, crosses));
-                        edge_kinds[boundary].push(EdgeKind::Data(d));
+                        adj[v].push((boundary as u32, crosses, EdgeKind::Data(d)));
+                        adj[boundary].push((v as u32, crosses, EdgeKind::Data(d)));
                     }
                 }
                 2 => {
                     for layer in 0..layers {
                         let (a, b) = (layer * p + owners[0], layer * p + owners[1]);
-                        adj[a].push((b as u32, crosses));
-                        edge_kinds[a].push(EdgeKind::Data(d));
-                        adj[b].push((a as u32, crosses));
-                        edge_kinds[b].push(EdgeKind::Data(d));
+                        adj[a].push((b as u32, crosses, EdgeKind::Data(d)));
+                        adj[b].push((a as u32, crosses, EdgeKind::Data(d)));
                     }
                 }
                 n => unreachable!("data qubit {d} owned by {n} primary stabilizers"),
@@ -117,85 +136,89 @@ impl DetectorGraph {
         for layer in 0..layers.saturating_sub(1) {
             for i in 0..p {
                 let (a, b) = (layer * p + i, (layer + 1) * p + i);
-                adj[a].push((b as u32, false));
-                edge_kinds[a].push(EdgeKind::Time(i));
-                adj[b].push((a as u32, false));
-                edge_kinds[b].push(EdgeKind::Time(i));
+                adj[a].push((b as u32, false, EdgeKind::Time(i)));
+                adj[b].push((a as u32, false, EdgeKind::Time(i)));
             }
         }
+        let mut offsets = vec![0u32];
+        offsets.extend(adj.iter().scan(0, |end, edges| {
+            *end += edges.len() as u32;
+            Some(*end)
+        }));
+        let flat = adj.iter().flatten();
+        let adj = Adjacency {
+            offsets,
+            edges: flat.clone().map(|&(w, cross, _)| (w, cross)).collect(),
+            kinds: flat.map(|&(.., kind)| kind).collect(),
+        };
 
         // APSP with crossing parity along the BFS-canonical shortest path,
         // plus the boundary-free tables behind [`Self::pair_distance`].
-        let mut dist = vec![vec![u32::MAX; num_nodes]; num_nodes];
-        let mut parity = vec![vec![false; num_nodes]; num_nodes];
-        let mut interior_dist = vec![vec![u32::MAX; num_nodes]; num_nodes];
-        let mut interior_parity = vec![vec![false; num_nodes]; num_nodes];
-        for src in 0..num_nodes {
-            let (d, par) = bfs(&adj, src, usize::MAX);
-            dist[src] = d;
-            parity[src] = par;
-            if src != boundary {
-                let (d, par) = bfs(&adj, src, boundary);
-                interior_dist[src] = d;
-                interior_parity[src] = par;
-            }
-        }
-        DetectorGraph {
-            primary_count: p,
+        let mut queue = Vec::with_capacity(num_nodes);
+        Self::tabulated(p, layers, Arc::new(adj), |adj, src, skip, dist, parity| {
+            bfs(adj, src, skip, dist, parity, &mut queue)
+        })
+    }
+
+    /// A graph over `adj` with its all-pairs tables filled row by row by
+    /// `search(adj, src, skip, dist_row, parity_row)` — once per source
+    /// unrestricted, and once more per non-boundary source never entering
+    /// the boundary (`skip`) — and then its match weights.
+    fn tabulated(
+        primary_count: usize,
+        layers: usize,
+        adj: Arc<Adjacency>,
+        mut search: impl FnMut(&Adjacency, usize, usize, &mut [u32], &mut [bool]),
+    ) -> Self {
+        let n = adj.num_nodes();
+        let mut g = DetectorGraph {
+            primary_count,
             layers,
             adj,
-            edge_kinds,
-            dist,
-            parity,
-            interior_dist,
-            interior_parity,
+            dist: vec![u32::MAX; n * n],
+            parity: vec![false; n * n],
+            interior_dist: vec![u32::MAX; n * n],
+            interior_parity: vec![false; n * n],
+            match_weights: Vec::new(),
+        };
+        let boundary = g.boundary();
+        for src in 0..n {
+            let row = src * n..(src + 1) * n;
+            let (dist, parity) = (&mut g.dist[row.clone()], &mut g.parity[row.clone()]);
+            search(&g.adj, src, usize::MAX, dist, parity);
+            if src != boundary {
+                let (dist, parity) =
+                    (&mut g.interior_dist[row.clone()], &mut g.interior_parity[row]);
+                search(&g.adj, src, boundary, dist, parity);
+            }
         }
+        g.match_weights = super::mwpm::match_weights(&g);
+        g
     }
 
     /// Rebuild the distance/parity tables with a per-edge weight supplied
-    /// by `weight` (≥ 1; the unweighted build is the special case of every
-    /// edge weighing 1) — the strike-aware reweighting layer. The adjacency
-    /// structure is shared; only the all-pairs tables change, computed by a
-    /// deterministic Dijkstra, so [`Self::distance`] returns *weighted*
-    /// shortest-path costs and [`Self::crossing_parity`] the readout
-    /// parity along the new canonical cheapest path.
+    /// by `weight` (clamped to ≥ 1) — the strike-aware reweighting layer.
+    /// The adjacency is shared with `self` (one `Arc`, not rebuilt); only
+    /// the all-pairs tables and the match weights change. The tables come
+    /// from the deterministic Dijkstra of `dijkstra`, which writes each
+    /// source's row in place and reuses one frontier buffer across every
+    /// source, so a rebuild allocates its output tables, one flat
+    /// per-edge weight array and that buffer — nothing per source.
+    /// [`Self::distance`] then returns *weighted* shortest-path costs and
+    /// [`Self::crossing_parity`] the readout parity along the new
+    /// canonical cheapest path.
     ///
     /// A mask that lowers weights inside a struck region makes correction
     /// paths through that region cheap — the matcher then prefers to
     /// explain defects with errors where the strike actually put them
     /// (erasure-style decoding).
     pub fn reweighted(&self, weight: impl Fn(EdgeKind) -> u32) -> DetectorGraph {
-        let num_nodes = self.adj.len();
-        let boundary = self.boundary();
-        let weights: Vec<Vec<u32>> = self
-            .edge_kinds
-            .iter()
-            .map(|kinds| kinds.iter().map(|&k| weight(k).max(1)).collect())
-            .collect();
-        let mut dist = vec![vec![u32::MAX; num_nodes]; num_nodes];
-        let mut parity = vec![vec![false; num_nodes]; num_nodes];
-        let mut interior_dist = vec![vec![u32::MAX; num_nodes]; num_nodes];
-        let mut interior_parity = vec![vec![false; num_nodes]; num_nodes];
-        for src in 0..num_nodes {
-            let (d, par) = dijkstra(&self.adj, &weights, src, usize::MAX);
-            dist[src] = d;
-            parity[src] = par;
-            if src != boundary {
-                let (d, par) = dijkstra(&self.adj, &weights, src, boundary);
-                interior_dist[src] = d;
-                interior_parity[src] = par;
-            }
-        }
-        DetectorGraph {
-            primary_count: self.primary_count,
-            layers: self.layers,
-            adj: self.adj.clone(),
-            edge_kinds: self.edge_kinds.clone(),
-            dist,
-            parity,
-            interior_dist,
-            interior_parity,
-        }
+        let weights: Vec<u32> = self.adj.kinds.iter().map(|&k| weight(k).max(1)).collect();
+        let mut frontier = Vec::with_capacity(self.num_nodes());
+        let adj = Arc::clone(&self.adj);
+        Self::tabulated(self.primary_count, self.layers, adj, |adj, src, skip, dist, parity| {
+            dijkstra(adj, &weights, src, skip, dist, parity, &mut frontier)
+        })
     }
 
     /// Number of primary stabilizers `P`.
@@ -224,13 +247,13 @@ impl DetectorGraph {
     /// BFS distance between two nodes (u32::MAX = unreachable).
     #[inline]
     pub fn distance(&self, a: DetectorNode, b: DetectorNode) -> u32 {
-        self.dist[a][b]
+        self.dist[a * self.num_nodes() + b]
     }
 
     /// Readout-crossing parity along the canonical shortest path `a → b`.
     #[inline]
     pub fn crossing_parity(&self, a: DetectorNode, b: DetectorNode) -> bool {
-        self.parity[a][b]
+        self.parity[a * self.num_nodes() + b]
     }
 
     /// Shortest-path distance between two detector nodes with the
@@ -247,86 +270,104 @@ impl DetectorGraph {
     /// expressible window-locally.
     #[inline]
     pub fn pair_distance(&self, a: DetectorNode, b: DetectorNode) -> u32 {
-        self.interior_dist[a][b]
+        self.interior_dist[a * self.num_nodes() + b]
     }
 
     /// Readout-crossing parity along the canonical boundary-free path
     /// `a → b` (the path [`Self::pair_distance`] measures).
     #[inline]
     pub fn pair_crossing_parity(&self, a: DetectorNode, b: DetectorNode) -> bool {
-        self.interior_parity[a][b]
+        self.interior_parity[a * self.num_nodes() + b]
     }
 
     /// Canonically perturbed matching weight between defect nodes: the
     /// pair weight of `a` and `b` off the diagonal, `a`'s boundary weight
-    /// on it (see `mwpm::pair_weight`).
+    /// on it (see `mwpm::match_weights`). One table read.
     #[inline]
     pub(crate) fn match_weight(&self, a: DetectorNode, b: DetectorNode) -> i64 {
-        if a == b {
-            super::mwpm::boundary_weight(self, a)
-        } else {
-            super::mwpm::pair_weight(self, a, b)
-        }
+        self.match_weights[a * self.boundary() + b]
     }
 
     /// Total node count (including the boundary).
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.adj.num_nodes()
     }
 }
 
-/// Deterministic O(n²) Dijkstra over the tiny detector graphs: nodes are
-/// settled in (distance, index) order and relaxations are strictly
-/// improving, so the canonical cheapest path — and with it the crossing
-/// parity — is a pure function of the weight assignment.
+/// Deterministic Dijkstra over the tiny detector graphs, writing one
+/// source's row into `dist` / `parity` (which must arrive unreachable:
+/// `u32::MAX` / `false`). Nodes are settled in (distance, index) order
+/// and relaxations are strictly improving, so the canonical cheapest path
+/// — and with it the crossing parity — is a pure function of the weight
+/// assignment.
+///
+/// The selection scans only the `frontier`: one packed
+/// `distance << 32 | node` entry per improvement, so the smallest entry
+/// is the smallest (distance, index) pair. An entry whose distance a later
+/// improvement undercut is stale and skipped when it comes up; the
+/// improved entry always comes up before it, and weights ≥ 1 mean a
+/// settled node is never improved again, so the settle order is that of
+/// a scan over all unsettled nodes. `frontier` is scratch reused across
+/// sources.
 fn dijkstra(
-    adj: &[Vec<(u32, bool)>],
-    weights: &[Vec<u32>],
+    adj: &Adjacency,
+    weights: &[u32],
     src: usize,
     skip: usize,
-) -> (Vec<u32>, Vec<bool>) {
-    let n = adj.len();
-    let mut dist = vec![u32::MAX; n];
-    let mut parity = vec![false; n];
-    let mut done = vec![false; n];
+    dist: &mut [u32],
+    parity: &mut [bool],
+    frontier: &mut Vec<u64>,
+) {
+    frontier.clear();
     dist[src] = 0;
-    for _ in 0..n {
-        let mut v = usize::MAX;
-        let mut best = u32::MAX;
-        for (u, (&d, &fin)) in dist.iter().zip(&done).enumerate() {
-            if !fin && d < best {
-                best = d;
-                v = u;
+    frontier.push(src as u64);
+    while !frontier.is_empty() {
+        let mut slot = 0;
+        for (i, &entry) in frontier.iter().enumerate().skip(1) {
+            if entry < frontier[slot] {
+                slot = i;
             }
         }
-        if v == usize::MAX {
-            break; // remaining nodes unreachable
+        let entry = frontier.swap_remove(slot);
+        let (d, v) = ((entry >> 32) as u32, entry as u32 as usize);
+        if d != dist[v] {
+            continue; // stale
         }
-        done[v] = true;
-        for (e, &(w, cross)) in adj[v].iter().enumerate() {
+        for e in adj.range(v) {
+            let (w, cross) = adj.edges[e];
             let w = w as usize;
             if w == skip {
                 continue;
             }
-            let cand = dist[v].saturating_add(weights[v][e]);
+            let cand = d.saturating_add(weights[e]);
             if cand < dist[w] {
                 dist[w] = cand;
                 parity[w] = parity[v] ^ cross;
+                frontier.push(u64::from(cand) << 32 | w as u64);
             }
         }
     }
-    (dist, parity)
 }
 
-fn bfs(adj: &[Vec<(u32, bool)>], src: usize, skip: usize) -> (Vec<u32>, Vec<bool>) {
-    let n = adj.len();
-    let mut dist = vec![u32::MAX; n];
-    let mut parity = vec![false; n];
+/// Breadth-first search from `src` (never entering `skip`), writing one
+/// source's row into `dist` / `parity` (which must arrive unreachable);
+/// `queue` is scratch reused across sources.
+fn bfs(
+    adj: &Adjacency,
+    src: usize,
+    skip: usize,
+    dist: &mut [u32],
+    parity: &mut [bool],
+    queue: &mut Vec<u32>,
+) {
+    queue.clear();
     dist[src] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        for &(w, cross) in &adj[v] {
+    queue.push(src as u32);
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        let v = v as usize;
+        for &(w, cross) in &adj.edges[adj.range(v)] {
             let w = w as usize;
             if w == skip {
                 continue;
@@ -334,11 +375,10 @@ fn bfs(adj: &[Vec<(u32, bool)>], src: usize, skip: usize) -> (Vec<u32>, Vec<bool
             if dist[w] == u32::MAX {
                 dist[w] = dist[v] + 1;
                 parity[w] = parity[v] ^ cross;
-                queue.push_back(w);
+                queue.push(w as u32);
             }
         }
     }
-    (dist, parity)
 }
 
 #[cfg(test)]
@@ -407,11 +447,9 @@ mod tests {
         // either to the boundary or to a neighbour.
         let row0: Vec<u32> = code.logical_readout_support.clone();
         let mut crossing_edges = 0;
-        for v in 0..g.num_nodes() {
-            for &(_, cross) in &g.adj[v] {
-                if cross {
-                    crossing_edges += 1;
-                }
+        for &(_, cross) in &g.adj.edges {
+            if cross {
+                crossing_edges += 1;
             }
         }
         assert!(crossing_edges > 0, "no crossing edges for row {row0:?}");

@@ -23,11 +23,11 @@ pub(crate) fn weight_of(d: u32) -> i64 {
 }
 
 /// Scale lifting graph distances into matching weights, leaving the low
-/// bits for the canonical tie-break perturbation of [`pair_weight`] /
-/// [`boundary_weight`]. Any matching carries at most 128 edges and each
-/// perturbation is `< PAIR_BIAS + 509`, so the summed perturbation stays
-/// below one scaled distance unit: a perturbed minimum-weight matching is
-/// always a true minimum-weight matching of the unperturbed distances.
+/// bits for the canonical tie-break perturbation of [`match_weights`].
+/// Any matching carries at most 128 edges and each perturbation is
+/// `< PAIR_BIAS + 509`, so the summed perturbation stays below one scaled
+/// distance unit: a perturbed minimum-weight matching is always a true
+/// minimum-weight matching of the unperturbed distances.
 const TIE_SCALE: i64 = 1 << 20;
 
 /// Tie-break bias every defect–defect pairing carries over boundary
@@ -54,7 +54,32 @@ fn tie_eps(x: u64) -> i64 {
     ((z ^ (z >> 31)) % 509) as i64
 }
 
-/// Canonically perturbed weight of pairing defect nodes `a` and `b`.
+/// Perturbed weight of pairing the defects at `(stab, layer)` sites `a`
+/// and `b`, `d` apart on the boundary-free metric.
+#[inline]
+fn perturbed_pair(d: u32, a: (usize, usize), b: (usize, usize)) -> i64 {
+    if d == u32::MAX {
+        return UNREACHABLE * TIE_SCALE;
+    }
+    let ((s0, l0), (s1, l1)) = if a <= b { (a, b) } else { (b, a) };
+    let dt = (l1 as i64 - l0 as i64 + (1 << 20)) as u64;
+    d as i64 * TIE_SCALE + PAIR_BIAS + tie_eps((s0 as u64) << 44 | (s1 as u64) << 24 | dt)
+}
+
+/// Perturbed weight of matching a defect of stabilizer `stab` to the
+/// boundary, `d` away.
+#[inline]
+fn perturbed_boundary(d: u32, stab: usize) -> i64 {
+    if d == u32::MAX {
+        return UNREACHABLE * TIE_SCALE;
+    }
+    d as i64 * TIE_SCALE + tie_eps(1 << 60 | stab as u64)
+}
+
+/// The canonically perturbed matching weights of `g`'s `L · P` defect
+/// nodes, row-major: entry `a · L·P + b` prices pairing `a` with `b`,
+/// entry `a · L·P + a` matching `a` to the boundary
+/// ([`DetectorGraph::match_weight`] reads them).
 ///
 /// Minimum-weight matchings of raw detector-graph distances are often
 /// degenerate (on a distance-3 chain, two neighbouring defects pair for
@@ -64,39 +89,52 @@ fn tie_eps(x: u64) -> i64 {
 /// the windowed and whole-history decoders would break such ties
 /// *differently* even on histories the window covers perfectly. The
 /// perturbation makes the minimum generically unique, and it is built
-/// only from translation-invariant descriptors — the two stabilizer
-/// indices and their signed layer separation (after sorting the
-/// endpoints, so `(a, b)` and `(b, a)` agree) — never from absolute
-/// layer numbers. A window solve and a whole-history solve therefore
-/// perturb the same physical pairing by the same amount and select the
-/// same optimum, which is what lets the window-equivalence suite demand
-/// bit-identity on real noise streams rather than only on tie-free
-/// synthetic ones.
-#[inline]
-pub(crate) fn pair_weight(g: &DetectorGraph, a: usize, b: usize) -> i64 {
-    let d = g.pair_distance(a, b);
-    if d == u32::MAX {
-        return UNREACHABLE * TIE_SCALE;
+/// only from translation-invariant descriptors — for a pair, the two
+/// stabilizer indices and their signed layer separation (after sorting
+/// the endpoints, so `(a, b)` and `(b, a)` agree); for a boundary match,
+/// the stabilizer index alone — never from absolute layer numbers. A
+/// window solve and a whole-history solve therefore perturb the same
+/// physical pairing by the same amount and select the same optimum,
+/// which is what lets the window-equivalence suite demand bit-identity
+/// on real noise streams rather than only on tie-free synthetic ones.
+///
+/// Filled once per graph, walking `(layer, stab)` pairs so that no entry
+/// pays for dividing a node id by `P`.
+pub(crate) fn match_weights(g: &DetectorGraph) -> Vec<i64> {
+    let (p, layers, boundary) = (g.primary_count(), g.layers(), g.boundary());
+    let mut table = Vec::with_capacity(boundary * boundary);
+    for la in 0..layers {
+        for sa in 0..p {
+            let a = la * p + sa;
+            for lb in 0..layers {
+                for sb in 0..p {
+                    let b = lb * p + sb;
+                    table.push(if a == b {
+                        perturbed_boundary(g.distance(a, boundary), sa)
+                    } else {
+                        perturbed_pair(g.pair_distance(a, b), (sa, la), (sb, lb))
+                    });
+                }
+            }
+        }
     }
-    let p = g.primary_count();
-    let (sa, la) = (a % p, a / p);
-    let (sb, lb) = (b % p, b / p);
-    let ((s0, l0), (s1, l1)) =
-        if (sa, la) <= (sb, lb) { ((sa, la), (sb, lb)) } else { ((sb, lb), (sa, la)) };
-    let dt = (l1 as i64 - l0 as i64 + (1 << 20)) as u64;
-    d as i64 * TIE_SCALE + PAIR_BIAS + tie_eps((s0 as u64) << 44 | (s1 as u64) << 24 | dt)
+    table
 }
 
-/// Canonically perturbed weight of matching defect node `a` to the
-/// boundary (see [`pair_weight`]); the descriptor is the stabilizer
-/// index alone, again translation-invariant.
-#[inline]
-pub(crate) fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
-    let d = g.distance(a, g.boundary());
-    if d == u32::MAX {
-        return UNREACHABLE * TIE_SCALE;
-    }
-    d as i64 * TIE_SCALE + tie_eps(1 << 60 | (a % g.primary_count()) as u64)
+/// The perturbed weight of pairing defect nodes `a` and `b`, computed
+/// straight from node ids — the reference [`match_weights`] is tested
+/// against.
+#[cfg(test)]
+fn pair_weight(g: &DetectorGraph, a: usize, b: usize) -> i64 {
+    let p = g.primary_count();
+    perturbed_pair(g.pair_distance(a, b), (a % p, a / p), (b % p, b / p))
+}
+
+/// The perturbed weight of matching defect node `a` to the boundary,
+/// computed straight from its node id (see [`pair_weight`]).
+#[cfg(test)]
+fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
+    perturbed_boundary(g.distance(a, g.boundary()), a % g.primary_count())
 }
 
 /// Readout-flip parity the minimum-weight matching of `defects` implies —
@@ -105,7 +143,7 @@ pub(crate) fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
 /// the same function (it calls this very routine for its fallback tier and
 /// for populating its lookup table and cache).
 ///
-/// Matches on the canonically perturbed weights ([`pair_weight`]), so
+/// Matches on the canonically perturbed weights ([`match_weights`]), so
 /// degenerate optima resolve the same way in every solver that shares
 /// this routine *and* in the sliding-window decoder's mid-stream solves.
 pub(crate) fn matching_flip(

@@ -36,7 +36,7 @@
 //! neighbouring defects pairing for the same weight as two boundary
 //! matches, with opposite readout parity) are *not* a second caveat —
 //! all solves match on the canonically perturbed weights of
-//! `super::mwpm::pair_weight`, whose translation-invariant tie-break
+//! `super::mwpm::match_weights`, whose translation-invariant tie-break
 //! makes the windowed and whole-history decoders select the same
 //! optimum. The property suites verify bit-identity both on synthetic
 //! streams and on real engine streams at the paper's noise, ±strike.
@@ -60,16 +60,29 @@
 //! [`DetectorGraph::space_time`] graphs — the same LUT / analytic /
 //! sharded-cache / exact-matcher cascade as the bulk decoder, interned per
 //! `(window layers, mask)` pair, so warm windows decode from a table
-//! lookup. A solve fetches its context once per chunk-round, at the first
-//! replica with pending defects. Mid-stream windows (which must also
+//! lookup. The window geometry is built once per layer count (at most
+//! two: `W` and the final remainder), lazily, as that layer count's
+//! unmasked context; a masked context reweights the unmasked context's
+//! graph ([`DetectorGraph::reweighted`]) instead of building the
+//! geometry again. Every graph carries its table of perturbed match
+//! weights, so a matcher call reads its pair and boundary weights instead
+//! of computing them.
+//!
+//! A solve fetches its context once per chunk-round, and only if some
+//! replica has pending defects. Mid-stream windows (which must also
 //! report *survivors*, not just a flip) memoise full outcomes per defect
-//! pattern in a per-context map; both paths share the chunk's arena.
+//! pattern in a per-context map keyed by a cheap `u128` hash. Each
+//! chunk-round probes it for every replica under one lock, solves each
+//! distinct missing key once outside the lock, and inserts the new
+//! outcomes under a second lock; final windows go through the cascade
+//! per replica. Both paths share the chunk's arena.
 //! Contexts are interned in the same [`ContextTable`] type the bulk
 //! decoder keys its mask contexts by, so masked window contexts are
 //! LRU-capped at [`TierConfig::mask_capacity`] and counted as
-//! `decode.mask_hits` the same way. The two decoders keep separate front ends on purpose: the
-//! bulk decoder hands defects to the matcher stab-major, this one
-//! node-major, and that order decides the matcher's tie-break.
+//! `decode.mask_hits` the same way. The two decoders keep separate front
+//! ends on purpose: the bulk decoder hands defects to the matcher
+//! stab-major, this one node-major, and that order decides the matcher's
+//! tie-break.
 //!
 //! Mid-stream window solves are exact and unbudgeted: the window bounds
 //! the matching size by construction (`W · P` nodes), so the decode
@@ -91,6 +104,7 @@ use crate::codes::MemoryCircuit;
 use radqec_telemetry::MetricsRegistry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Ceiling on memoised mid-stream window outcomes per context; reaching
@@ -222,11 +236,38 @@ struct WindowOutcome {
     survivors: u128,
 }
 
+/// Hashes a `u128` window key with one folded multiply of its halves. The
+/// memo is private to the decoder, so SipHash's resistance to chosen keys
+/// buys nothing, and its cost showed on every probe.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        let product = u128::from(key as u64 ^ 0x243F_6A88_85A3_08D3)
+            * u128::from((key >> 64) as u64 ^ 0x1319_8A2E_0370_7344);
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+/// Mid-stream window outcomes by defect key.
+type WindowMemo = HashMap<u128, WindowOutcome, BuildHasherDefault<KeyHasher>>;
+
 /// One interned `(layers, mask)` solve context: the multi-layer core plus
 /// the mid-stream outcome memo.
 struct WindowContext {
     core: SolveCore,
-    memo: Mutex<HashMap<u128, WindowOutcome>>,
+    memo: Mutex<WindowMemo>,
 }
 
 /// One replica's share of a chunk's window state.
@@ -254,6 +295,10 @@ pub struct WindowState {
     ctx: Ctx,
     /// Batched tier counters, flushed by `finish`.
     local: LocalStats,
+    /// Scratch of one mid-stream solve: the memo misses as
+    /// `(key, replica)`, then the distinct keys' outcomes.
+    misses: Vec<(u128, u32)>,
+    solved: Vec<(u128, WindowOutcome)>,
 }
 
 impl WindowState {
@@ -339,6 +384,8 @@ impl SpaceTimeDecoder {
             replicas: vec![Replica::default(); replicas],
             ctx: Ctx::default(),
             local: LocalStats::default(),
+            misses: Vec::new(),
+            solved: Vec::new(),
         }
     }
 
@@ -426,22 +473,64 @@ impl SpaceTimeDecoder {
     /// Solve every replica's full window `[base, base + W)` and commit its
     /// oldest `C` layers (module docs: the commit/discard contract). An
     /// empty window commits nothing and fetches no context.
+    ///
+    /// The memo is visited twice per call, not twice per replica: one
+    /// locked pass answers every key it holds and collects the misses;
+    /// the misses are sorted so each distinct key is solved once, outside
+    /// the lock (a repeat counts as a memo hit, as it would have been had
+    /// the first copy been inserted before it was probed); a second locked
+    /// pass inserts the new outcomes.
     fn advance_window(&self, state: &mut WindowState, mask: Option<&DecoderMask>) {
         let committed_bits = (self.cfg.commit * self.primary_count) as u32;
-        let mut wctx = None;
-        for rep in state.replicas.iter_mut().filter(|rep| rep.pending != 0) {
-            let wctx = wctx.get_or_insert_with(|| self.context(self.cfg.window, mask));
-            let outcome = self.window_outcome(wctx, rep.pending, &mut state.ctx, &mut state.local);
-            rep.flip ^= outcome.flip;
-            // Survivors sit above the commit region; `C · P = 128` (a
-            // full-window commit) leaves none.
-            rep.pending = outcome.survivors.checked_shr(committed_bits).unwrap_or(0);
-        }
         state.base += self.cfg.commit;
+        if state.replicas.iter().all(|rep| rep.pending == 0) {
+            return;
+        }
+        let wctx = self.context(self.cfg.window, mask);
+        let WindowState { replicas, ctx, local, misses, solved, .. } = state;
+        // Survivors sit above the commit region; `C · P = 128` (a
+        // full-window commit) leaves none.
+        let commit = |rep: &mut Replica, outcome: WindowOutcome| {
+            rep.flip ^= outcome.flip;
+            rep.pending = outcome.survivors.checked_shr(committed_bits).unwrap_or(0);
+        };
+        misses.clear();
+        {
+            let memo = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner);
+            for (i, rep) in replicas.iter_mut().enumerate().filter(|(_, rep)| rep.pending != 0) {
+                match memo.get(&rep.pending) {
+                    Some(&hit) => {
+                        local.cache_hits += 1;
+                        commit(rep, hit);
+                    }
+                    None => misses.push((rep.pending, i as u32)),
+                }
+            }
+        }
+        misses.sort_unstable();
+        solved.clear();
+        for group in misses.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            let outcome = self.window_outcome(&wctx, key, ctx, local);
+            local.cache_hits += group.len() as u64 - 1;
+            for &(_, i) in group {
+                commit(&mut replicas[i as usize], outcome);
+            }
+            solved.push((key, outcome));
+        }
+        if !solved.is_empty() {
+            let mut memo = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner);
+            for &(key, outcome) in solved.iter() {
+                if memo.len() >= WINDOW_MEMO_CAP {
+                    memo.clear();
+                }
+                memo.insert(key, outcome);
+            }
+        }
     }
 
-    /// One mid-stream window solve: finalized-parity flip plus the
-    /// surviving tentative defects, memoised per defect pattern.
+    /// One mid-stream window solve of a key the memo lacks:
+    /// finalized-parity flip plus the surviving tentative defects.
     fn window_outcome(
         &self,
         wctx: &WindowContext,
@@ -451,57 +540,50 @@ impl SpaceTimeDecoder {
     ) -> WindowOutcome {
         debug_assert_ne!(key, 0);
         let commit_nodes = self.cfg.commit * self.primary_count;
-        if let Some(&hit) = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            local.cache_hits += 1;
-            return hit;
-        }
-        let outcome = if commit_nodes < 128 && key >> commit_nodes == 0 {
+        if commit_nodes < 128 && key >> commit_nodes == 0 {
             // Every defect sits inside the commit region: the window is a
             // full commit — route it through the tier cascade (LUT /
             // analytic / cache / blossom) like a final window.
             let flip = wctx.core.flip_of_key(key, ctx, local);
-            WindowOutcome { flip, survivors: 0 }
-        } else {
-            // The exact matcher over a mixed commit/tentative window, fed
-            // its defects in ascending key-bit order.
-            ctx.defects.clear();
-            let mut bits = key;
-            while bits != 0 {
-                ctx.defects.push(bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-            local.matchings += 1;
-            let g = wctx.core.graph();
-            let (flip, survivors) = commit_matching(g, &ctx.defects, &mut ctx.arena, commit_nodes);
-            WindowOutcome { flip, survivors }
-        };
-        let mut memo = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if memo.len() >= WINDOW_MEMO_CAP {
-            memo.clear();
+            return WindowOutcome { flip, survivors: 0 };
         }
-        memo.insert(key, outcome);
-        outcome
+        // The exact matcher over a mixed commit/tentative window, fed its
+        // defects in ascending key-bit order.
+        ctx.defects.clear();
+        let mut bits = key;
+        while bits != 0 {
+            ctx.defects.push(bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+        local.matchings += 1;
+        let g = wctx.core.graph();
+        let (flip, survivors) = commit_matching(g, &ctx.defects, &mut ctx.arena, commit_nodes);
+        WindowOutcome { flip, survivors }
     }
 
     /// Intern (or fetch) the solve context of `(layers, mask)`. Unmasked
     /// contexts persist for the decoder's lifetime (there are at most two
     /// live layer counts: `W` and the final remainder); masked contexts
-    /// are LRU-evicted past [`TierConfig::mask_capacity`].
+    /// are LRU-evicted past [`TierConfig::mask_capacity`]. A masked
+    /// context reweights the unmasked context's graph for its layer count
+    /// (interned first if need be — [`ContextTable`] builds outside its
+    /// lock, so the nested intern is safe) instead of rebuilding the
+    /// window geometry.
     fn context(&self, layers: usize, mask: Option<&DecoderMask>) -> Arc<WindowContext> {
         let mask = mask.filter(|m| !m.is_noop());
         self.contexts.intern(layers, mask.map(DecoderMask::weight_key), || {
-            let mut graph = DetectorGraph::space_time(
-                &self.data_qubits,
-                &self.supports,
-                &self.readout_support,
-                layers,
-            );
-            if let Some(m) = mask {
-                graph = m.reweight(&graph);
-            }
+            let graph = match mask {
+                Some(m) => m.reweight(self.context(layers, None).core.graph()),
+                None => DetectorGraph::space_time(
+                    &self.data_qubits,
+                    &self.supports,
+                    &self.readout_support,
+                    layers,
+                ),
+            };
             WindowContext {
                 core: SolveCore::window(graph, self.tiers),
-                memo: Mutex::new(HashMap::new()),
+                memo: Mutex::new(WindowMemo::default()),
             }
         })
     }
