@@ -289,8 +289,9 @@ impl DetectorGraph {
     }
 
     /// Total node count (including the boundary).
+    #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.adj.num_nodes()
+        self.boundary() + 1
     }
 }
 
