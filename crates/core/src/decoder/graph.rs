@@ -40,10 +40,6 @@ struct Adjacency {
 }
 
 impl Adjacency {
-    fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// The edge-index range of node `v`.
     #[inline]
     fn range(&self, v: usize) -> std::ops::Range<usize> {
@@ -170,7 +166,7 @@ impl DetectorGraph {
         adj: Arc<Adjacency>,
         mut search: impl FnMut(&Adjacency, usize, usize, &mut [u32], &mut [bool]),
     ) -> Self {
-        let n = adj.num_nodes();
+        let n = layers * primary_count + 1;
         let mut g = DetectorGraph {
             primary_count,
             layers,
