@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_DECODE_DEADLINE: Duration = Duration::from_millis(20);
 
 /// Default ceiling on interned strike-mask contexts (each owns a
-/// reweighted graph + private syndrome cache, so the map must not grow
+/// reweighted graph + private outcome cache, so the map must not grow
 /// with campaign length — a long multi-strike run revisits a handful of
 /// quantised weight keys).
 pub const DEFAULT_MASK_CAPACITY: usize = 64;
@@ -208,9 +208,9 @@ pub(crate) struct LocalStats {
 /// decode-time budget. Cheap to create (no allocation until the blossom
 /// tier actually runs) and reused across every syndrome of a batch.
 #[derive(Default)]
-pub(crate) struct Ctx {
-    pub(crate) arena: MatchingArena,
-    pub(crate) defects: Vec<usize>,
+struct Ctx {
+    arena: MatchingArena,
+    defects: Vec<usize>,
     /// Total blossom time this call may spend (`deadline × shots`), or
     /// `None` for unbounded.
     budget: Option<Duration>,
@@ -219,32 +219,16 @@ pub(crate) struct Ctx {
     spent: Duration,
 }
 
-/// How a `u128` defect key's bit index maps onto detector-graph nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlaneOrder {
-    /// The 2-round bulk layout: plane `2i + r` → node `(stab i, round r)`,
-    /// so ascending bit index reproduces `MwpmDecoder::defects` order.
-    StabMajor,
-    /// Plane index *is* the node id (`layer · P + stab`) — the layout the
-    /// multi-layer window graphs of the space-time decoder use, where
-    /// ascending bit index is ascending `(round, stab)`.
-    NodeIndex,
-}
-
 /// The solve state of one decoding context: a detector graph (uniform or
 /// mask-reweighted), its engine-lifetime syndrome cache and the tier
 /// switches. The unmasked decoder owns one; every distinct
 /// [`DecoderMask`] weight key interns another — same tiers, same code
-/// paths, different `flip` function. The space-time decoder
-/// (`crate::decoder::spacetime`) interns one per `(window layers, mask)`
-/// pair through [`SolveCore::window`], reusing the LUT / analytic /
-/// cache / budgeted-blossom cascade unchanged.
-pub(crate) struct SolveCore {
+/// paths, different `flip` function.
+struct SolveCore {
     graph: DetectorGraph,
-    /// Detector-bit count (`2P` for the bulk layout, `L·P` for window
-    /// graphs); see [`PlaneOrder`] for the bit → node mapping.
+    /// Detector-bit count `2P`; key bit `2i + r` is stabilizer `i` in
+    /// round `r` (see `node_of_plane`).
     planes: usize,
-    order: PlaneOrder,
     tiers: TierConfig,
     /// Context-lifetime syndrome cache, shared by every batch / rayon
     /// chunk / temporal sample through `&self` (interior mutability
@@ -254,43 +238,26 @@ pub(crate) struct SolveCore {
 
 impl SolveCore {
     fn new(graph: DetectorGraph, tiers: TierConfig) -> Self {
-        Self::build(graph, tiers, PlaneOrder::StabMajor)
-    }
-
-    /// A solve core over a multi-layer window graph: plane bits index
-    /// nodes directly (`layer · P + stab`). Same tier cascade, caches and
-    /// decode budget as the bulk layout.
-    pub(crate) fn window(graph: DetectorGraph, tiers: TierConfig) -> Self {
-        Self::build(graph, tiers, PlaneOrder::NodeIndex)
-    }
-
-    fn build(graph: DetectorGraph, tiers: TierConfig, order: PlaneOrder) -> Self {
         let planes = graph.layers() * graph.primary_count();
         let cache = if tiers.lut && planes <= LUT_MAX_BITS {
             SyndromeCache::direct(planes)
         } else {
             SyndromeCache::sharded(tiers.cache_capacity)
         };
-        SolveCore { graph, planes, order, tiers, cache }
+        SolveCore { graph, planes, tiers, cache }
     }
 
-    /// The graph this core solves on.
-    pub(crate) fn graph(&self) -> &DetectorGraph {
-        &self.graph
-    }
-
-    /// Detector node of key bit `plane` under this core's layout.
+    /// Detector node of key bit `plane`: plane `2i + r` is node
+    /// `(stab i, round r)`, so ascending bit index reproduces
+    /// `MwpmDecoder::defects` order.
     #[inline]
     fn node_of_plane(&self, plane: usize) -> usize {
-        match self.order {
-            PlaneOrder::StabMajor => (plane % 2) * self.graph.primary_count() + plane / 2,
-            PlaneOrder::NodeIndex => plane,
-        }
+        (plane % 2) * self.graph.primary_count() + plane / 2
     }
 
     /// Scratch context for a decode call over `shots` shots, carrying the
     /// call's blossom-time budget (`deadline × shots`, saturating).
-    pub(crate) fn budget_ctx(&self, shots: usize) -> Ctx {
+    fn budget_ctx(&self, shots: usize) -> Ctx {
         Ctx {
             budget: self
                 .tiers
@@ -305,7 +272,7 @@ impl SolveCore {
     /// cache on the way out (degraded answers excepted: they are not
     /// values of the exact `flip` function, so they never enter a cache).
     #[inline]
-    pub(crate) fn flip_of_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
+    fn flip_of_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
         if let Some(flip) = self.cheap_flip(key, local) {
             return flip;
         }

@@ -18,7 +18,8 @@
 //! classical record, so they work identically on logical and transpiled
 //! circuits. Memory streams are decoded by the sliding-window
 //! [`SpaceTimeDecoder`] over multi-layer graphs of the same kind, with
-//! the same tier cascade.
+//! the same exact matcher behind one outcome memo per window context
+//! (no tier cascade: see its module docs).
 //!
 //! # Tier selection ([`BulkDecoder`])
 //!
@@ -104,8 +105,9 @@
 //! # One context table
 //!
 //! The bulk decoder's per-mask cores and the space-time decoder's
-//! per-`(window layers, mask)` cores are interned in one LRU table type
-//! (`contexts::ContextTable`, capped at [`TierConfig::mask_capacity`]).
+//! per-`(window layers, commit layers, mask)` contexts are interned in
+//! one LRU table type (`contexts::ContextTable`, capped at
+//! [`TierConfig::mask_capacity`]).
 //! The bulk decoder's unmasked core is a plain field, so its unaware
 //! per-shot and batch paths take no lock.
 

@@ -145,7 +145,7 @@ fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
 ///
 /// Matches on the canonically perturbed weights ([`match_weights`]), so
 /// degenerate optima resolve the same way in every solver that shares
-/// this routine *and* in the sliding-window decoder's mid-stream solves.
+/// this routine *and* in the sliding-window decoder's window solves.
 pub(crate) fn matching_flip(
     g: &DetectorGraph,
     defects: &[usize],
@@ -157,11 +157,10 @@ pub(crate) fn matching_flip(
 /// The minimum-weight matching of `defects` (detector node ids, in the
 /// caller's order), committed below node `commit_nodes` — the one
 /// matching walk behind [`matching_flip`] (`commit_nodes = usize::MAX`:
-/// commit everything) and the space-time decoder's mid-stream window
-/// solves. Returns the crossing parity of every match with an endpoint
-/// below `commit_nodes`, and the node bitmask of the defects at or above
-/// it that no committed defect consumed (the window's survivors; ≤ 128
-/// defects in that case).
+/// commit everything) and every space-time window solve. Returns the
+/// crossing parity of every match with an endpoint below `commit_nodes`,
+/// and the node bitmask of the defects at or above it that no committed
+/// defect consumed (the window's survivors; ≤ 128 defects in that case).
 pub(crate) fn commit_matching(
     g: &DetectorGraph,
     defects: &[usize],

@@ -46,69 +46,61 @@
 //! The window schedule depends only on the round count, so a chunk's
 //! replicas advance in lockstep through one [`WindowState`]: it holds the
 //! clock (window base, next round), the chunk's [`MatchingArena`] and its
-//! batched tier counters once. Each replica keeps only three things: its
+//! batched counters once. Each replica keeps only three things: its
 //! pending defects as a window-local `u128` key (bit
-//! `(round − base) · P + stab`, node-major like the solve cores' plane
-//! order), its committed flip and whether it ever saw a defect.
+//! `(round − base) · P + stab`, the window graph's node id), its
+//! committed flip and whether it ever saw a defect.
 //! [`SpaceTimeDecoder::push_round`] ORs one round's `P` event rows (one
-//! bit per replica) into the keys; a mid-stream solve re-bases each key's
-//! survivors by shifting out the `C · P` committed bits.
+//! bit per replica) into the keys; a solve re-bases each key's survivors
+//! by shifting out the committed bits.
 //!
-//! # Tier reuse
+//! # One solve pass, one outcome memo per window context
 //!
-//! Window solves run on [`SolveCore`]s over multi-layer
-//! [`DetectorGraph::space_time`] graphs — the same LUT / analytic /
-//! sharded-cache / exact-matcher cascade as the bulk decoder, interned per
-//! `(window layers, mask)` pair, so warm windows decode from a table
-//! lookup. The window geometry is built once per layer count (at most
-//! two: `W` and the final remainder), lazily, as that layer count's
-//! unmasked context; a masked context reweights the unmasked context's
-//! graph ([`DetectorGraph::reweighted`]) instead of building the
-//! geometry again. Every graph carries its table of perturbed match
-//! weights, so a matcher call reads its pair and boundary weights instead
-//! of computing them.
+//! Every window solve, mid-stream (`W` layers, commit `C`) or final (the
+//! remaining `R − base` layers, commit all), is one grouped pass over
+//! the chunk. Its context is a window graph
+//! ([`DetectorGraph::space_time`], reweighted by the mask active at solve
+//! time) plus a memo of outcomes (committed flip and survivors) by defect
+//! key, interned per `(layers, commit layers, mask)`. The commit belongs
+//! in the key: when `R − base = W`, the final and the mid-stream windows
+//! share a graph, but one key commits differently under the two. A
+//! masked context reweights the unmasked context's graph
+//! ([`DetectorGraph::reweighted`]) instead of building the geometry
+//! again, and every graph carries its table of perturbed match weights.
 //!
-//! A solve fetches its context once per chunk-round, and only if some
-//! replica has pending defects. Mid-stream windows (which must also
-//! report *survivors*, not just a flip) memoise full outcomes per defect
-//! pattern in a per-context map keyed by a cheap `u128` hash. Each
-//! chunk-round probes it for every replica under one lock, solves each
-//! distinct missing key once outside the lock, and inserts the new
-//! outcomes under a second lock; final windows go through the cascade
-//! per replica. Both paths share the chunk's arena.
+//! A pass shifts every key with no defect in the commit region (it
+//! commits nothing), answers repeats from the memo and solves each
+//! distinct miss once with [`commit_matching`]. The bulk decoder's
+//! lookup-table, analytic and cache tiers are not used, and neither is
+//! its decode deadline: the window bounds a matching at `W · P` nodes.
 //! Contexts are interned in the same [`ContextTable`] type the bulk
 //! decoder keys its mask contexts by, so masked window contexts are
-//! LRU-capped at [`TierConfig::mask_capacity`] and counted as
-//! `decode.mask_hits` the same way. The two decoders keep separate front
-//! ends on purpose: the bulk decoder hands defects to the matcher
-//! stab-major, this one node-major, and that order decides the matcher's
-//! tie-break.
-//!
-//! Mid-stream window solves are exact and unbudgeted: the window bounds
-//! the matching size by construction (`W · P` nodes), so the decode
-//! deadline machinery that guards unbounded whole-history solves is not
-//! engaged. Full-commit solves go through the budgeted cascade unchanged.
+//! LRU-capped at [`TierConfig::mask_capacity`] (the one [`TierConfig`]
+//! field this decoder reads) and counted as `decode.mask_hits` the same
+//! way.
 //!
 //! [`BulkDecoder`]: crate::decoder::BulkDecoder
 //! [`ContextTable`]: super::contexts::ContextTable
 //! [`MatchingArena`]: radqec_matching::MatchingArena
 //! [`MatchingArena::match_defects`]: radqec_matching::MatchingArena::match_defects
+//! [`commit_matching`]: super::mwpm::commit_matching
 
-use super::bulk::{Ctx, LocalStats, SolveCore, StatCells};
+use super::bulk::{LocalStats, StatCells};
 use super::contexts::ContextTable;
 use super::graph::DetectorGraph;
 use super::mask::DecoderMask;
 use super::mwpm::commit_matching;
 use super::TierConfig;
 use crate::codes::MemoryCircuit;
+use radqec_matching::MatchingArena;
 use radqec_telemetry::MetricsRegistry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Ceiling on memoised mid-stream window outcomes per context; reaching
-/// it clears the memo (epoch reset — entries are recomputable).
+/// Ceiling on memoised window outcomes per context; reaching it clears
+/// the memo (epoch reset — entries are recomputable).
 const WINDOW_MEMO_CAP: usize = 1 << 16;
 
 /// Sliding-window geometry: solve on `window` layers, commit the oldest
@@ -168,6 +160,8 @@ pub enum SpaceTimeError {
     },
     /// The window geometry itself is invalid.
     Window(WindowConfigError),
+    /// `mask_capacity` is zero: no masked window context could be kept.
+    ZeroMaskCapacity,
 }
 
 impl fmt::Display for SpaceTimeError {
@@ -182,6 +176,9 @@ impl fmt::Display for SpaceTimeError {
                 write!(f, "window of {bits} detector bits exceeds the 128-bit defect key")
             }
             SpaceTimeError::Window(e) => write!(f, "invalid window config: {e}"),
+            SpaceTimeError::ZeroMaskCapacity => {
+                write!(f, "tier config: mask_capacity must be at least 1")
+            }
         }
     }
 }
@@ -227,7 +224,7 @@ impl Default for WindowConfig {
     }
 }
 
-/// Outcome of one mid-stream window solve (memoised per defect pattern).
+/// Outcome of one window solve (memoised per defect pattern).
 #[derive(Debug, Clone, Copy)]
 struct WindowOutcome {
     /// Crossing parity of every finalized match.
@@ -260,13 +257,14 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Mid-stream window outcomes by defect key.
+/// Window outcomes by defect key.
 type WindowMemo = HashMap<u128, WindowOutcome, BuildHasherDefault<KeyHasher>>;
 
-/// One interned `(layers, mask)` solve context: the multi-layer core plus
-/// the mid-stream outcome memo.
+/// One interned `(layers, commit layers, mask)` solve context: the window
+/// graph plus its outcome memo (module docs: one outcome memo per window
+/// context).
 struct WindowContext {
-    core: SolveCore,
+    graph: DetectorGraph,
     memo: Mutex<WindowMemo>,
 }
 
@@ -291,12 +289,13 @@ pub struct WindowState {
     /// Next detector round the chunk expects.
     next_round: usize,
     replicas: Vec<Replica>,
-    /// The chunk's matching arena.
-    ctx: Ctx,
-    /// Batched tier counters, flushed by `finish`.
+    /// The chunk's matching arena and defect-list buffer.
+    arena: MatchingArena,
+    defects: Vec<usize>,
+    /// Batched counters, flushed by `finish`.
     local: LocalStats,
-    /// Scratch of one mid-stream solve: the memo misses as
-    /// `(key, replica)`, then the distinct keys' outcomes.
+    /// Scratch of one solve pass: the memo misses as `(key, replica)`,
+    /// then the distinct keys' outcomes.
     misses: Vec<(u128, u32)>,
     solved: Vec<(u128, WindowOutcome)>,
 }
@@ -324,9 +323,8 @@ pub struct SpaceTimeDecoder {
     primary_count: usize,
     detector_rounds: usize,
     cfg: WindowConfig,
-    tiers: TierConfig,
-    /// Solve contexts keyed by `(window layers, mask)`.
-    contexts: ContextTable<usize, WindowContext>,
+    /// Solve contexts keyed by `((window layers, commit layers), mask)`.
+    contexts: ContextTable<(usize, usize), WindowContext>,
     stats: StatCells,
 }
 
@@ -335,7 +333,13 @@ impl SpaceTimeDecoder {
     /// syndrome layers plus the terminal detector layer the projected
     /// data readout induces (`detector_rounds = rounds + 1`), or the
     /// reason the stream cannot be decoded: no final data readout, an
-    /// invalid window, or a window wider than the 128-bit defect key.
+    /// invalid window, a window wider than the 128-bit defect key, or a
+    /// zero `mask_capacity`.
+    ///
+    /// Of `tiers`, only [`TierConfig::mask_capacity`] applies: window
+    /// solves run the exact matcher behind a per-context outcome memo,
+    /// without the bulk decoder's lookup-table, analytic and cache tiers
+    /// or its decode deadline (module docs).
     pub fn try_for_memory(
         memory: &MemoryCircuit,
         cfg: WindowConfig,
@@ -344,6 +348,9 @@ impl SpaceTimeDecoder {
     ) -> Result<Self, SpaceTimeError> {
         let readout = memory.final_readout.as_ref().ok_or(SpaceTimeError::NoFinalReadout)?;
         WindowConfig::try_new(cfg.window, cfg.commit).map_err(SpaceTimeError::Window)?;
+        if tiers.mask_capacity == 0 {
+            return Err(SpaceTimeError::ZeroMaskCapacity);
+        }
         let supports: Vec<Vec<u32>> =
             memory.primary_stabilizers().iter().map(|s| s.support.clone()).collect();
         let primary_count = supports.len();
@@ -360,7 +367,6 @@ impl SpaceTimeDecoder {
             primary_count,
             detector_rounds,
             cfg,
-            tiers,
             contexts: ContextTable::new(tiers.mask_capacity, Arc::clone(&stats.mask_hits)),
             stats,
         })
@@ -382,7 +388,8 @@ impl SpaceTimeDecoder {
             base: 0,
             next_round: 0,
             replicas: vec![Replica::default(); replicas],
-            ctx: Ctx::default(),
+            arena: MatchingArena::default(),
+            defects: Vec::new(),
             local: LocalStats::default(),
             misses: Vec::new(),
             solved: Vec::new(),
@@ -424,36 +431,27 @@ impl SpaceTimeDecoder {
         if state.next_round == state.base + self.cfg.window
             && state.base + self.cfg.window < self.detector_rounds
         {
-            self.advance_window(state, mask);
+            state.base += self.cfg.commit;
+            self.solve(state, self.cfg.window, self.cfg.commit, mask);
         }
     }
 
     /// Close the stream: commit every replica's final window in full,
-    /// flush the chunk's tier counters into the decoder's metrics, and
-    /// return each replica's accumulated flip (XOR against its raw logical
+    /// flush the chunk's counters into the decoder's metrics, and return
+    /// each replica's accumulated flip (XOR against its raw logical
     /// readout to correct it).
     ///
     /// # Panics
     /// Panics unless exactly `detector_rounds` rounds were pushed.
-    pub fn finish(&self, state: WindowState, mask: Option<&DecoderMask>) -> Vec<bool> {
+    pub fn finish(&self, mut state: WindowState, mask: Option<&DecoderMask>) -> Vec<bool> {
         assert_eq!(state.next_round, self.detector_rounds, "stream is missing rounds");
-        let WindowState { base, replicas, mut ctx, mut local, .. } = state;
-        let mut wctx = None;
-        let flips = replicas
-            .iter()
-            .map(|rep| {
-                local.shots += 1;
-                local.trivial += u64::from(!rep.saw_defect);
-                if rep.pending == 0 {
-                    return rep.flip;
-                }
-                let wctx =
-                    wctx.get_or_insert_with(|| self.context(self.detector_rounds - base, mask));
-                rep.flip ^ wctx.core.flip_of_key(rep.pending, &mut ctx, &mut local)
-            })
-            .collect();
+        let layers = self.detector_rounds - state.base;
+        self.solve(&mut state, layers, layers, mask);
+        let WindowState { replicas, mut local, .. } = state;
+        local.shots += replicas.len() as u64;
+        local.trivial += replicas.iter().filter(|rep| !rep.saw_defect).count() as u64;
         self.stats.flush(local);
-        flips
+        replicas.iter().map(|rep| rep.flip).collect()
     }
 
     /// Decode one replica's full event history in one call (tests and the
@@ -470,38 +468,50 @@ impl SpaceTimeDecoder {
         self.finish(state, mask)[0]
     }
 
-    /// Solve every replica's full window `[base, base + W)` and commit its
-    /// oldest `C` layers (module docs: the commit/discard contract). An
-    /// empty window commits nothing and fetches no context.
+    /// Solve every replica's window of `layers` layers and commit its
+    /// oldest `commit` layers (module docs: the commit/discard contract,
+    /// and one solve pass), both counted from the window's first layer,
+    /// key bit 0. An empty chunk commits nothing and fetches no context.
     ///
     /// The memo is visited twice per call, not twice per replica: one
-    /// locked pass answers every key it holds and collects the misses;
+    /// locked pass shifts every key with no defect in the commit region,
+    /// answers every other key the memo holds and collects the misses;
     /// the misses are sorted so each distinct key is solved once, outside
     /// the lock (a repeat counts as a memo hit, as it would have been had
     /// the first copy been inserted before it was probed); a second locked
     /// pass inserts the new outcomes.
-    fn advance_window(&self, state: &mut WindowState, mask: Option<&DecoderMask>) {
-        let committed_bits = (self.cfg.commit * self.primary_count) as u32;
-        state.base += self.cfg.commit;
+    fn solve(
+        &self,
+        state: &mut WindowState,
+        layers: usize,
+        commit: usize,
+        mask: Option<&DecoderMask>,
+    ) {
         if state.replicas.iter().all(|rep| rep.pending == 0) {
             return;
         }
-        let wctx = self.context(self.cfg.window, mask);
-        let WindowState { replicas, ctx, local, misses, solved, .. } = state;
-        // Survivors sit above the commit region; `C · P = 128` (a
-        // full-window commit) leaves none.
-        let commit = |rep: &mut Replica, outcome: WindowOutcome| {
+        // `layers · P ≤ 128` (`try_for_memory`), so the commit region is
+        // 1 to 128 key bits; a full-key commit leaves no survivor.
+        let commit_nodes = commit * self.primary_count;
+        let commit_region = u128::MAX >> (128 - commit_nodes);
+        let apply = |rep: &mut Replica, outcome: WindowOutcome| {
             rep.flip ^= outcome.flip;
-            rep.pending = outcome.survivors.checked_shr(committed_bits).unwrap_or(0);
+            rep.pending = outcome.survivors.checked_shr(commit_nodes as u32).unwrap_or(0);
         };
+        let wctx = self.context(layers, commit, mask);
+        let WindowState { replicas, arena, defects, local, misses, solved, .. } = state;
         misses.clear();
         {
             let memo = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner);
             for (i, rep) in replicas.iter_mut().enumerate().filter(|(_, rep)| rep.pending != 0) {
+                if rep.pending & commit_region == 0 {
+                    apply(rep, WindowOutcome { flip: false, survivors: rep.pending });
+                    continue;
+                }
                 match memo.get(&rep.pending) {
                     Some(&hit) => {
                         local.cache_hits += 1;
-                        commit(rep, hit);
+                        apply(rep, hit);
                     }
                     None => misses.push((rep.pending, i as u32)),
                 }
@@ -511,10 +521,20 @@ impl SpaceTimeDecoder {
         solved.clear();
         for group in misses.chunk_by(|a, b| a.0 == b.0) {
             let key = group[0].0;
-            let outcome = self.window_outcome(&wctx, key, ctx, local);
+            // The exact matcher, fed the key's defects in ascending node
+            // order.
+            defects.clear();
+            let mut bits = key;
+            while bits != 0 {
+                defects.push(bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+            local.matchings += 1;
             local.cache_hits += group.len() as u64 - 1;
+            let (flip, survivors) = commit_matching(&wctx.graph, defects, arena, commit_nodes);
+            let outcome = WindowOutcome { flip, survivors };
             for &(_, i) in group {
-                commit(&mut replicas[i as usize], outcome);
+                apply(&mut replicas[i as usize], outcome);
             }
             solved.push((key, outcome));
         }
@@ -529,51 +549,24 @@ impl SpaceTimeDecoder {
         }
     }
 
-    /// One mid-stream window solve of a key the memo lacks:
-    /// finalized-parity flip plus the surviving tentative defects.
-    fn window_outcome(
+    /// Intern (or fetch) the solve context of `(layers, commit, mask)`.
+    /// Unmasked contexts persist for the decoder's lifetime (there are at
+    /// most two live pairs: `(W, C)` and the final remainder); masked
+    /// contexts are LRU-evicted past [`TierConfig::mask_capacity`]. A
+    /// masked context reweights the graph of the unmasked context of the
+    /// same pair (interned first if need be — [`ContextTable`] builds
+    /// outside its lock, so the nested intern is safe) instead of
+    /// rebuilding the window geometry.
+    fn context(
         &self,
-        wctx: &WindowContext,
-        key: u128,
-        ctx: &mut Ctx,
-        local: &mut LocalStats,
-    ) -> WindowOutcome {
-        debug_assert_ne!(key, 0);
-        let commit_nodes = self.cfg.commit * self.primary_count;
-        if commit_nodes < 128 && key >> commit_nodes == 0 {
-            // Every defect sits inside the commit region: the window is a
-            // full commit — route it through the tier cascade (LUT /
-            // analytic / cache / blossom) like a final window.
-            let flip = wctx.core.flip_of_key(key, ctx, local);
-            return WindowOutcome { flip, survivors: 0 };
-        }
-        // The exact matcher over a mixed commit/tentative window, fed its
-        // defects in ascending key-bit order.
-        ctx.defects.clear();
-        let mut bits = key;
-        while bits != 0 {
-            ctx.defects.push(bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-        local.matchings += 1;
-        let g = wctx.core.graph();
-        let (flip, survivors) = commit_matching(g, &ctx.defects, &mut ctx.arena, commit_nodes);
-        WindowOutcome { flip, survivors }
-    }
-
-    /// Intern (or fetch) the solve context of `(layers, mask)`. Unmasked
-    /// contexts persist for the decoder's lifetime (there are at most two
-    /// live layer counts: `W` and the final remainder); masked contexts
-    /// are LRU-evicted past [`TierConfig::mask_capacity`]. A masked
-    /// context reweights the unmasked context's graph for its layer count
-    /// (interned first if need be — [`ContextTable`] builds outside its
-    /// lock, so the nested intern is safe) instead of rebuilding the
-    /// window geometry.
-    fn context(&self, layers: usize, mask: Option<&DecoderMask>) -> Arc<WindowContext> {
+        layers: usize,
+        commit: usize,
+        mask: Option<&DecoderMask>,
+    ) -> Arc<WindowContext> {
         let mask = mask.filter(|m| !m.is_noop());
-        self.contexts.intern(layers, mask.map(DecoderMask::weight_key), || {
+        self.contexts.intern((layers, commit), mask.map(DecoderMask::weight_key), || {
             let graph = match mask {
-                Some(m) => m.reweight(self.context(layers, None).core.graph()),
+                Some(m) => m.reweight(&self.context(layers, commit, None).graph),
                 None => DetectorGraph::space_time(
                     &self.data_qubits,
                     &self.supports,
@@ -581,10 +574,7 @@ impl SpaceTimeDecoder {
                     layers,
                 ),
             };
-            WindowContext {
-                core: SolveCore::window(graph, self.tiers),
-                memo: Mutex::new(WindowMemo::default()),
-            }
+            WindowContext { graph, memo: Mutex::new(WindowMemo::default()) }
         })
     }
 
@@ -659,6 +649,14 @@ mod tests {
         let err = build(&bare, WindowConfig::new(5, 2)).err().unwrap();
         assert_eq!(err, SpaceTimeError::NoFinalReadout);
         assert!(err.to_string().contains("readout-terminated"));
+        let rep5 = RepetitionCode::bit_flip(5).build_memory_readout(9);
+        let zero_mask = TierConfig { mask_capacity: 0, ..tiers };
+        let err =
+            SpaceTimeDecoder::try_for_memory(&rep5, WindowConfig::default(), zero_mask, &metrics)
+                .err()
+                .unwrap();
+        assert_eq!(err, SpaceTimeError::ZeroMaskCapacity);
+        assert!(err.to_string().contains("mask_capacity"));
     }
 
     #[test]
@@ -735,6 +733,9 @@ mod tests {
         let flip = dec.finish(state, None)[0];
         // Stab 0 at any round exits through readout qubit 0: flip = true.
         assert!(flip, "survivor's boundary parity must land in the final flip");
+        // The final window is solved by the matcher, never a bulk tier.
+        assert_eq!(metrics.counter(names::DECODE_ANALYTIC).get(), 0);
+        assert_eq!(metrics.counter(names::DECODE_MATCHINGS).get(), 1);
     }
 
     #[test]
@@ -937,7 +938,10 @@ mod tests {
             histories.push(vec![Vec::new(); rounds]);
             let of_replica: Vec<usize> = (0..70).map(|i| (i * 3) % histories.len()).collect();
             let mut state = dec.begin(of_replica.len());
-            let mut distinct_keys = 0;
+            // The `(layers, commit, key)` solves the chunk needs: a
+            // mid-stream key with a commit-region defect, or any non-zero
+            // final key.
+            let mut solves = std::collections::BTreeSet::new();
             // Round `r`'s event rows, one bit per replica.
             let rows_of = |r: usize| -> Vec<Vec<u64>> {
                 (0..p)
@@ -956,31 +960,29 @@ mod tests {
                 let rows = rows_of(r);
                 // The keys the solve this push triggers (if any) sees.
                 let layer = (r - state.base()) * p;
-                let mut keys: Vec<u128> = (0..of_replica.len())
-                    .map(|shot| {
-                        (0..p).fold(state.replicas[shot].pending, |key, i| {
-                            key | u128::from(rows[i][shot / 64] >> (shot % 64) & 1) << (layer + i)
-                        })
-                    })
-                    .filter(|&key| key != 0)
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
                 if r + 1 == state.base() + cfg.window && r + 1 < rounds {
-                    distinct_keys += keys.len();
+                    let commit_region = (1u128 << (cfg.commit * p)) - 1;
+                    for shot in 0..of_replica.len() {
+                        let key = (0..p).fold(state.replicas[shot].pending, |key, i| {
+                            key | u128::from(rows[i][shot / 64] >> (shot % 64) & 1) << (layer + i)
+                        });
+                        if key & commit_region != 0 {
+                            solves.insert((cfg.window, cfg.commit, key));
+                        }
+                    }
                 }
                 dec.push_round(&mut state, |i| &rows[i], Some(&mask));
             }
-            let mut keys: Vec<u128> =
-                state.replicas.iter().map(|rep| rep.pending).filter(|&k| k != 0).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            distinct_keys += keys.len();
+            let last = rounds - state.base();
+            for rep in state.replicas.iter().filter(|rep| rep.pending != 0) {
+                solves.insert((last, last, rep.pending));
+            }
             let flips = dec.finish(state, Some(&mask));
             let matchings = metrics.counter(names::DECODE_MATCHINGS).get() as usize;
-            assert!(
-                matchings <= distinct_keys,
-                "{}: {matchings} matchings for {distinct_keys} distinct keys",
+            assert_eq!(
+                matchings,
+                solves.len(),
+                "{}: one matching per distinct (context, key) solve",
                 memory.name
             );
             let reference =

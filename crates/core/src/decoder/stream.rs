@@ -183,9 +183,11 @@ impl<'e> StreamDecoder<'e> {
 
     /// Build the sink over `engine`'s stream, or the reason its window
     /// decoder cannot be built: the engine's memory carries no final data
-    /// readout (build it with [`StreamEngineBuilder::final_readout`]), or
-    /// the window is invalid or wider than the 128-bit defect key (see
-    /// [`SpaceTimeDecoder::try_for_memory`]).
+    /// readout (build it with [`StreamEngineBuilder::final_readout`]),
+    /// the window is invalid or wider than the 128-bit defect key, or
+    /// `tiers.mask_capacity` is zero (see
+    /// [`SpaceTimeDecoder::try_for_memory`], which also says why no other
+    /// `tiers` field applies).
     ///
     /// [`StreamEngineBuilder::final_readout`]: crate::streaming::StreamEngineBuilder::final_readout
     pub fn try_new(
