@@ -1,12 +1,13 @@
-//! Decode-only and end-to-end throughput of the tiered bulk decoder,
-//! emitting a `BENCH_decoder.json` trajectory entry.
+//! Decode-only and end-to-end throughput of the bulk decoder, emitting a
+//! `BENCH_decoder.json` trajectory entry.
 //!
-//! Decode-only: identical frame-sampler [`ShotBatch`]es are decoded by each
-//! tier configuration — `blossom` / `analytic` (tiers disabled, fresh
-//! cache per pass, i.e. every distinct syndrome pays its solve),
-//! `tiered_cold` (full cascade, fresh LUT/cache per pass) and
-//! `tiered_warm` (full cascade, engine-lifetime cache — the steady state
-//! of a campaign).
+//! Decode-only: identical frame-sampler [`ShotBatch`]es are decoded
+//! `tiered_cold` (a fresh decoder per pass, so every distinct syndrome
+//! pays its solve) and `tiered_warm` (one decoder whose memo was filled by
+//! an untimed pass — the steady state of a campaign). Each rate is the
+//! median of `reps` timed passes, with the quartiles beside it
+//! (`_q1`/`_q3`): single passes of the same binary vary by up to 2× on a
+//! shared 2-vCPU machine.
 //!
 //! End-to-end: the injection-engine sample loop on both samplers (one
 //! warm-up, then `reps` timed samples), with each sampler's logical-error
@@ -22,6 +23,7 @@ use radqec_circuit::ShotBatch;
 use radqec_core::codes::{CodeSpec, RepetitionCode, XxzzCode};
 use radqec_core::decoder::{BulkDecoder, TierConfig};
 use radqec_core::injection::{InjectionEngine, SamplerKind};
+use radqec_detect::quantile;
 use radqec_noise::{FaultSpec, NoiseSpec, RadiationModel};
 use radqec_telemetry::{names, MetricsRegistry};
 use std::process::ExitCode;
@@ -62,7 +64,7 @@ fn workloads() -> Vec<Workload> {
             noise: NoiseSpec::paper_default(),
         },
         // Beyond the LUT threshold (24 detector bits): exercises the
-        // analytic tier and the sharded cross-batch cache.
+        // sharded cross-batch cache.
         Workload {
             name: "xxzz55_radiation_impact",
             spec: XxzzCode::new(5, 5).into(),
@@ -72,14 +74,15 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// Decode every batch `reps` times through `make_decoder` (fresh per rep if
-/// `cold`); returns shots/s.
+/// Decode every batch in `reps` timed passes through `make_decoder` (a
+/// fresh decoder per pass if `cold`); returns the `[q1, median, q3]`
+/// shots/s of the passes.
 fn time_decode(
     batches: &[ShotBatch],
     reps: usize,
     cold: bool,
     make_decoder: impl Fn() -> BulkDecoder,
-) -> f64 {
+) -> [f64; 3] {
     let shots: usize = batches.iter().map(ShotBatch::shots).sum();
     let warm = make_decoder();
     if !cold {
@@ -87,20 +90,23 @@ fn time_decode(
             std::hint::black_box(warm.decode_batch(b));
         }
     }
-    let start = Instant::now();
-    for _ in 0..reps {
-        let fresh;
-        let dec = if cold {
-            fresh = make_decoder();
-            &fresh
-        } else {
-            &warm
-        };
-        for b in batches {
-            std::hint::black_box(dec.decode_batch(b));
-        }
-    }
-    (shots * reps) as f64 / start.elapsed().as_secs_f64()
+    let rates: Vec<f64> = (0..reps)
+        .map(|_| {
+            let fresh;
+            let dec = if cold {
+                fresh = make_decoder();
+                &fresh
+            } else {
+                &warm
+            };
+            let start = Instant::now();
+            for b in batches {
+                std::hint::black_box(dec.decode_batch(b));
+            }
+            shots as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    [0.25, 0.5, 0.75].map(|q| quantile(&rates, q))
 }
 
 /// End-to-end engine logical-error rate and throughput at sample 0: one
@@ -128,10 +134,7 @@ fn main() -> ExitCode {
     let seed: u64 = arg_flag("seed", 1);
     let reps = arg_count("reps", 3);
     let mut bench = BenchFile::from_args("BENCH_decoder.json");
-    println!(
-        "workload                  blossom/s analytic/s  tiercold/s  tierwarm/s e2e_frame/s \
-         frame_ler   tab_ler"
-    );
+    println!("workload                  tiercold/s  tierwarm/s e2e_frame/s frame_ler   tab_ler");
     for w in workloads() {
         let engine = InjectionEngine::builder(w.spec).shots(shots).seed(seed).build();
         let code = engine.code().clone();
@@ -140,12 +143,6 @@ fn main() -> ExitCode {
         // on exactly the syndrome mix a campaign sees.
         let batches = engine.frame_batches_at_sample(&w.fault, &w.noise, 0);
 
-        let blossom_tiers = TierConfig { lut: false, analytic: false, ..Default::default() };
-        let blossom =
-            time_decode(&batches, reps, true, || BulkDecoder::with_tiers(&code, blossom_tiers));
-        let analytic_tiers = TierConfig { lut: false, ..Default::default() };
-        let analytic =
-            time_decode(&batches, reps, true, || BulkDecoder::with_tiers(&code, analytic_tiers));
         let tiered_cold = time_decode(&batches, reps, true, || BulkDecoder::new(&code));
         // The warm path records into a shared registry so the JSON gains
         // per-batch decode-latency percentiles for the steady state.
@@ -166,19 +163,20 @@ fn main() -> ExitCode {
         let (tab_ler, tab_sps) = time_end_to_end(&w, SamplerKind::Tableau, shots, seed, reps);
 
         println!(
-            "{:<24} {blossom:>10.0} {analytic:>10.0} {tiered_cold:>11.0} {tiered_warm:>11.0} \
-             {frame_sps:>11.0} {frame_ler:>9.4} {tab_ler:>9.4}",
-            w.name
+            "{:<24} {:>11.0} {:>11.0} {frame_sps:>11.0} {frame_ler:>9.4} {tab_ler:>9.4}",
+            w.name, tiered_cold[1], tiered_warm[1]
         );
         bench.push(
             Record::new()
                 .str("workload", w.name)
                 .int("shots", shots)
                 .int("seed", seed)
-                .float("blossom_decode_shots_per_sec", blossom, 1)
-                .float("analytic_decode_shots_per_sec", analytic, 1)
-                .float("tiered_cold_decode_shots_per_sec", tiered_cold, 1)
-                .float("tiered_warm_decode_shots_per_sec", tiered_warm, 1)
+                .float("tiered_cold_decode_shots_per_sec_q1", tiered_cold[0], 1)
+                .float("tiered_cold_decode_shots_per_sec", tiered_cold[1], 1)
+                .float("tiered_cold_decode_shots_per_sec_q3", tiered_cold[2], 1)
+                .float("tiered_warm_decode_shots_per_sec_q1", tiered_warm[0], 1)
+                .float("tiered_warm_decode_shots_per_sec", tiered_warm[1], 1)
+                .float("tiered_warm_decode_shots_per_sec_q3", tiered_warm[2], 1)
                 .float("end_to_end_frame_shots_per_sec", frame_sps, 1)
                 .float("end_to_end_tableau_shots_per_sec", tab_sps, 1)
                 .float("frame_logical_error", frame_ler, 6)

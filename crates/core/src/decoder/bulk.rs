@@ -1,13 +1,15 @@
-//! Tiered bulk MWPM decoder: bit-plane defect extraction + LUT / analytic
-//! / blossom solve tiers + the engine-level cross-batch syndrome cache,
-//! with a **mask-keyed cache dimension** for strike-aware decoding.
+//! Bulk MWPM decoder: bit-plane defect extraction, an engine-lifetime
+//! syndrome memo (direct lookup table or sharded cache) and one budgeted
+//! exact solve per distinct missed syndrome, with a **mask-keyed cache
+//! dimension** for strike-aware decoding.
 //!
-//! See the [`crate::decoder`] module docs for the tier-selection rules and
-//! the exactness argument; the short version is that every tier computes
-//! the same pure function `flip(defect_pattern)` as
-//! [`MwpmDecoder::decode`], so [`BulkDecoder`] is bit-identical to
-//! [`MwpmDecoder`] on every record (enforced exhaustively for LUT-eligible
-//! codes and property-tested otherwise in `tests/decoder_tiers.rs`).
+//! See the [`crate::decoder`] module docs for the solve pass and the
+//! exactness argument; the short version is that every memo entry is a
+//! value of the same pure function `flip(defect_pattern)` that
+//! [`MwpmDecoder::decode`] computes, so [`BulkDecoder`] is bit-identical to
+//! [`MwpmDecoder`] on every record (enforced exhaustively for the
+//! direct-table codes and property-tested otherwise in
+//! `tests/decoder_tiers.rs`).
 //!
 //! Strike-aware decoding adds a second axis: a [`DecoderMask`] reweights
 //! the detector graph inside a struck region, which changes `flip` — so
@@ -15,9 +17,9 @@
 //! its own [`SolveCore`] in a [`ContextTable`], the table type the
 //! space-time decoder interns its window contexts in too. Warm-path
 //! throughput survives because a sweep reuses a handful of mask keys, each
-//! with its own fully warmed cache, and a no-op mask takes the lock-free
+//! with its own fully warmed memo, and a no-op mask takes the lock-free
 //! unmasked path outright (`tests/strike_aware_decoding.rs` pins both the
-//! tier bit-identity per mask and the no-op handoff).
+//! bit-identity per mask and the no-op handoff).
 
 use crate::codes::CodeCircuit;
 use crate::decoder::cache::{SyndromeCache, DEFAULT_CACHE_CAPACITY, LUT_MAX_BITS};
@@ -46,31 +48,24 @@ pub const DEFAULT_DECODE_DEADLINE: Duration = Duration::from_millis(20);
 /// quantised weight keys).
 pub const DEFAULT_MASK_CAPACITY: usize = 64;
 
-/// Which solve tiers a [`BulkDecoder`] may use (the blossom fallback and
-/// the cross-batch cache are always available). Disabling tiers never
-/// changes results — only where the work happens — and exists so the
-/// equivalence suite and the `decoder_throughput` bench can time each tier
-/// in isolation. The `deadline` knob is the one exception: a spent budget
-/// swaps the exact matcher for the greedy fallback (see
-/// [`DecoderStats::degraded`]), which may differ on ≥ 4-defect syndromes.
+/// The resource limits of a [`BulkDecoder`]. The memo's storage is not a
+/// setting: codes with at most `LUT_MAX_BITS` (16) detector bits get the
+/// exhaustive direct-indexed table, wider ones the sharded cache. Only
+/// `deadline` can change a decode: a spent budget swaps the exact matcher
+/// for the greedy fallback (see [`DecoderStats::degraded`]), which may
+/// differ on syndromes of three or more defects, or of two tied ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Exhaustive direct-indexed lookup table for codes with at most
-    /// `LUT_MAX_BITS` detector bits (lazily filled; decode = one index).
-    pub lut: bool,
-    /// Closed-form 1–2-defect solves straight from [`DetectorGraph`]
-    /// distances (exact-tie cases still fall through to the matcher).
-    pub analytic: bool,
     /// Entry budget of the sharded cross-batch cache used when the code is
-    /// too wide for the LUT.
+    /// too wide for the direct table.
     pub cache_capacity: usize,
-    /// Per-shot budget for the blossom fallback, or `None` for unbounded.
+    /// Per-shot budget for the exact solves, or `None` for unbounded.
     /// Batch decoding scales it to `deadline × shots` and charges every
-    /// blossom run against the pool; once spent, remaining heavy shots are
+    /// solve against the pool; once spent, remaining missed syndromes are
     /// answered by a deterministic greedy matching instead (counted in
     /// [`DecoderStats::degraded`], never cached), so a stuck matcher can
-    /// not stall a round stream. `Duration::ZERO` degrades every heavy
-    /// shot — the chaos-test configuration.
+    /// not stall a round stream. `Duration::ZERO` degrades every missed
+    /// syndrome — the chaos-test configuration.
     pub deadline: Option<Duration>,
     /// Hard ceiling on interned mask contexts; the least-recently-used
     /// context is dropped to admit a new key (counted in
@@ -82,8 +77,6 @@ pub struct TierConfig {
 impl Default for TierConfig {
     fn default() -> Self {
         TierConfig {
-            lut: true,
-            analytic: true,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             deadline: Some(DEFAULT_DECODE_DEADLINE),
             mask_capacity: DEFAULT_MASK_CAPACITY,
@@ -119,18 +112,20 @@ impl fmt::Display for TierError {
 impl std::error::Error for TierError {}
 
 /// Counters describing where decode work went (snapshot of a
-/// [`BulkDecoder`]'s atomics; see [`BulkDecoder::decode_stats`]).
+/// [`BulkDecoder`]'s atomics; see [`BulkDecoder::decode_stats`]). Every
+/// decoded shot lands in exactly one of `trivial`, `cache_hits`,
+/// `matchings` and `degraded`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecoderStats {
     /// Shots decoded in total.
     pub shots: u64,
     /// Shots with an all-zero syndrome (raw readout passes through).
     pub trivial: u64,
-    /// Shots answered by the lookup table / cross-batch cache.
+    /// Shots answered by the lookup table / cross-batch cache, or by the
+    /// solve of another shot of the same call with the same syndrome.
     pub cache_hits: u64,
-    /// Shots answered by the closed-form 1–2-defect path.
-    pub analytic: u64,
-    /// Blossom matchings actually run (cache misses + analytic ties).
+    /// Exact matchings actually run: one per distinct syndrome a call
+    /// missed in the memo.
     pub matchings: u64,
     /// Shots answered by the greedy fallback because the decode budget was
     /// already spent (see [`TierConfig::deadline`]). Zero at the default
@@ -151,7 +146,7 @@ pub struct DecoderStats {
     pub mask_evictions: u64,
 }
 
-/// Registry-backed tier counters (the `decode.*` metric family): handles
+/// Registry-backed decode counters (the `decode.*` metric family): handles
 /// are resolved once at decoder construction, so bumping them costs one
 /// relaxed `fetch_add` — and the per-shot loop pays nothing, because
 /// [`LocalStats`] batches a whole call before touching them.
@@ -159,7 +154,6 @@ pub(crate) struct StatCells {
     shots: Arc<Counter>,
     trivial: Arc<Counter>,
     cache_hits: Arc<Counter>,
-    analytic: Arc<Counter>,
     matchings: Arc<Counter>,
     degraded: Arc<Counter>,
     pub(crate) mask_hits: Arc<Counter>,
@@ -173,7 +167,6 @@ impl StatCells {
             shots: metrics.counter(names::DECODE_SHOTS),
             trivial: metrics.counter(names::DECODE_TRIVIAL),
             cache_hits: metrics.counter(names::DECODE_CACHE_HITS),
-            analytic: metrics.counter(names::DECODE_ANALYTIC),
             matchings: metrics.counter(names::DECODE_MATCHINGS),
             degraded: metrics.counter(names::DECODE_DEGRADED),
             mask_hits: metrics.counter(names::DECODE_MASK_HITS),
@@ -186,7 +179,6 @@ impl StatCells {
         self.shots.add(local.shots);
         self.trivial.add(local.trivial);
         self.cache_hits.add(local.cache_hits);
-        self.analytic.add(local.analytic);
         self.matchings.add(local.matchings);
         self.degraded.add(local.degraded);
     }
@@ -199,47 +191,47 @@ pub(crate) struct LocalStats {
     pub(crate) shots: u64,
     pub(crate) trivial: u64,
     pub(crate) cache_hits: u64,
-    pub(crate) analytic: u64,
     pub(crate) matchings: u64,
     pub(crate) degraded: u64,
 }
 
 /// Per-call scratch: matcher arena + defect-list buffer + the call's
-/// decode-time budget. Cheap to create (no allocation until the blossom
-/// tier actually runs) and reused across every syndrome of a batch.
+/// decode-time budget. Cheap to create (no allocation until a solve
+/// actually runs) and reused across every syndrome of a batch.
 #[derive(Default)]
 struct Ctx {
     arena: MatchingArena,
     defects: Vec<usize>,
-    /// Total blossom time this call may spend (`deadline × shots`), or
+    /// Total solve time this call may spend (`deadline × shots`), or
     /// `None` for unbounded.
     budget: Option<Duration>,
-    /// Blossom time spent so far; once `spent >= budget` the heavy tier
-    /// answers greedily.
+    /// Solve time spent so far; once `spent >= budget` missed syndromes
+    /// are answered greedily.
     spent: Duration,
 }
 
 /// The solve state of one decoding context: a detector graph (uniform or
-/// mask-reweighted), its engine-lifetime syndrome cache and the tier
-/// switches. The unmasked decoder owns one; every distinct
-/// [`DecoderMask`] weight key interns another — same tiers, same code
-/// paths, different `flip` function.
+/// mask-reweighted), its engine-lifetime syndrome memo and the decoder's
+/// limits. The unmasked decoder owns one; every distinct
+/// [`DecoderMask`] weight key interns another — same code paths,
+/// different `flip` function.
 struct SolveCore {
     graph: DetectorGraph,
     /// Detector-bit count `2P`; key bit `2i + r` is stabilizer `i` in
     /// round `r` (see `node_of_plane`).
     planes: usize,
     tiers: TierConfig,
-    /// Context-lifetime syndrome cache, shared by every batch / rayon
+    /// Context-lifetime syndrome memo, shared by every batch / rayon
     /// chunk / temporal sample through `&self` (interior mutability
-    /// inside).
+    /// inside): the direct table when the key fits it, else the sharded
+    /// cache.
     cache: SyndromeCache,
 }
 
 impl SolveCore {
     fn new(graph: DetectorGraph, tiers: TierConfig) -> Self {
         let planes = graph.layers() * graph.primary_count();
-        let cache = if tiers.lut && planes <= LUT_MAX_BITS {
+        let cache = if planes <= LUT_MAX_BITS {
             SyndromeCache::direct(planes)
         } else {
             SyndromeCache::sharded(tiers.cache_capacity)
@@ -256,7 +248,7 @@ impl SolveCore {
     }
 
     /// Scratch context for a decode call over `shots` shots, carrying the
-    /// call's blossom-time budget (`deadline × shots`, saturating).
+    /// call's solve-time budget (`deadline × shots`, saturating).
     fn budget_ctx(&self, shots: usize) -> Ctx {
         Ctx {
             budget: self
@@ -267,56 +259,33 @@ impl SolveCore {
         }
     }
 
-    /// Flip parity of a non-zero defect pattern via the tier cascade —
-    /// LUT/cache lookup, analytic, arena blossom matcher — populating the
-    /// cache on the way out (degraded answers excepted: they are not
-    /// values of the exact `flip` function, so they never enter a cache).
-    #[inline]
-    fn flip_of_key(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
-        if let Some(flip) = self.cheap_flip(key, local) {
+    /// Flip parity of the non-zero defect pattern `key`, shared by the
+    /// `shots` shots of a call that carry it: a memo hit for all of them,
+    /// or one budgeted exact solve whose answer the other `shots − 1`
+    /// reuse (counted as cache hits). The answer is cached unless it was
+    /// degraded: a greedy answer is not a value of the exact `flip`
+    /// function, so it never enters a memo, and every shot of the group
+    /// counts as degraded.
+    fn flip_of_group(&self, key: u128, shots: u64, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
+        debug_assert_ne!(key, 0);
+        if let Some(flip) = self.cache.get(key) {
+            local.cache_hits += shots;
             return flip;
         }
         let (flip, exact) = self.heavy_flip(key, ctx, local);
         if exact {
             self.cache.insert(key, flip);
+            local.cache_hits += shots - 1;
+        } else {
+            local.degraded += shots - 1;
         }
         flip
     }
 
-    /// The cheap tiers — LUT/cache lookup and the analytic closed form —
-    /// or `None` when the pattern needs the matcher. In sharded mode the
-    /// analytic tier runs *before* the cache probe: 1–2-defect syndromes
-    /// (the dominant non-trivial class at realistic noise) are never
-    /// inserted, so probing first would take the shard mutex for a
-    /// guaranteed miss on every such shot. On a LUT miss the closed form
-    /// is exact, so the table keeps it.
-    #[inline]
-    fn cheap_flip(&self, key: u128, local: &mut LocalStats) -> Option<bool> {
-        debug_assert_ne!(key, 0);
-        if !self.cache.is_direct() && self.tiers.analytic && key.count_ones() <= 2 {
-            if let Some(flip) = self.analytic_flip(key) {
-                local.analytic += 1;
-                return Some(flip);
-            }
-        }
-        if let Some(flip) = self.cache.get(key) {
-            local.cache_hits += 1;
-            return Some(flip);
-        }
-        if self.cache.is_direct() && self.tiers.analytic && key.count_ones() <= 2 {
-            if let Some(flip) = self.analytic_flip(key) {
-                local.analytic += 1;
-                self.cache.insert(key, flip);
-                return Some(flip);
-            }
-        }
-        None
-    }
-
-    /// The heavy tier under the decode budget: run the exact blossom
-    /// matcher while `ctx` still has time, the deterministic greedy
-    /// fallback once the budget is spent. Returns `(flip, exact)`; only
-    /// exact answers may be cached.
+    /// The exact solve of `key` under the decode budget: the exact matcher
+    /// while `ctx` still has time, the deterministic greedy fallback once
+    /// the budget is spent. Returns `(flip, exact)`; only exact answers
+    /// may be cached.
     fn heavy_flip(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> (bool, bool) {
         ctx.defects.clear();
         let mut k = key;
@@ -330,8 +299,8 @@ impl SolveCore {
 
     /// Budget gate over an explicit defect list already in `ctx.defects`
     /// (shared with the > 128-detector-bit wide path, which never forms a
-    /// `u128` key). Blossom runs are timed and charged against the
-    /// budget, so one pathological solve cannot be followed by another.
+    /// `u128` key). Solves are timed and charged against the budget, so
+    /// one pathological solve cannot be followed by another.
     fn heavy_flip_defects(&self, ctx: &mut Ctx, local: &mut LocalStats) -> (bool, bool) {
         match ctx.budget {
             None => {
@@ -355,10 +324,10 @@ impl SolveCore {
     /// Deterministic greedy matching — the graceful-degradation answer
     /// when the decode budget is spent. Walks defects in plane order; each
     /// unmatched defect takes its cheapest strictly-pair-beats-boundary
-    /// partner, else the boundary. O(k²), exact for ≤ 2 defects (same
-    /// two-matching enumeration as the analytic tier, boundary-preferring
-    /// on ties), approximate beyond — which is why degraded answers never
-    /// populate a cache.
+    /// partner, else the boundary. O(k²), exact for ≤ 2 defects whose
+    /// pair and boundary distances do not tie (it weighs the same two
+    /// matchings the exact matcher chooses between), approximate beyond —
+    /// which is why degraded answers never populate a cache.
     fn greedy_flip(&self, defects: &[usize]) -> bool {
         let g = &self.graph;
         let boundary = g.boundary();
@@ -393,49 +362,19 @@ impl SolveCore {
         }
         flip
     }
-
-    /// Closed-form flip parity for 1–2-defect patterns, straight from the
-    /// detector graph's distance/parity tables.
-    ///
-    /// Exactness: one defect admits a single perfect matching (defect →
-    /// boundary). Two defects admit exactly two — pair up (weight `w_ab`)
-    /// or both-to-boundary (weight `w_a + w_b`) — and the matcher picks the
-    /// strictly cheaper one; on an exact tie this returns `None` and the
-    /// caller defers to the blossom matcher so its tie-breaking (and hence
-    /// bit-identity with [`MwpmDecoder`]) is preserved. The argument is
-    /// weight-agnostic, so it holds on mask-reweighted graphs unchanged.
-    ///
-    /// [`MwpmDecoder`]: crate::decoder::MwpmDecoder
-    fn analytic_flip(&self, key: u128) -> Option<bool> {
-        let g = &self.graph;
-        let boundary = g.boundary();
-        let a = self.node_of_plane(key.trailing_zeros() as usize);
-        if key.count_ones() == 1 {
-            return Some(g.crossing_parity(a, boundary));
-        }
-        let b = self.node_of_plane((127 - key.leading_zeros()) as usize);
-        let pair = weight_of(g.pair_distance(a, b));
-        let via_boundary = weight_of(g.distance(a, boundary)) + weight_of(g.distance(b, boundary));
-        match pair.cmp(&via_boundary) {
-            std::cmp::Ordering::Less => Some(g.pair_crossing_parity(a, b)),
-            std::cmp::Ordering::Greater => {
-                Some(g.crossing_parity(a, boundary) ^ g.crossing_parity(b, boundary))
-            }
-            std::cmp::Ordering::Equal => None,
-        }
-    }
 }
 
-/// Tiered bulk decoder, bit-identical to [`MwpmDecoder`].
+/// Bulk decoder, bit-identical to [`MwpmDecoder`].
 ///
 /// [`BulkDecoder::decode_batch`] extracts defect bit-planes straight from the
 /// [`ShotBatch`] words (64 shots per operation) instead of materialising a
 /// [`ShotRecord`] per shot, then answers each shot's syndrome from the
-/// cheapest applicable tier. The cache member is shared by every batch,
-/// rayon chunk and temporal sample of the owning engine.
+/// memo or from one exact solve per distinct missed syndrome. The memo is
+/// shared by every batch, rayon chunk and temporal sample of the owning
+/// engine.
 ///
 /// [`BulkDecoder::decode_batch_masked`] runs the same pipeline against an
-/// interned per-mask `SolveCore` (reweighted graph + private cache);
+/// interned per-mask `SolveCore` (reweighted graph + private memo);
 /// no-op masks hand off to the unmasked path bit-identically.
 ///
 /// [`MwpmDecoder`]: crate::decoder::MwpmDecoder
@@ -455,14 +394,15 @@ pub struct BulkDecoder {
 }
 
 impl BulkDecoder {
-    /// Build the tiered decoder for `code` with default tiers.
+    /// Build the bulk decoder for `code` with the default [`TierConfig`].
     pub fn new(code: &CodeCircuit) -> Self {
         Self::with_metrics(code, Arc::new(MetricsRegistry::new()))
     }
 
-    /// Build with default tiers, recording its `decode.*` counters and
-    /// `stage.decode_ns` spans into `metrics` (the injection engine
-    /// passes its own registry so one snapshot covers the pipeline).
+    /// Build with the default [`TierConfig`], recording its `decode.*`
+    /// counters and `stage.decode_ns` spans into `metrics` (the injection
+    /// engine passes its own registry so one snapshot covers the
+    /// pipeline).
     pub fn with_metrics(code: &CodeCircuit, metrics: Arc<MetricsRegistry>) -> Self {
         Self::build(code, TierConfig::default(), metrics)
     }
@@ -476,7 +416,7 @@ impl BulkDecoder {
     /// Build with an explicit [`TierConfig`], rejecting configurations the
     /// decoder cannot honour (zero cache or mask capacity). Any *valid*
     /// config with `deadline: None` yields results identical to the
-    /// default; a finite deadline may degrade heavy shots (see
+    /// default; a finite deadline may degrade missed syndromes (see
     /// [`DecoderStats::degraded`]).
     pub fn try_with_tiers(code: &CodeCircuit, tiers: TierConfig) -> Result<Self, TierError> {
         Self::try_with_tiers_metrics(code, tiers, Arc::new(MetricsRegistry::new()))
@@ -538,7 +478,7 @@ impl BulkDecoder {
         let mut ctx = Ctx::default();
         let mut discard = LocalStats::default();
         for key in 1..(1u128 << self.core.planes) {
-            self.core.flip_of_key(key, &mut ctx, &mut discard);
+            self.core.flip_of_group(key, 1, &mut ctx, &mut discard);
         }
     }
 
@@ -554,42 +494,37 @@ impl BulkDecoder {
     /// = logical |1⟩, the expected outcome of every experiment circuit in
     /// the paper).
     ///
-    /// Never inlined, on purpose: the tier cascade inlined into the
-    /// tableau shot loop cost that loop about 7 % at ~55 µs per shot
-    /// (radbench `paper_d3`, 2-vCPU VM; not re-measured since shots
-    /// became ~4× cheaper).
+    /// Never inlined, on purpose: inlined into the tableau shot loop, the
+    /// decode path once cost that loop about 7 % at ~55 µs per shot
+    /// (radbench `paper_d3`, 2-vCPU VM; not re-measured since shots became
+    /// ~4× cheaper).
     #[inline(never)]
     pub fn decode(&self, shot: &ShotRecord) -> bool {
         self.decode_in(shot, &self.core)
     }
 
     /// Decode every shot of a batch. Bit-plane defect extraction (64
-    /// shots per word op), then the tier cascade per shot — no per-shot
-    /// [`ShotRecord`]. Codes wider than the 128-bit key walk the same
-    /// planes shot by shot with a per-batch syndrome-keyed memo.
-    ///
-    /// In sharded-cache mode the *miss path* runs deferred: pass one
-    /// resolves trivial, analytic and cache-hit shots inline (the warm
-    /// steady state stays untouched) and groups cache *misses* by
-    /// distinct defect pattern; pass two solves each distinct missed
-    /// pattern with at most one blossom matching and scatters the flip to
-    /// every shot of the group (`solve_deferred`). A cold
-    /// radiation-impact batch repeats the same heavy syndromes across
-    /// many shots, so this collapses its matcher work to one solve per
-    /// *distinct* syndrome per batch instead of racing per-shot solves.
+    /// shots per word op), then one pass: each non-trivial shot probes the
+    /// memo inline, the misses are grouped by defect pattern, and each
+    /// distinct missed pattern gets one exact solve whose flip is
+    /// scattered to every shot of its group (see `decode_planes`). A cold
+    /// radiation-impact batch repeats the same heavy syndromes across many
+    /// shots, so its matcher work is one solve per *distinct* syndrome per
+    /// batch. Codes wider than the 128-bit key walk the same planes shot
+    /// by shot with a per-batch syndrome-keyed memo.
     pub fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
         self.decode_batch_in(batch, &self.core)
     }
 
-    /// Strike-aware per-shot decode: the tier cascade against `mask`'s
-    /// interned reweighted context (no-op masks take the unaware path).
+    /// Strike-aware per-shot decode against `mask`'s interned reweighted
+    /// context (no-op masks take the unaware path).
     pub fn decode_masked(&self, shot: &ShotRecord, mask: &DecoderMask) -> bool {
         self.decode_in(shot, self.masked_core(mask).as_deref().unwrap_or(&self.core))
     }
 
     /// Strike-aware batch decode — the same bit-plane pipeline as
     /// [`Self::decode_batch`], answered from the mask's interned context
-    /// so repeated masked sweeps stay on a warm per-mask cache.
+    /// so repeated masked sweeps stay on a warm per-mask memo.
     pub fn decode_batch_masked(&self, batch: &ShotBatch, mask: &DecoderMask) -> Vec<bool> {
         self.decode_batch_in(batch, self.masked_core(mask).as_deref().unwrap_or(&self.core))
     }
@@ -608,7 +543,6 @@ impl BulkDecoder {
             shots: self.stats.shots.get(),
             trivial: self.stats.trivial.get(),
             cache_hits: self.stats.cache_hits.get(),
-            analytic: self.stats.analytic.get(),
             matchings: self.stats.matchings.get(),
             degraded: self.stats.degraded.get(),
             cache_evictions: self.core.cache.evictions(),
@@ -660,8 +594,8 @@ impl BulkDecoder {
     /// path: each shot's defect list is read off the planes in ascending
     /// plane order (the canonical `MwpmDecoder::defects` order), with a
     /// per-call memo keyed by the *defect pattern* words — shots sharing
-    /// a syndrome share one matching — and exact tier accounting (memo
-    /// hits count as cache hits).
+    /// a syndrome share one matching — and exact accounting (memo hits
+    /// count as cache hits).
     fn decode_planes_wide(
         &self,
         planes: &[u64],
@@ -710,51 +644,8 @@ impl BulkDecoder {
         out
     }
 
-    /// Pass two of the sharded-mode batch decode: for every distinct
-    /// defect pattern that missed the cross-batch cache, re-probe once (a
-    /// concurrent chunk may have solved it since pass one), run the
-    /// blossom matcher otherwise (analytic already declined in pass one),
-    /// and scatter the flip to every waiting shot. Tier accounting
-    /// matches the per-shot path exactly: the group's solving shot counts
-    /// towards the solving tier, every other shot counts as a cache hit —
-    /// which is what each would have been under immediate solving.
-    fn solve_deferred(
-        &self,
-        pending: HashMap<u128, Vec<usize>>,
-        out: &mut [bool],
-        ctx: &mut Ctx,
-        local: &mut LocalStats,
-        core: &SolveCore,
-    ) {
-        for (key, group) in pending {
-            let flip = match core.cache.get(key) {
-                Some(flip) => {
-                    local.cache_hits += group.len() as u64;
-                    flip
-                }
-                None => {
-                    let (flip, exact) = core.heavy_flip(key, ctx, local);
-                    if exact {
-                        core.cache.insert(key, flip);
-                        local.cache_hits += group.len() as u64 - 1;
-                    } else {
-                        // The whole group rides the degraded answer; none
-                        // of it is cached.
-                        local.degraded += group.len() as u64 - 1;
-                    }
-                    flip
-                }
-            };
-            if flip {
-                for shot in group {
-                    out[shot] = !out[shot];
-                }
-            }
-        }
-    }
-
     /// Decode one record against `core` (the per-shot path shared by the
-    /// unmasked and masked entry points).
+    /// unmasked and masked entry points): a group of one.
     fn decode_in(&self, shot: &ShotRecord, core: &SolveCore) -> bool {
         if core.planes > 128 {
             // Wider than the u128 key (P > 64 primary stabilizers): a
@@ -770,14 +661,14 @@ impl BulkDecoder {
             local.trivial += 1;
             raw
         } else {
-            raw ^ core.flip_of_key(key, &mut core.budget_ctx(1), &mut local)
+            raw ^ core.flip_of_group(key, 1, &mut core.budget_ctx(1), &mut local)
         };
         self.stats.flush(local);
         v
     }
 
     /// Decode a batch against `core` — one `stage.decode_ns` span around
-    /// plane extraction and the tier walk (see [`Self::decode_batch`]).
+    /// plane extraction and the solve pass (see [`Self::decode_batch`]).
     fn decode_batch_in(&self, batch: &ShotBatch, core: &SolveCore) -> Vec<bool> {
         let _span = SpanTimer::start(&self.stats.decode_ns);
         let planes = self.defect_planes(batch);
@@ -797,9 +688,13 @@ impl BulkDecoder {
         planes
     }
 
-    /// The tier walk over interleaved defect planes (see
+    /// The solve pass over interleaved defect planes (see
     /// [`Self::defect_planes`]) and the raw readout row — the pipeline
-    /// behind both batch entry points and the event-row entry.
+    /// behind both batch entry points and the event-row entry. Each
+    /// non-trivial shot probes the memo inline; the misses are collected
+    /// as `(key, shot)` pairs, sorted, and each distinct key is answered
+    /// once by `flip_of_group` (which probes again: a concurrent chunk
+    /// may have solved it since), its flip scattered to the whole group.
     fn decode_planes(
         &self,
         planes: &[u64],
@@ -818,12 +713,8 @@ impl BulkDecoder {
             union.iter_mut().zip(plane).for_each(|(u, &d)| *u |= d);
         }
         let mut out = Vec::with_capacity(shots);
-        let mut ctx = core.budget_ctx(shots);
         let mut local = LocalStats { shots: shots as u64, ..Default::default() };
-        // Deferred heavy syndromes (sharded mode): distinct pattern → the
-        // shots awaiting its flip.
-        let defer = !core.cache.is_direct();
-        let mut pending: HashMap<u128, Vec<usize>> = Default::default();
+        let mut misses: Vec<(u128, u32)> = Vec::new();
         for w in 0..words {
             let in_word = (shots - w * 64).min(64);
             let raw_word = readout[w];
@@ -844,22 +735,29 @@ impl BulkDecoder {
                 if key == 0 {
                     local.trivial += 1;
                     out.push(raw);
-                } else if defer {
-                    // Cheap tiers and cache hits inline; only cache
-                    // *misses* join their pattern group.
-                    match core.cheap_flip(key, &mut local) {
-                        Some(flip) => out.push(raw ^ flip),
-                        None => {
-                            pending.entry(key).or_default().push(out.len());
-                            out.push(raw);
-                        }
+                    continue;
+                }
+                match core.cache.get(key) {
+                    Some(flip) => {
+                        local.cache_hits += 1;
+                        out.push(raw ^ flip);
                     }
-                } else {
-                    out.push(raw ^ core.flip_of_key(key, &mut ctx, &mut local));
+                    None => {
+                        misses.push((key, out.len() as u32));
+                        out.push(raw);
+                    }
                 }
             }
         }
-        self.solve_deferred(pending, &mut out, &mut ctx, &mut local, core);
+        misses.sort_unstable();
+        let mut ctx = core.budget_ctx(shots);
+        for group in misses.chunk_by(|a, b| a.0 == b.0) {
+            if core.flip_of_group(group[0].0, group.len() as u64, &mut ctx, &mut local) {
+                for &(_, shot) in group {
+                    out[shot as usize] ^= true;
+                }
+            }
+        }
         self.stats.flush(local);
         out
     }
@@ -952,56 +850,52 @@ mod tests {
 
     #[test]
     fn sharded_batch_solves_each_distinct_syndrome_once() {
-        // xxzz-(5,5) decodes through the sharded cache: the deferred
-        // solve-and-scatter path must stay bit-identical to MwpmDecoder
-        // and run exactly one matching per distinct heavy syndrome.
-        let code = XxzzCode::new(5, 5).build();
-        let bulk = BulkDecoder::new(&code);
-        assert!(!bulk.uses_lut());
-        let mwpm = MwpmDecoder::new(&code);
-        let nc = code.circuit.num_clbits();
-        let mut batch = ShotBatch::new(nc, 192);
-        // Two distinct heavy 4-defect syndromes (round-1-only firings put
-        // a defect in both detector layers per stabilizer, dodging the
-        // 1–2-defect analytic tier), repeated across the batch; readout
-        // bits vary freely.
-        for s in 0..192 {
-            if s % 2 == 0 {
-                batch.flip(code.readout_cbit, s);
-            }
-            match s % 3 {
-                0 => {}
-                1 => {
-                    for i in [0usize, 3] {
-                        batch.flip(code.stabilizers[i].cbit_round1, s);
-                    }
+        // xxzz-(5,5) decodes through the sharded cache, rep-(5,1) through
+        // the direct table; both share the grouped solve-and-scatter pass,
+        // which must stay bit-identical to MwpmDecoder and run exactly one
+        // matching per distinct missed syndrome.
+        for (code, lut, groups) in [
+            (XxzzCode::new(5, 5).build(), false, [[0usize, 3], [2, 5]]),
+            (RepetitionCode::bit_flip(5).build(), true, [[0, 3], [1, 2]]),
+        ] {
+            let bulk = BulkDecoder::new(&code);
+            assert_eq!(bulk.uses_lut(), lut, "{}", code.name);
+            let mwpm = MwpmDecoder::new(&code);
+            let nc = code.circuit.num_clbits();
+            let mut batch = ShotBatch::new(nc, 192);
+            // Two distinct 4-defect syndromes (a round-1-only firing puts
+            // a defect in both detector layers of its stabilizer),
+            // repeated across the batch; readout bits vary freely.
+            for s in 0..192 {
+                if s % 2 == 0 {
+                    batch.flip(code.readout_cbit, s);
                 }
-                _ => {
-                    for i in [2usize, 5] {
+                if s % 3 != 0 {
+                    for i in groups[s % 3 - 1] {
                         batch.flip(code.stabilizers[i].cbit_round1, s);
                     }
                 }
             }
+            let got = bulk.decode_batch(&batch);
+            for (s, &v) in got.iter().enumerate() {
+                assert_eq!(v, mwpm.decode(&batch.record(s)), "{} shot {s}", code.name);
+            }
+            let stats = bulk.decode_stats();
+            assert_eq!(stats.shots, 192);
+            assert_eq!(stats.trivial, 64);
+            assert_eq!(stats.matchings, 2, "{}: one solve per distinct syndrome", code.name);
+            assert_eq!(stats.cache_hits, 126, "the other 2×63 shots scatter from the group solve");
+            assert_eq!(stats.degraded, 0, "default deadline must never degrade");
+            assert_eq!(
+                stats.shots,
+                stats.trivial + stats.cache_hits + stats.matchings + stats.degraded
+            );
+            // A second batch of the same syndromes is pure cross-batch cache.
+            let again = bulk.decode_batch(&batch);
+            assert_eq!(again, got);
+            let after = bulk.decode_stats();
+            assert_eq!(after.matchings, 2, "{}: warm memo must answer the repeat batch", code.name);
         }
-        let got = bulk.decode_batch(&batch);
-        for (s, &v) in got.iter().enumerate() {
-            assert_eq!(v, mwpm.decode(&batch.record(s)), "shot {s}");
-        }
-        let stats = bulk.decode_stats();
-        assert_eq!(stats.shots, 192);
-        assert_eq!(stats.trivial, 64);
-        assert_eq!(stats.matchings, 2, "one blossom per distinct heavy syndrome");
-        assert_eq!(stats.cache_hits, 126, "the other 2×63 shots scatter from the group solve");
-        assert_eq!(stats.degraded, 0, "default deadline must never degrade");
-        assert_eq!(
-            stats.shots,
-            stats.trivial + stats.cache_hits + stats.analytic + stats.matchings + stats.degraded
-        );
-        // A second batch of the same syndromes is pure cross-batch cache.
-        let again = bulk.decode_batch(&batch);
-        assert_eq!(again, got);
-        let after = bulk.decode_stats();
-        assert_eq!(after.matchings, 2, "warm cache must answer the repeat batch");
     }
 
     #[test]
@@ -1038,29 +932,8 @@ mod tests {
         assert_eq!(stats.cache_hits, 58);
         assert_eq!(
             stats.shots,
-            stats.trivial + stats.cache_hits + stats.analytic + stats.matchings + stats.degraded
+            stats.trivial + stats.cache_hits + stats.matchings + stats.degraded
         );
-    }
-
-    #[test]
-    fn tier_configs_agree_with_each_other() {
-        let code = XxzzCode::new(3, 3).build();
-        let configs = [
-            TierConfig::default(),
-            TierConfig { lut: false, ..Default::default() },
-            TierConfig { lut: false, analytic: false, ..Default::default() },
-        ];
-        let decoders: Vec<BulkDecoder> =
-            configs.iter().map(|&t| BulkDecoder::with_tiers(&code, t)).collect();
-        let mwpm = MwpmDecoder::new(&code);
-        let mut rng = StdRng::seed_from_u64(15);
-        for _ in 0..200 {
-            let shot = random_record(code.circuit.num_clbits(), &mut rng);
-            let want = mwpm.decode(&shot);
-            for d in &decoders {
-                assert_eq!(d.decode(&shot), want);
-            }
-        }
     }
 
     #[test]
@@ -1068,7 +941,7 @@ mod tests {
         // A spent budget must (a) answer every heavy shot greedily, (b)
         // keep the caches free of approximate values, and (c) stay
         // deterministic across repeats. xxzz-(5,5) routes through the
-        // sharded cache; 4-defect syndromes dodge the analytic tier.
+        // sharded cache.
         let code = XxzzCode::new(5, 5).build();
         let tiers = TierConfig { deadline: Some(Duration::ZERO), ..Default::default() };
         let bulk = BulkDecoder::with_tiers(&code, tiers);
@@ -1081,12 +954,12 @@ mod tests {
         }
         let got = bulk.decode_batch(&batch);
         let stats = bulk.decode_stats();
-        assert_eq!(stats.matchings, 0, "zero budget must never reach the blossom tier");
+        assert_eq!(stats.matchings, 0, "zero budget must never reach the exact matcher");
         assert_eq!(stats.degraded, 128);
         assert_eq!(stats.cache_entries, 0, "degraded answers must not be cached");
         assert_eq!(
             stats.shots,
-            stats.trivial + stats.cache_hits + stats.analytic + stats.matchings + stats.degraded
+            stats.trivial + stats.cache_hits + stats.matchings + stats.degraded
         );
         // Re-decoding degrades again (nothing was cached) with the same
         // answers — the fallback is a pure function too.
@@ -1101,16 +974,15 @@ mod tests {
     }
 
     #[test]
-    fn greedy_fallback_is_exact_on_analytic_eligible_syndromes() {
-        // On 1–2-defect syndromes the greedy fallback enumerates the same
-        // two matchings as the analytic tier, so a degraded decoder still
-        // answers those exactly. Disable the analytic tier to force the
-        // degraded path, and compare against the exact reference.
+    fn greedy_fallback_is_exact_on_untied_one_and_two_defect_syndromes() {
+        // On 1–2-defect syndromes the greedy fallback weighs the same two
+        // matchings the exact matcher chooses between, so a degraded
+        // decoder still answers those exactly unless the two tie.
         let code = XxzzCode::new(5, 5).build();
-        let tiers =
-            TierConfig { analytic: false, deadline: Some(Duration::ZERO), ..Default::default() };
+        let tiers = TierConfig { deadline: Some(Duration::ZERO), ..Default::default() };
         let degraded = BulkDecoder::with_tiers(&code, tiers);
         let exact = MwpmDecoder::new(&code);
+        let g = exact.graph();
         let mut rng = StdRng::seed_from_u64(41);
         for _ in 0..200 {
             let mut shot = ShotRecord::new(code.circuit.num_clbits());
@@ -1123,11 +995,13 @@ mod tests {
                     shot.set(code.stabilizers[i].cbit_round2, true);
                 }
             }
-            let key = degraded.key_of_record(&shot);
-            if key != 0 && degraded.core.analytic_flip(key).is_none() {
-                // Exact tie between the two matchings: the blossom
-                // tie-break is not contractual, so skip.
-                continue;
+            if let [a, b] = exact.defects(&shot)[..] {
+                let to_boundary = |n| weight_of(g.distance(n, g.boundary()));
+                if weight_of(g.pair_distance(a, b)) == to_boundary(a) + to_boundary(b) {
+                    // Both matchings are minimum-weight: which one the
+                    // matcher takes is its tie-break, not greedy's.
+                    continue;
+                }
             }
             assert_eq!(degraded.decode(&shot), exact.decode(&shot));
         }

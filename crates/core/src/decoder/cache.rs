@@ -11,7 +11,7 @@
 //! Two storage modes, chosen by detector-bit count:
 //!
 //! * **Direct** (≤ [`LUT_MAX_BITS`] bits): a flat table with one atomic
-//!   byte per possible syndrome — the exhaustive lookup-table tier, filled
+//!   byte per possible syndrome — the exhaustive lookup table, filled
 //!   lazily. Lock-free; the benign write race stores the same value because
 //!   the entry is a pure function of its index.
 //! * **Sharded** (wider syndromes): mutex-sharded hash maps keyed by the

@@ -149,7 +149,7 @@ impl DecoderMask {
 
     /// The integer weight assignment `(per data qubit, per stabilizer)` —
     /// the masked graph is a pure function of this key, which is also what
-    /// the tiered decoder's mask-keyed cache dimension hashes on: two
+    /// the bulk decoder's mask-keyed cache dimension hashes on: two
     /// masks that quantise to the same weights share one reweighted graph
     /// and one syndrome cache.
     pub fn weight_key(&self) -> (Vec<u32>, Vec<u32>) {
@@ -174,10 +174,9 @@ impl DecoderMask {
 
     /// The reweighted detector graph this mask induces on `graph` (see
     /// [`DetectorGraph::reweighted`]). Both the reference masked decoder
-    /// ([`MwpmDecoder::masked`]) and every tier of the bulk decoder's
-    /// masked contexts build their graph through this one function, so
-    /// their bit-identity rests on shared construction, not on parallel
-    /// implementations.
+    /// ([`MwpmDecoder::masked`]) and the bulk decoder's masked contexts
+    /// build their graph through this one function, so their bit-identity
+    /// rests on shared construction, not on parallel implementations.
     ///
     /// [`MwpmDecoder::masked`]: crate::decoder::MwpmDecoder::masked
     pub fn reweight(&self, graph: &DetectorGraph) -> DetectorGraph {

@@ -10,7 +10,8 @@
 //! * [`BulkDecoder`] — the production path (what the injection engine
 //!   and the fleet hold): extracts defect **bit-planes** directly from a
 //!   [`ShotBatch`](radqec_circuit::ShotBatch)'s words (64 shots per
-//!   operation) and answers each syndrome from a cascade of solve tiers.
+//!   operation) and answers each syndrome from a memo, or from one exact
+//!   solve per distinct missed syndrome.
 //!
 //! They are plain types with no shared trait: each caller names the one
 //! it decodes with, and both expose `decode(&ShotRecord) -> bool`. Both
@@ -19,50 +20,53 @@
 //! circuits. Memory streams are decoded by the sliding-window
 //! [`SpaceTimeDecoder`] over multi-layer graphs of the same kind, with
 //! the same exact matcher behind one outcome memo per window context
-//! (no tier cascade: see its module docs).
+//! (see its module docs).
 //!
-//! # Tier selection ([`BulkDecoder`])
+//! # Memo, then one exact solve per distinct miss ([`BulkDecoder`])
 //!
 //! Decoding factors as `decode(shot) = raw_readout XOR flip(defects)`,
 //! where the defect pattern is `2P` bits for `P` primary stabilizers (bit
 //! `2i` = round-1 syndrome of stabilizer `i`, bit `2i+1` = round-1/round-2
 //! difference) and `flip` is a **pure function of that pattern**: the
-//! matching sees only defect nodes and static graph distances. Each shot is
-//! routed to the cheapest tier that can produce `flip`:
+//! matching sees only defect nodes and static graph distances. A batch is
+//! decoded in one pass:
 //!
 //! 1. **Trivial** — pattern 0 (no defects): `flip = false`. Whole 64-shot
 //!    words are skipped at once when no defect plane has a bit set.
-//! 2. **LUT** — codes with `2P ≤ 16` detector bits (repetition `d ≤ 9`,
-//!    XXZZ up to (3,5)/(5,3)): a direct-indexed, lazily filled, exhaustive
-//!    table; decode is one array index. 64 KiB at worst.
-//! 3. **Analytic** — 1–2-defect patterns on wider codes: closed-form from
-//!    the [`DetectorGraph`] distance/parity tables. One defect has a unique
-//!    matching (→ boundary); two defects have exactly two (pair up, or both
-//!    to boundary) and the strictly cheaper one is chosen; an exact tie
-//!    falls through to tier 5 so the blossom matcher's tie-breaking is
-//!    preserved.
-//! 4. **Cross-batch cache** — wider patterns: an engine-owned, sharded,
-//!    approximately-LRU map from defect pattern to `flip`, shared across
-//!    batches, rayon chunks and temporal samples of a campaign.
-//! 5. **Exact-matcher fallback** — anything still unanswered runs the
-//!    exact matcher via the same [`matching_flip`](MwpmDecoder) core
-//!    `MwpmDecoder` uses, with a scratch arena
-//!    ([`radqec_matching::MatchingArena`]) so repeated solves stop
-//!    allocating; the result populates the LUT/cache. The arena solves
-//!    small defect sets (up to a dozen) by subset DP and the rest, or any
-//!    tied optimum, by blossom; a unique optimum is the same whichever
-//!    solver finds it, so this tier returns blossom's answer either way.
+//! 2. **Memo** — every other shot probes an engine-lifetime memo from
+//!    pattern to `flip`, shared across batches, rayon chunks and temporal
+//!    samples of a campaign. Its storage follows from the key width alone:
+//!    codes with `2P ≤ 16` detector bits (repetition `d ≤ 9`, XXZZ up to
+//!    (3,5)/(5,3)) get a direct-indexed, lazily filled, exhaustive table
+//!    (64 KiB at worst); wider codes a sharded, approximately-LRU map.
+//! 3. **One exact solve per distinct miss** — the misses are collected as
+//!    `(pattern, shot)` pairs and sorted, and each distinct pattern runs
+//!    the exact matcher once, through the same
+//!    [`matching_flip`](MwpmDecoder) core `MwpmDecoder` uses, with a
+//!    scratch arena ([`radqec_matching::MatchingArena`]) so repeated
+//!    solves stop allocating. Its flip is scattered to every shot of the
+//!    group and stored in the memo. A per-shot decode is a group of one.
+//!
+//! The arena solves small defect sets (up to a dozen) by subset DP and the
+//! rest, or any tied optimum, by blossom; a unique optimum is the same
+//! whichever solver finds it, so a solve returns blossom's answer either
+//! way. That DP also covers what a closed form for one or two defects
+//! would: one defect has a single matching (to the boundary), and two have
+//! exactly two (pair up, or both to the boundary). The DP settles either
+//! in well under a microsecond when one is strictly cheaper, and hands an
+//! exact tie to blossom, so a separate 1–2-defect path would save little
+//! and answer nothing differently.
 //!
 //! # Decode deadlines and graceful degradation
 //!
 //! Fleet endurance campaigns cannot let one pathological syndrome stall a
-//! round stream, so the exact-matcher fallback runs under a per-shot budget
+//! round stream, so the exact solves run under a per-shot budget
 //! ([`TierConfig::deadline`], scaled to `deadline × shots` per batch).
-//! While the budget lasts, every heavy shot gets the exact matcher and its
-//! solve time is charged against the pool; once spent, remaining heavy
-//! shots are answered by a deterministic greedy matching (cheapest
-//! strictly-pair-beats-boundary partner, else boundary — exact for ≤ 2
-//! defects, approximate beyond) and counted in
+//! While the budget lasts, every missed pattern gets the exact matcher and
+//! its solve time is charged against the pool; once spent, remaining
+//! missed patterns are answered by a deterministic greedy matching
+//! (cheapest strictly-pair-beats-boundary partner, else boundary — exact
+//! for ≤ 2 untied defects, approximate beyond) and their shots counted in
 //! [`DecoderStats::degraded`]. Degraded answers are **never** written to
 //! the LUT, the cross-batch cache, or a batch memo, so exactness of every
 //! cached value — and therefore of every future non-degraded decode — is
@@ -74,14 +78,13 @@
 //!
 //! # Exactness argument
 //!
-//! Tiers 2 and 4 only ever *store* values computed by tiers 3/5. Tier 5
-//! **is** `MwpmDecoder`'s matching routine (same defect ordering, same
-//! weight function, same arena-backed matcher — shared code, not a copy).
-//! Tier 3 enumerates the full matching polytope for ≤ 2 defects and defers
-//! ties. Hence every tier computes the same function and
-//! `BulkDecoder::decode == MwpmDecoder::decode` on every record; the
+//! The memo only ever *stores* values computed by the exact solve, and the
+//! exact solve **is** `MwpmDecoder`'s matching routine (same defect
+//! ordering, same weight function, same arena-backed matcher — shared
+//! code, not a copy). Hence every answer is a value of the same function
+//! and `BulkDecoder::decode == MwpmDecoder::decode` on every record; the
 //! equivalence suite (`tests/decoder_tiers.rs`) checks this exhaustively
-//! over all `2^{2P}` syndromes for LUT-eligible codes and by property
+//! over all `2^{2P}` syndromes for the direct-table codes and by property
 //! testing elsewhere.
 //!
 //! # Strike-aware decoding
@@ -94,7 +97,7 @@
 //! weights to the detector graph's edges ([`DetectorGraph::reweighted`]),
 //! making struck-region paths cheap (erasure-style, after the Google
 //! cosmic-ray line of work). [`BulkDecoder::decode_batch_masked`] runs the
-//! very same tier cascade against a per-mask interned context (reweighted
+//! very same solve pass against a per-mask interned context (reweighted
 //! graph + private syndrome LUT/cache — the mask-keyed cache dimension),
 //! and [`MwpmDecoder::masked`] is the per-shot reference it is validated
 //! against (`tests/strike_aware_decoding.rs`): the exactness argument

@@ -138,10 +138,10 @@ fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
 }
 
 /// Readout-flip parity the minimum-weight matching of `defects` implies —
-/// the exact core of [`MwpmDecoder::decode`], factored out so the
-/// tiered [`BulkDecoder`](crate::decoder::BulkDecoder) provably computes
-/// the same function (it calls this very routine for its fallback tier and
-/// for populating its lookup table and cache).
+/// the exact core of [`MwpmDecoder::decode`], factored out so
+/// [`BulkDecoder`](crate::decoder::BulkDecoder) provably computes the
+/// same function (every value its lookup table or cache holds comes from
+/// this very routine).
 ///
 /// Matches on the canonically perturbed weights ([`match_weights`]), so
 /// degenerate optima resolve the same way in every solver that shares
@@ -230,11 +230,11 @@ impl MwpmDecoder {
     /// detector graph reweighted by `mask`
     /// ([`DecoderMask::reweight`](crate::decoder::DecoderMask::reweight)),
     /// so matchings prefer correction paths through the struck region.
-    /// This is the per-shot oracle the masked tiers of
+    /// This is the per-shot oracle the masked contexts of
     /// [`BulkDecoder`](crate::decoder::BulkDecoder) are validated against
     /// (`tests/strike_aware_decoding.rs`) — both sides build their graph
     /// through the same reweighting function, so the exactness argument of
-    /// the unmasked cascade carries over unchanged.
+    /// the unmasked decoder carries over unchanged.
     pub fn masked(code: &CodeCircuit, mask: &crate::decoder::DecoderMask) -> Self {
         let mut dec = Self::new(code);
         dec.graph = mask.reweight(&dec.graph);
@@ -247,7 +247,7 @@ impl MwpmDecoder {
     }
 
     /// Extract defect nodes from a shot in the canonical order every
-    /// decoder and tier shares: ascending primary stabilizer, round 0
+    /// two-round decoder shares: ascending primary stabilizer, round 0
     /// before round 1 (round-1 detectors fire when the first syndrome
     /// deviates from the deterministic initial value 0, round-2 detectors
     /// when the syndrome changes between rounds). The matcher's

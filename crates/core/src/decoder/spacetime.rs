@@ -71,8 +71,8 @@
 //! A pass shifts every key with no defect in the commit region (it
 //! commits nothing), answers repeats from the memo and solves each
 //! distinct miss once with [`commit_matching`]. The bulk decoder's
-//! lookup-table, analytic and cache tiers are not used, and neither is
-//! its decode deadline: the window bounds a matching at `W · P` nodes.
+//! syndrome memo (lookup table or sharded cache) is not used, and neither
+//! is its decode deadline: the window bounds a matching at `W · P` nodes.
 //! Contexts are interned in the same [`ContextTable`] type the bulk
 //! decoder keys its mask contexts by, so masked window contexts are
 //! LRU-capped at [`TierConfig::mask_capacity`] (the one [`TierConfig`]
@@ -338,8 +338,8 @@ impl SpaceTimeDecoder {
     ///
     /// Of `tiers`, only [`TierConfig::mask_capacity`] applies: window
     /// solves run the exact matcher behind a per-context outcome memo,
-    /// without the bulk decoder's lookup-table, analytic and cache tiers
-    /// or its decode deadline (module docs).
+    /// without the bulk decoder's syndrome memo or its decode deadline
+    /// (module docs).
     pub fn try_for_memory(
         memory: &MemoryCircuit,
         cfg: WindowConfig,
@@ -733,8 +733,7 @@ mod tests {
         let flip = dec.finish(state, None)[0];
         // Stab 0 at any round exits through readout qubit 0: flip = true.
         assert!(flip, "survivor's boundary parity must land in the final flip");
-        // The final window is solved by the matcher, never a bulk tier.
-        assert_eq!(metrics.counter(names::DECODE_ANALYTIC).get(), 0);
+        // The final window is solved by the matcher.
         assert_eq!(metrics.counter(names::DECODE_MATCHINGS).get(), 1);
     }
 

@@ -54,7 +54,7 @@
 //! ## Decoding cost model
 //!
 //! Correction activity is measured by pair-decoding consecutive event
-//! rounds `(2w, 2w+1)` through the same tiered [`BulkDecoder`] the
+//! rounds `(2w, 2w+1)` through the same [`BulkDecoder`] the
 //! offline experiments use. The two-round decoder's defect planes are
 //! exactly two event rounds of the primary stabilizers, so the decoder
 //! takes the chunk's event rows as its planes, with a zero readout, and
@@ -772,7 +772,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         deadline: cfg.effective_deadline(),
         cache_capacity: cfg.cache_capacity,
         mask_capacity: cfg.mask_capacity,
-        ..TierConfig::default()
     };
     let progress = Progress::load(cfg);
     let budget = AtomicUsize::new(cfg.max_chunks.unwrap_or(usize::MAX));

@@ -105,7 +105,7 @@ impl InjectionEngine {
         self.campaign.grid.frame_chunk
     }
 
-    /// Tier statistics of the engine's tiered MWPM decoder (always `Some`;
+    /// Decode statistics of the engine's bulk MWPM decoder (always `Some`;
     /// see [`DecoderStats`]). Accumulates across every sample and batch of
     /// the engine's lifetime — the engine-level syndrome cache in action.
     pub fn decoder_stats(&self) -> Option<DecoderStats> {
@@ -452,10 +452,7 @@ mod tests {
         let _ = engine.run(&fault, &NoiseSpec::paper_default());
         let stats = engine.decoder_stats().expect("default decoder tracks stats");
         assert_eq!(stats.shots, 512 * 10, "10 temporal samples of 512 shots");
-        assert_eq!(
-            stats.shots,
-            stats.trivial + stats.cache_hits + stats.analytic + stats.matchings
-        );
+        assert_eq!(stats.shots, stats.trivial + stats.cache_hits + stats.matchings);
         // rep-5 is LUT-eligible: at most 2^8 distinct syndromes can ever
         // miss, everything else must be answered by the shared table.
         assert!(stats.matchings <= 256, "matchings {}", stats.matchings);

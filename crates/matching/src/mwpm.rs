@@ -106,8 +106,11 @@ impl MatchingArena {
     /// arena and is valid until the next call.
     ///
     /// Each weight closure is called once per edge, in the same order
-    /// whichever solver runs. Up to `DP_MAX_DEFECTS` (12) defects, a subset
-    /// DP (see the crate docs) solves first. Every perfect matching of the
+    /// whichever solver runs: the weights fill a dense `k × k` table (the
+    /// boundary weights on its diagonal), and the blossom edge list is
+    /// built from that table only when blossom runs. Up to
+    /// `DP_MAX_DEFECTS` (12) defects, a subset DP (see the crate docs)
+    /// solves straight from the table first. Every perfect matching of the
     /// blossom reduction restricts to a defect-level matching of the same
     /// weight, and only that restriction is returned. So when exactly one
     /// defect-level matching attains the minimum, blossom, being exact,
@@ -124,34 +127,44 @@ impl MatchingArena {
         if num_defects == 0 {
             return &self.result;
         }
-        let mut edges = std::mem::take(&mut self.edges);
-        edges.clear();
-        for a in 0..num_defects {
-            for b in a + 1..num_defects {
-                edges.push((a as u32, b as u32, pair_weight(a, b)));
+        let k = num_defects;
+        let weight = &mut self.dp.weight;
+        weight.clear();
+        weight.resize(k * k, 0);
+        for a in 0..k {
+            for b in a + 1..k {
+                let w = pair_weight(a, b);
+                weight[a * k + b] = w;
+                weight[b * k + a] = w;
             }
-            edges.push((a as u32, (num_defects + a) as u32, boundary_weight(a)));
+            weight[a * k + a] = boundary_weight(a);
         }
-        if num_defects <= DP_MAX_DEFECTS && self.dp.solve(num_defects, &edges, &mut self.result) {
-            self.edges = edges;
+        if k <= DP_MAX_DEFECTS && self.dp.solve_table(k, &mut self.result) {
             return &self.result;
         }
-        for a in 0..num_defects {
-            for b in a + 1..num_defects {
-                edges.push(((num_defects + a) as u32, (num_defects + b) as u32, 0));
+        // The blossom reduction, its edges in the order the weights were
+        // drawn.
+        let mut edges = std::mem::take(&mut self.edges);
+        edges.clear();
+        let weight = &self.dp.weight;
+        for a in 0..k {
+            for b in a + 1..k {
+                edges.push((a as u32, b as u32, weight[a * k + b]));
+            }
+            edges.push((a as u32, (k + a) as u32, weight[a * k + a]));
+        }
+        for a in 0..k {
+            for b in a + 1..k {
+                edges.push(((k + a) as u32, (k + b) as u32, 0));
             }
         }
-        // Defects 0..d, virtual boundary d..2d.
-        let matched = self.mwpm_into_mate(2 * num_defects, &edges);
+        // Defects 0..k, virtual boundary k..2k.
+        let matched = self.mwpm_into_mate(2 * k, &edges);
         self.edges = edges;
         assert!(matched, "defect graph with per-defect boundary is always perfectly matchable");
-        for a in 0..num_defects {
+        for a in 0..k {
             let m = self.mate[a];
-            self.result.push(if m >= num_defects {
-                DefectMatch::Boundary
-            } else {
-                DefectMatch::Peer(m)
-            });
+            self.result.push(if m >= k { DefectMatch::Boundary } else { DefectMatch::Peer(m) });
         }
         &self.result
     }
@@ -177,6 +190,8 @@ const DP_MAX_DEFECTS: usize = 12;
 #[derive(Debug, Default)]
 struct SubsetDp {
     /// Dense `k × k` weights; the diagonal holds the boundary weights.
+    /// [`MatchingArena::match_defects`] fills it, and blossom's edge list
+    /// is read back from it.
     weight: Vec<i64>,
     cost: Vec<i64>,
     choice: Vec<u8>,
@@ -185,11 +200,27 @@ struct SubsetDp {
 }
 
 impl SubsetDp {
-    /// Solve the `k`-defect instance whose pair and boundary weights are
-    /// `edges` (laid out as [`MatchingArena::match_defects`] builds them)
+    /// [`Self::solve_table`] on the `k`-defect instance whose pair and
+    /// boundary weights are `edges`, laid out as the blossom reduction of
+    /// [`MatchingArena::match_defects`] lists them (boundary edge
+    /// `(a, k + a)`).
+    #[cfg(test)]
+    fn solve(&mut self, k: usize, edges: &[WeightedEdge], out: &mut Vec<DefectMatch>) -> bool {
+        self.weight.clear();
+        self.weight.resize(k * k, 0);
+        for &(a, b, w) in edges {
+            // Boundary edges (a, k + a) land on the diagonal.
+            let (a, b) = (a as usize, if b as usize >= k { a as usize } else { b as usize });
+            self.weight[a * k + b] = w;
+            self.weight[b * k + a] = w;
+        }
+        self.solve_table(k, out)
+    }
+
+    /// Solve the `k`-defect instance whose weights are in `self.weight`
     /// into `out`. Returns `false`, leaving `out` empty, when the optimum
     /// is tied or a sum overflows `i64`.
-    fn solve(&mut self, k: usize, edges: &[WeightedEdge], out: &mut Vec<DefectMatch>) -> bool {
+    fn solve_table(&mut self, k: usize, out: &mut Vec<DefectMatch>) -> bool {
         let full = (1usize << k) - 1;
         if self.reachable.len() <= k {
             self.reachable.resize_with(k + 1, Vec::new);
@@ -204,14 +235,6 @@ impl SubsetDp {
                 .collect();
         }
         let SubsetDp { weight, cost, choice, reachable } = self;
-        weight.clear();
-        weight.resize(k * k, 0);
-        for &(a, b, w) in edges {
-            // Boundary edges (a, k + a) land on the diagonal.
-            let (a, b) = (a as usize, if b as usize >= k { a as usize } else { b as usize });
-            weight[a * k + b] = w;
-            weight[b * k + a] = w;
-        }
         cost.resize(full + 1, 0);
         choice.resize(full + 1, 0);
         cost[0] = 0;

@@ -93,9 +93,7 @@ pub mod names {
     pub const DECODE_TRIVIAL: &str = "decode.trivial";
     /// Syndrome-cache hits (counter).
     pub const DECODE_CACHE_HITS: &str = "decode.cache_hits";
-    /// Closed-form 1–2-defect decodes (counter).
-    pub const DECODE_ANALYTIC: &str = "decode.analytic";
-    /// Full blossom matchings (counter).
+    /// Exact matchings run (counter).
     pub const DECODE_MATCHINGS: &str = "decode.matchings";
     /// Deadline-degraded decodes (counter).
     pub const DECODE_DEGRADED: &str = "decode.degraded";

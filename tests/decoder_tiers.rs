@@ -1,36 +1,17 @@
-//! Equivalence suite for the tiered bulk decoder: every tier configuration
-//! of [`BulkDecoder`] must be bit-identical to [`MwpmDecoder::decode`] —
-//! exhaustively over all `2^{2P}` defect patterns for the LUT-eligible
-//! codes, and property-tested on random records elsewhere. See
-//! `crates/core/src/decoder/mod.rs` for the exactness argument these tests
-//! enforce.
+//! Equivalence suite for the bulk decoder: [`BulkDecoder`] (memo, then one
+//! exact solve per distinct missed syndrome) must be bit-identical to
+//! [`MwpmDecoder::decode`] — exhaustively over all `2^{2P}` defect patterns
+//! for the LUT-eligible codes, per-shot and batch, and property-tested on
+//! random records elsewhere. See `crates/core/src/decoder/mod.rs` for the
+//! exactness argument these tests enforce.
 
 use proptest::prelude::*;
 use radqec::prelude::*;
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_core::codes::CodeCircuit;
-use radqec_core::decoder::{BulkDecoder, TierConfig};
+use radqec_core::decoder::BulkDecoder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The three tier configurations under test (results must all agree):
-/// full cascade (LUT), analytic + cache (LUT off), pure blossom + cache.
-fn tiered_decoders(code: &CodeCircuit) -> Vec<(&'static str, BulkDecoder)> {
-    vec![
-        ("lut", BulkDecoder::new(code)),
-        (
-            "analytic",
-            BulkDecoder::with_tiers(code, TierConfig { lut: false, ..Default::default() }),
-        ),
-        (
-            "blossom",
-            BulkDecoder::with_tiers(
-                code,
-                TierConfig { lut: false, analytic: false, ..Default::default() },
-            ),
-        ),
-    ]
-}
 
 /// Two records realising defect pattern `key` (bit `2i` = round-1 syndrome
 /// of primary stabilizer `i`, bit `2i+1` = round-1/round-2 difference):
@@ -70,9 +51,8 @@ fn exhaustive_syndrome_equivalence_on_lut_eligible_codes() {
         let bits = 2 * code.primary_count;
         assert!(bits <= 16, "{} not LUT-eligible", code.name);
         let oracle = MwpmDecoder::new(&code);
-        let tiered = tiered_decoders(&code);
-        assert!(tiered[0].1.uses_lut());
-        assert!(!tiered[1].1.uses_lut());
+        let dec = BulkDecoder::new(&code);
+        assert!(dec.uses_lut());
 
         let shots = 2usize << bits;
         let mut batch = ShotBatch::new(code.circuit.num_clbits(), shots);
@@ -84,20 +64,8 @@ fn exhaustive_syndrome_equivalence_on_lut_eligible_codes() {
             // decode = raw ^ flip(defects): the oracle itself must ignore
             // the readout value and the secondary syndromes beyond the XOR.
             assert_eq!(want_noisy, !want_plain, "{} key {key:#b}", code.name);
-            for (name, dec) in &tiered {
-                assert_eq!(
-                    dec.decode(&plain),
-                    want_plain,
-                    "{} tier {name} key {key:#b} (plain)",
-                    code.name
-                );
-                assert_eq!(
-                    dec.decode(&noisy),
-                    want_noisy,
-                    "{} tier {name} key {key:#b} (noisy)",
-                    code.name
-                );
-            }
+            assert_eq!(dec.decode(&plain), want_plain, "{} key {key:#b} (plain)", code.name);
+            assert_eq!(dec.decode(&noisy), want_noisy, "{} key {key:#b} (noisy)", code.name);
             for (offset, rec) in [(0usize, &plain), (1, &noisy)] {
                 let s = 2 * key as usize + offset;
                 for c in 0..code.circuit.num_clbits() {
@@ -109,9 +77,7 @@ fn exhaustive_syndrome_equivalence_on_lut_eligible_codes() {
             expected.push(want_plain);
             expected.push(want_noisy);
         }
-        for (name, dec) in &tiered {
-            assert_eq!(dec.decode_batch(&batch), expected, "{} tier {name} batch", code.name);
-        }
+        assert_eq!(dec.decode_batch(&batch), expected, "{} batch", code.name);
     }
 }
 
@@ -166,7 +132,8 @@ fn random_record(nc: u32, density: f64, rng: &mut StdRng) -> ShotRecord {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
-    /// Random (even garbage) records: all tiers equal the MWPM oracle.
+    /// Random (even garbage) records: the bulk decoder equals the MWPM
+    /// oracle.
     #[test]
     fn tiers_match_mwpm_on_random_records(
         code_idx in 0usize..7,
@@ -175,15 +142,12 @@ proptest! {
     ) {
         let code = &codes_under_test()[code_idx];
         let oracle = MwpmDecoder::new(code);
-        let tiered = tiered_decoders(code);
+        let dec = BulkDecoder::new(code);
         let density = [0.05, 0.25, 0.6][density_idx];
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..10 {
             let shot = random_record(code.circuit.num_clbits(), density, &mut rng);
-            let want = oracle.decode(&shot);
-            for (name, dec) in &tiered {
-                prop_assert_eq!(dec.decode(&shot), want, "{} tier {}", code.name, name);
-            }
+            prop_assert_eq!(dec.decode(&shot), oracle.decode(&shot), "{}", code.name);
         }
     }
 

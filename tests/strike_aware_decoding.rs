@@ -4,9 +4,8 @@
 //! `decode(shot, mask) = raw_readout XOR flip_mask(defect_pattern)`, where
 //! `flip_mask` is the pure matching function of the *mask-reweighted*
 //! detector graph. The reference implementation is [`MwpmDecoder::masked`]
-//! (per-shot blossom matching on the reweighted graph); every tier
-//! configuration of [`BulkDecoder`]'s masked contexts must be
-//! **bit-identical** to it — proven exhaustively over all `2^{2P}` defect
+//! (per-shot matching on the reweighted graph); [`BulkDecoder`]'s masked
+//! contexts must be **bit-identical** to it — proven exhaustively over all `2^{2P}` defect
 //! patterns for the LUT-eligible codes the issue names, property-tested
 //! for xxzz-(5,5), per-shot *and* batch paths.
 //!
@@ -20,31 +19,12 @@ use proptest::prelude::*;
 use radqec::prelude::*;
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_core::codes::CodeCircuit;
-use radqec_core::decoder::{BulkDecoder, DecoderMask, TierConfig};
+use radqec_core::decoder::{BulkDecoder, DecoderMask};
 use radqec_detect::{MaskError, StrikeMask};
 use radqec_topology::generators::{linear, mesh};
 use radqec_transpiler::Layout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The three tier configurations under test (results must all agree):
-/// full cascade (LUT), analytic + cache (LUT off), pure blossom + cache.
-fn tiered_decoders(code: &CodeCircuit) -> Vec<(&'static str, BulkDecoder)> {
-    vec![
-        ("lut", BulkDecoder::new(code)),
-        (
-            "analytic",
-            BulkDecoder::with_tiers(code, TierConfig { lut: false, ..Default::default() }),
-        ),
-        (
-            "blossom",
-            BulkDecoder::with_tiers(
-                code,
-                TierConfig { lut: false, analytic: false, ..Default::default() },
-            ),
-        ),
-    ]
-}
 
 /// A spread of masks exercising every reweighting shape: hot data centre,
 /// boundary strike, struck ancillas (time edges), a partially decayed
@@ -108,8 +88,8 @@ fn records_for_pattern(code: &CodeCircuit, key: u64) -> (ShotRecord, ShotRecord)
 }
 
 /// Exhaustive proof for the LUT-eligible codes the issue names: every
-/// possible defect pattern × every mask shape × every tier configuration,
-/// per-shot and batch paths, against the per-shot masked MWPM oracle.
+/// possible defect pattern × every mask shape, per-shot and batch paths,
+/// against the per-shot masked MWPM oracle.
 #[test]
 fn exhaustive_masked_syndrome_equivalence_on_lut_eligible_codes() {
     for code in [
@@ -119,7 +99,7 @@ fn exhaustive_masked_syndrome_equivalence_on_lut_eligible_codes() {
     ] {
         let bits = 2 * code.primary_count;
         assert!(bits <= 16, "{} not LUT-eligible", code.name);
-        let tiered = tiered_decoders(&code);
+        let dec = BulkDecoder::new(&code);
         for (mask_name, mask) in masks_under_test(&code) {
             let oracle = MwpmDecoder::masked(&code, &mask);
             let shots = 2usize << bits;
@@ -134,20 +114,18 @@ fn exhaustive_masked_syndrome_equivalence_on_lut_eligible_codes() {
                     "{} mask {mask_name} key {key:#b}: oracle must factor as raw ^ flip",
                     code.name
                 );
-                for (name, dec) in &tiered {
-                    assert_eq!(
-                        dec.decode_masked(&plain, &mask),
-                        want_plain,
-                        "{} tier {name} mask {mask_name} key {key:#b} (plain)",
-                        code.name
-                    );
-                    assert_eq!(
-                        dec.decode_masked(&noisy, &mask),
-                        want_noisy,
-                        "{} tier {name} mask {mask_name} key {key:#b} (noisy)",
-                        code.name
-                    );
-                }
+                assert_eq!(
+                    dec.decode_masked(&plain, &mask),
+                    want_plain,
+                    "{} mask {mask_name} key {key:#b} (plain)",
+                    code.name
+                );
+                assert_eq!(
+                    dec.decode_masked(&noisy, &mask),
+                    want_noisy,
+                    "{} mask {mask_name} key {key:#b} (noisy)",
+                    code.name
+                );
                 for (offset, rec) in [(0usize, &plain), (1, &noisy)] {
                     let s = 2 * key as usize + offset;
                     for c in 0..code.circuit.num_clbits() {
@@ -159,14 +137,12 @@ fn exhaustive_masked_syndrome_equivalence_on_lut_eligible_codes() {
                 expected.push(want_plain);
                 expected.push(want_noisy);
             }
-            for (name, dec) in &tiered {
-                assert_eq!(
-                    dec.decode_batch_masked(&batch, &mask),
-                    expected,
-                    "{} tier {name} mask {mask_name} batch",
-                    code.name
-                );
-            }
+            assert_eq!(
+                dec.decode_batch_masked(&batch, &mask),
+                expected,
+                "{} mask {mask_name} batch",
+                code.name
+            );
         }
     }
 }
@@ -279,8 +255,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// xxzz-(5,5) is too wide for the exhaustive walk (24 detector bits):
-    /// random records × random masks × every tier configuration against
-    /// the masked per-shot oracle.
+    /// random records × random masks against the masked per-shot oracle,
+    /// batch and per-shot.
     #[test]
     fn xxzz55_masked_tiers_match_the_masked_oracle(
         seed in any::<u64>(),
@@ -288,7 +264,7 @@ proptest! {
     ) {
         let code = XxzzCode::new(5, 5).build();
         let oracle = MwpmDecoder::masked(&code, &mask);
-        let tiered = tiered_decoders(&code);
+        let dec = BulkDecoder::new(&code);
         let nc = code.circuit.num_clbits();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut batch = ShotBatch::new(nc, 64);
@@ -300,16 +276,10 @@ proptest! {
             }
         }
         let expected: Vec<bool> = (0..64).map(|s| oracle.decode(&batch.record(s))).collect();
-        for (name, dec) in &tiered {
-            let got = dec.decode_batch_masked(&batch, &mask);
-            prop_assert_eq!(&got, &expected, "tier {} batch", name);
-            for (s, &want) in expected.iter().enumerate().take(8) {
-                prop_assert_eq!(
-                    dec.decode_masked(&batch.record(s), &mask),
-                    want,
-                    "tier {} shot {}", name, s
-                );
-            }
+        let got = dec.decode_batch_masked(&batch, &mask);
+        prop_assert_eq!(&got, &expected, "batch");
+        for (s, &want) in expected.iter().enumerate().take(8) {
+            prop_assert_eq!(dec.decode_masked(&batch.record(s), &mask), want, "shot {}", s);
         }
     }
 
