@@ -1,7 +1,8 @@
-//! Bulk MWPM decoder: bit-plane defect extraction, an engine-lifetime
-//! syndrome memo (direct lookup table or sharded cache) and one budgeted
-//! exact solve per distinct missed syndrome, with a **mask-keyed cache
-//! dimension** for strike-aware decoding.
+//! Bulk MWPM decoder: bit-plane defect extraction and one memo-or-solve
+//! pass per call over an engine-lifetime syndrome memo (direct lookup
+//! table or sharded map), with one budgeted exact solve per distinct
+//! missed syndrome and a **mask-keyed context dimension** for
+//! strike-aware decoding.
 //!
 //! See the [`crate::decoder`] module docs for the solve pass and the
 //! exactness argument; the short version is that every memo entry is a
@@ -14,18 +15,18 @@
 //! Strike-aware decoding adds a second axis: a [`DecoderMask`] reweights
 //! the detector graph inside a struck region, which changes `flip` — so
 //! each distinct mask (keyed by its quantised integer edge weights) interns
-//! its own [`SolveCore`] in a [`ContextTable`], the table type the
-//! space-time decoder interns its window contexts in too. Warm-path
+//! its own [`SolveContext`] in a [`ContextTable`], the context and table
+//! types the space-time decoder uses for its windows too. Warm-path
 //! throughput survives because a sweep reuses a handful of mask keys, each
 //! with its own fully warmed memo, and a no-op mask takes the lock-free
 //! unmasked path outright (`tests/strike_aware_decoding.rs` pins both the
 //! bit-identity per mask and the no-op handoff).
 
 use crate::codes::CodeCircuit;
-use crate::decoder::cache::{SyndromeCache, DEFAULT_CACHE_CAPACITY, LUT_MAX_BITS};
 use crate::decoder::contexts::ContextTable;
 use crate::decoder::graph::DetectorGraph;
 use crate::decoder::mask::DecoderMask;
+use crate::decoder::memo::{SolveContext, DEFAULT_CACHE_CAPACITY};
 use crate::decoder::mwpm::{matching_flip, weight_of};
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_matching::MatchingArena;
@@ -48,24 +49,33 @@ pub const DEFAULT_DECODE_DEADLINE: Duration = Duration::from_millis(20);
 /// quantised weight keys).
 pub const DEFAULT_MASK_CAPACITY: usize = 64;
 
-/// The resource limits of a [`BulkDecoder`]. The memo's storage is not a
-/// setting: codes with at most `LUT_MAX_BITS` (16) detector bits get the
-/// exhaustive direct-indexed table, wider ones the sharded cache. Only
-/// `deadline` can change a decode: a spent budget swaps the exact matcher
-/// for the greedy fallback (see [`DecoderStats::degraded`]), which may
-/// differ on syndromes of three or more defects, or of two tied ones.
+/// The resource limits of both matching decoders, [`BulkDecoder`] and
+/// [`SpaceTimeDecoder`]. A memo's storage is not a setting: keys of at
+/// most `LUT_MAX_BITS` (16) detector bits get the exhaustive
+/// direct-indexed table, wider ones the sharded map. Only `deadline` can
+/// change a decode: a spent budget swaps the exact matcher for the greedy
+/// fallback (see [`DecoderStats::degraded`]), which may differ on
+/// syndromes of three or more defects, or of two tied ones.
+///
+/// [`SpaceTimeDecoder`]: crate::decoder::SpaceTimeDecoder
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
-    /// Entry budget of the sharded cross-batch cache used when the code is
-    /// too wide for the direct table.
+    /// Entry budget of every sharded outcome memo, one per solve context
+    /// of either decoder (the unmasked context, each mask context, each
+    /// window context). A shard that is full when a new entry arrives is
+    /// cleared, and its entries count as evictions; the memo holds values
+    /// of a pure function, so eviction never changes a decode. A
+    /// direct-indexed table holds one slot per possible key and needs no
+    /// cap.
     pub cache_capacity: usize,
-    /// Per-shot budget for the exact solves, or `None` for unbounded.
-    /// Batch decoding scales it to `deadline × shots` and charges every
-    /// solve against the pool; once spent, remaining missed syndromes are
-    /// answered by a deterministic greedy matching instead (counted in
-    /// [`DecoderStats::degraded`], never cached), so a stuck matcher can
-    /// not stall a round stream. `Duration::ZERO` degrades every missed
-    /// syndrome — the chaos-test configuration.
+    /// Per-shot budget for the bulk decoder's exact solves, or `None` for
+    /// unbounded. Batch decoding scales it to `deadline × shots` and
+    /// charges every solve against the pool; once spent, remaining missed
+    /// syndromes are answered by a deterministic greedy matching instead
+    /// (counted in [`DecoderStats::degraded`], never cached), so a stuck
+    /// matcher can not stall a round stream. `Duration::ZERO` degrades
+    /// every missed syndrome — the chaos-test configuration. Window solves
+    /// are bounded by the window instead and ignore it.
     pub deadline: Option<Duration>,
     /// Hard ceiling on interned mask contexts; the least-recently-used
     /// context is dropped to admit a new key (counted in
@@ -84,15 +94,29 @@ impl Default for TierConfig {
     }
 }
 
+impl TierConfig {
+    /// Whether a decoder can be built from this config: both capacities
+    /// must be at least 1. Both decoders' fallible constructors call it.
+    pub fn validate(&self) -> Result<(), TierError> {
+        if self.cache_capacity == 0 {
+            return Err(TierError::ZeroCacheCapacity);
+        }
+        if self.mask_capacity == 0 {
+            return Err(TierError::ZeroMaskCapacity);
+        }
+        Ok(())
+    }
+}
+
 /// A [`TierConfig`] a decoder cannot be built from (see
-/// [`BulkDecoder::try_with_tiers`]).
+/// [`TierConfig::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierError {
-    /// `cache_capacity` is zero — the sharded cache needs room for at
-    /// least one entry per shard to make progress.
+    /// `cache_capacity` is zero — a sharded memo needs room for at least
+    /// one entry per shard to make progress.
     ZeroCacheCapacity,
     /// `mask_capacity` is zero — every masked decode would rebuild its
-    /// context from scratch, silently disabling the mask-keyed cache.
+    /// context from scratch, silently disabling the mask-keyed contexts.
     ZeroMaskCapacity,
 }
 
@@ -131,12 +155,12 @@ pub struct DecoderStats {
     /// already spent (see [`TierConfig::deadline`]). Zero at the default
     /// deadline; degraded answers are never written to any cache.
     pub degraded: u64,
-    /// Entries evicted from the sharded cache.
+    /// Entries cleared from the (unmasked) sharded memo by full shards.
     pub cache_evictions: u64,
-    /// Distinct syndromes currently held by the (unmasked) LUT/cache.
+    /// Distinct syndromes currently held by the (unmasked) memo.
     pub cache_entries: usize,
     /// Distinct strike-mask reweightings interned (each owns a private
-    /// graph + syndrome cache — the mask-keyed cache dimension).
+    /// graph + syndrome memo — the mask-keyed context dimension).
     pub mask_contexts: usize,
     /// Masked decode calls answered by an already-interned mask context
     /// (the mask cache's hit counter; misses = `mask_contexts`).
@@ -210,158 +234,64 @@ struct Ctx {
     spent: Duration,
 }
 
-/// The solve state of one decoding context: a detector graph (uniform or
-/// mask-reweighted), its engine-lifetime syndrome memo and the decoder's
-/// limits. The unmasked decoder owns one; every distinct
-/// [`DecoderMask`] weight key interns another — same code paths,
-/// different `flip` function.
-struct SolveCore {
-    graph: DetectorGraph,
-    /// Detector-bit count `2P`; key bit `2i + r` is stabilizer `i` in
-    /// round `r` (see `node_of_plane`).
-    planes: usize,
-    tiers: TierConfig,
-    /// Context-lifetime syndrome memo, shared by every batch / rayon
-    /// chunk / temporal sample through `&self` (interior mutability
-    /// inside): the direct table when the key fits it, else the sharded
-    /// cache.
-    cache: SyndromeCache,
-}
-
-impl SolveCore {
-    fn new(graph: DetectorGraph, tiers: TierConfig) -> Self {
-        let planes = graph.layers() * graph.primary_count();
-        let cache = if planes <= LUT_MAX_BITS {
-            SyndromeCache::direct(planes)
-        } else {
-            SyndromeCache::sharded(tiers.cache_capacity)
-        };
-        SolveCore { graph, planes, tiers, cache }
-    }
-
-    /// Detector node of key bit `plane`: plane `2i + r` is node
-    /// `(stab i, round r)`, so ascending bit index reproduces
-    /// `MwpmDecoder::defects` order.
-    #[inline]
-    fn node_of_plane(&self, plane: usize) -> usize {
-        (plane % 2) * self.graph.primary_count() + plane / 2
-    }
-
-    /// Scratch context for a decode call over `shots` shots, carrying the
-    /// call's solve-time budget (`deadline × shots`, saturating).
-    fn budget_ctx(&self, shots: usize) -> Ctx {
-        Ctx {
-            budget: self
-                .tiers
-                .deadline
-                .map(|d| d.saturating_mul(shots.min(u32::MAX as usize) as u32)),
-            ..Ctx::default()
-        }
-    }
-
-    /// Flip parity of the non-zero defect pattern `key`, shared by the
-    /// `shots` shots of a call that carry it: a memo hit for all of them,
-    /// or one budgeted exact solve whose answer the other `shots − 1`
-    /// reuse (counted as cache hits). The answer is cached unless it was
-    /// degraded: a greedy answer is not a value of the exact `flip`
-    /// function, so it never enters a memo, and every shot of the group
-    /// counts as degraded.
-    fn flip_of_group(&self, key: u128, shots: u64, ctx: &mut Ctx, local: &mut LocalStats) -> bool {
-        debug_assert_ne!(key, 0);
-        if let Some(flip) = self.cache.get(key) {
-            local.cache_hits += shots;
-            return flip;
-        }
-        let (flip, exact) = self.heavy_flip(key, ctx, local);
-        if exact {
-            self.cache.insert(key, flip);
-            local.cache_hits += shots - 1;
-        } else {
-            local.degraded += shots - 1;
-        }
-        flip
-    }
-
-    /// The exact solve of `key` under the decode budget: the exact matcher
-    /// while `ctx` still has time, the deterministic greedy fallback once
-    /// the budget is spent. Returns `(flip, exact)`; only exact answers
-    /// may be cached.
-    fn heavy_flip(&self, key: u128, ctx: &mut Ctx, local: &mut LocalStats) -> (bool, bool) {
-        ctx.defects.clear();
-        let mut k = key;
-        while k != 0 {
-            let plane = k.trailing_zeros() as usize;
-            k &= k - 1;
-            ctx.defects.push(self.node_of_plane(plane));
-        }
-        self.heavy_flip_defects(ctx, local)
-    }
-
-    /// Budget gate over an explicit defect list already in `ctx.defects`
-    /// (shared with the > 128-detector-bit wide path, which never forms a
-    /// `u128` key). Solves are timed and charged against the budget, so
-    /// one pathological solve cannot be followed by another.
-    fn heavy_flip_defects(&self, ctx: &mut Ctx, local: &mut LocalStats) -> (bool, bool) {
-        match ctx.budget {
-            None => {
-                local.matchings += 1;
-                (matching_flip(&self.graph, &ctx.defects, &mut ctx.arena), true)
-            }
-            Some(budget) if ctx.spent >= budget => {
-                local.degraded += 1;
-                (self.greedy_flip(&ctx.defects), false)
-            }
+impl Ctx {
+    /// The budgeted solve of the defect list in `self.defects` on `graph`:
+    /// the exact matcher while the budget lasts, the deterministic greedy
+    /// fallback once it is spent. Returns `(flip, exact)`; only exact
+    /// answers may be memoised. Solves are timed and charged against the
+    /// budget, so one pathological solve cannot be followed by another.
+    fn solve(&mut self, graph: &DetectorGraph) -> (bool, bool) {
+        match self.budget {
+            None => (matching_flip(graph, &self.defects, &mut self.arena), true),
+            Some(budget) if self.spent >= budget => (greedy_flip(graph, &self.defects), false),
             Some(_) => {
                 let start = Instant::now();
-                local.matchings += 1;
-                let flip = matching_flip(&self.graph, &ctx.defects, &mut ctx.arena);
-                ctx.spent += start.elapsed();
+                let flip = matching_flip(graph, &self.defects, &mut self.arena);
+                self.spent += start.elapsed();
                 (flip, true)
             }
         }
     }
+}
 
-    /// Deterministic greedy matching — the graceful-degradation answer
-    /// when the decode budget is spent. Walks defects in plane order; each
-    /// unmatched defect takes its cheapest strictly-pair-beats-boundary
-    /// partner, else the boundary. O(k²), exact for ≤ 2 defects whose
-    /// pair and boundary distances do not tie (it weighs the same two
-    /// matchings the exact matcher chooses between), approximate beyond —
-    /// which is why degraded answers never populate a cache.
-    fn greedy_flip(&self, defects: &[usize]) -> bool {
-        let g = &self.graph;
-        let boundary = g.boundary();
-        let mut used = vec![false; defects.len()];
-        let mut flip = false;
-        for i in 0..defects.len() {
-            if used[i] {
+/// Deterministic greedy matching — the graceful-degradation answer when
+/// the decode budget is spent. Walks defects in plane order; each
+/// unmatched defect takes its cheapest strictly-pair-beats-boundary
+/// partner, else the boundary. O(k²), exact for ≤ 2 defects whose pair and
+/// boundary distances do not tie (it weighs the same two matchings the
+/// exact matcher chooses between), approximate beyond — which is why
+/// degraded answers never populate a memo.
+fn greedy_flip(g: &DetectorGraph, defects: &[usize]) -> bool {
+    let boundary = g.boundary();
+    let mut used = vec![false; defects.len()];
+    let mut flip = false;
+    for i in 0..defects.len() {
+        if used[i] {
+            continue;
+        }
+        let a = defects[i];
+        let wa = weight_of(g.distance(a, boundary));
+        let mut best: Option<(i64, usize)> = None;
+        for j in i + 1..defects.len() {
+            if used[j] {
                 continue;
             }
-            let a = defects[i];
-            let wa = weight_of(g.distance(a, boundary));
-            let mut best: Option<(i64, usize)> = None;
-            for j in i + 1..defects.len() {
-                if used[j] {
-                    continue;
-                }
-                let b = defects[j];
-                let cost = weight_of(g.pair_distance(a, b));
-                if cost < wa + weight_of(g.distance(b, boundary))
-                    && best.is_none_or(|(c, _)| cost < c)
-                {
-                    best = Some((cost, j));
-                }
-            }
-            match best {
-                Some((_, j)) => {
-                    used[j] = true;
-                    flip ^= g.pair_crossing_parity(a, defects[j]);
-                }
-                None => flip ^= g.crossing_parity(a, boundary),
+            let b = defects[j];
+            let cost = weight_of(g.pair_distance(a, b));
+            if cost < wa + weight_of(g.distance(b, boundary)) && best.is_none_or(|(c, _)| cost < c)
+            {
+                best = Some((cost, j));
             }
         }
-        flip
+        match best {
+            Some((_, j)) => {
+                used[j] = true;
+                flip ^= g.pair_crossing_parity(a, defects[j]);
+            }
+            None => flip ^= g.crossing_parity(a, boundary),
+        }
     }
+    flip
 }
 
 /// Bulk decoder, bit-identical to [`MwpmDecoder`].
@@ -374,19 +304,26 @@ impl SolveCore {
 /// engine.
 ///
 /// [`BulkDecoder::decode_batch_masked`] runs the same pipeline against an
-/// interned per-mask `SolveCore` (reweighted graph + private memo);
+/// interned per-mask solve context (reweighted graph + private memo);
 /// no-op masks hand off to the unmasked path bit-identically.
 ///
 /// [`MwpmDecoder`]: crate::decoder::MwpmDecoder
 pub struct BulkDecoder {
-    core: SolveCore,
+    /// The unmasked solve context: the code's two-layer detector graph and
+    /// its engine-lifetime syndrome memo, shared by every batch / rayon
+    /// chunk / temporal sample through `&self`.
+    core: SolveContext<bool>,
+    /// Detector-bit count `2P`; key bit `2i + r` is stabilizer `i` in
+    /// round `r` (see `node_of_plane`).
+    planes: usize,
+    tiers: TierConfig,
     cbits_round1: Vec<u32>,
     cbits_round2: Vec<u32>,
     readout_cbit: u32,
     /// Interned mask contexts, keyed by quantised edge weights — the
-    /// mask-keyed cache dimension. Shared by every batch of the engine,
+    /// mask-keyed context dimension. Shared by every batch of the engine,
     /// bounded by [`TierConfig::mask_capacity`].
-    masked: ContextTable<(), SolveCore>,
+    masked: ContextTable<(), SolveContext<bool>>,
     /// Per-decoder metrics registry (the `decode.*` family), shareable
     /// via [`Self::try_with_tiers_metrics`].
     metrics: Arc<MetricsRegistry>,
@@ -414,7 +351,7 @@ impl BulkDecoder {
     }
 
     /// Build with an explicit [`TierConfig`], rejecting configurations the
-    /// decoder cannot honour (zero cache or mask capacity). Any *valid*
+    /// decoder cannot honour ([`TierConfig::validate`]). Any *valid*
     /// config with `deadline: None` yields results identical to the
     /// default; a finite deadline may degrade missed syndromes (see
     /// [`DecoderStats::degraded`]).
@@ -430,19 +367,17 @@ impl BulkDecoder {
         tiers: TierConfig,
         metrics: Arc<MetricsRegistry>,
     ) -> Result<Self, TierError> {
-        if tiers.cache_capacity == 0 {
-            return Err(TierError::ZeroCacheCapacity);
-        }
-        if tiers.mask_capacity == 0 {
-            return Err(TierError::ZeroMaskCapacity);
-        }
+        tiers.validate()?;
         Ok(Self::build(code, tiers, metrics))
     }
 
     fn build(code: &CodeCircuit, tiers: TierConfig, metrics: Arc<MetricsRegistry>) -> Self {
         let stats = StatCells::new(&metrics);
+        let graph = DetectorGraph::new(code);
         BulkDecoder {
-            core: SolveCore::new(DetectorGraph::new(code), tiers),
+            planes: graph.layers() * graph.primary_count(),
+            core: SolveContext::new(graph, tiers.cache_capacity),
+            tiers,
             cbits_round1: code.primary_stabilizers().iter().map(|s| s.cbit_round1).collect(),
             cbits_round2: code.primary_stabilizers().iter().map(|s| s.cbit_round2).collect(),
             readout_cbit: code.readout_cbit,
@@ -464,7 +399,7 @@ impl BulkDecoder {
 
     /// Whether this decoder serves syndromes from the exhaustive LUT.
     pub fn uses_lut(&self) -> bool {
-        self.core.cache.is_direct()
+        self.core.memo.is_direct()
     }
 
     /// Eagerly fill the exhaustive LUT (all `2^bits` syndromes). No-op for
@@ -475,18 +410,37 @@ impl BulkDecoder {
         if !self.uses_lut() {
             return;
         }
-        let mut ctx = Ctx::default();
-        let mut discard = LocalStats::default();
-        for key in 1..(1u128 << self.core.planes) {
-            self.core.flip_of_group(key, 1, &mut ctx, &mut discard);
+        let mut flips = vec![false; (1 << self.planes) - 1];
+        let key_of = |i: usize, _: &mut bool| Some(i as u128 + 1);
+        self.answer(&self.core, &mut flips, key_of, &mut Ctx::default(), &mut Default::default());
+    }
+
+    /// Detector node of key bit `plane`: plane `2i + r` is node
+    /// `(stab i, round r)`, so ascending bit index reproduces
+    /// `MwpmDecoder::defects` order.
+    #[inline]
+    fn node_of_plane(&self, plane: usize) -> usize {
+        (plane % 2) * self.core.graph.primary_count() + plane / 2
+    }
+
+    /// Scratch context for a decode call over `shots` shots, carrying the
+    /// call's solve-time budget (`deadline × shots`, saturating).
+    fn budget_ctx(&self, shots: usize) -> Ctx {
+        Ctx {
+            budget: self
+                .tiers
+                .deadline
+                .map(|d| d.saturating_mul(shots.min(u32::MAX as usize) as u32)),
+            ..Ctx::default()
         }
     }
 
     /// Resolve the solve context of `mask`: `None` for a no-op mask (the
     /// unmasked path answers, bit-identically to unaware decoding), the
-    /// interned per-weight-key [`SolveCore`] otherwise.
-    fn masked_core(&self, mask: &DecoderMask) -> Option<Arc<SolveCore>> {
-        let build = || SolveCore::new(mask.reweight(&self.core.graph), self.core.tiers);
+    /// interned per-weight-key context otherwise.
+    fn masked_core(&self, mask: &DecoderMask) -> Option<Arc<SolveContext<bool>>> {
+        let build =
+            || SolveContext::new(mask.reweight(&self.core.graph), self.tiers.cache_capacity);
         (!mask.is_noop()).then(|| self.masked.intern((), Some(mask.weight_key()), build))
     }
 
@@ -504,9 +458,9 @@ impl BulkDecoder {
     }
 
     /// Decode every shot of a batch. Bit-plane defect extraction (64
-    /// shots per word op), then one pass: each non-trivial shot probes the
-    /// memo inline, the misses are grouped by defect pattern, and each
-    /// distinct missed pattern gets one exact solve whose flip is
+    /// shots per word op), then one memo-or-solve pass: each non-trivial
+    /// shot probes the memo, the misses are grouped by defect pattern,
+    /// and each distinct missed pattern gets one exact solve whose flip is
     /// scattered to every shot of its group (see `decode_planes`). A cold
     /// radiation-impact batch repeats the same heavy syndromes across many
     /// shots, so its matcher work is one solve per *distinct* syndrome per
@@ -530,13 +484,14 @@ impl BulkDecoder {
     }
 
     /// Where decode work went so far: a thin view over the `decode.*`
-    /// registry counters (plus cache and mask-table occupancy, derived on
+    /// registry counters (plus memo and mask-table occupancy, derived on
     /// read and mirrored into gauges).
     pub fn decode_stats(&self) -> DecoderStats {
         let (_, mask_contexts) = self.masked.counts();
         let mask_evictions = self.masked.evictions();
-        self.metrics.gauge(names::DECODE_CACHE_ENTRIES).set(self.core.cache.len() as u64);
-        self.metrics.gauge(names::DECODE_CACHE_EVICTIONS).set(self.core.cache.evictions());
+        let memo = &self.core.memo;
+        self.metrics.gauge(names::DECODE_CACHE_ENTRIES).set(memo.len() as u64);
+        self.metrics.gauge(names::DECODE_CACHE_EVICTIONS).set(memo.evictions());
         self.metrics.gauge(names::DECODE_MASK_CONTEXTS).set(mask_contexts as u64);
         self.metrics.gauge(names::DECODE_MASK_EVICTIONS).set(mask_evictions);
         DecoderStats {
@@ -545,8 +500,8 @@ impl BulkDecoder {
             cache_hits: self.stats.cache_hits.get(),
             matchings: self.stats.matchings.get(),
             degraded: self.stats.degraded.get(),
-            cache_evictions: self.core.cache.evictions(),
-            cache_entries: self.core.cache.len(),
+            cache_evictions: memo.evictions(),
+            cache_entries: memo.len(),
             mask_contexts,
             mask_hits: self.stats.mask_hits.get(),
             mask_evictions,
@@ -567,7 +522,7 @@ impl BulkDecoder {
     ) -> Vec<bool> {
         let _span = SpanTimer::start(&self.stats.decode_ns);
         let words = shots.div_ceil(64);
-        let mut planes = Vec::with_capacity(self.core.planes * words);
+        let mut planes = Vec::with_capacity(self.planes * words);
         for i in 0..self.core.graph.primary_count() {
             planes.extend_from_slice(rows(i, 0));
             planes.extend_from_slice(rows(i, 1));
@@ -601,23 +556,23 @@ impl BulkDecoder {
         planes: &[u64],
         readout: &[u64],
         shots: usize,
-        core: &SolveCore,
+        core: &SolveContext<bool>,
     ) -> Vec<bool> {
         let words = shots.div_ceil(64);
         let mut out = Vec::with_capacity(shots);
         let mut memo: HashMap<Box<[u64]>, bool> = Default::default();
-        let mut keybuf = vec![0u64; core.planes.div_ceil(64)];
-        let mut ctx = core.budget_ctx(shots);
+        let mut keybuf = vec![0u64; self.planes.div_ceil(64)];
+        let mut ctx = self.budget_ctx(shots);
         let mut local = LocalStats { shots: shots as u64, ..Default::default() };
         for s in 0..shots {
             let (w, b) = (s / 64, s % 64);
             let raw = (readout[w] >> b) & 1 == 1;
             keybuf.iter_mut().for_each(|k| *k = 0);
             ctx.defects.clear();
-            for plane in 0..core.planes {
+            for plane in 0..self.planes {
                 if (planes[plane * words + w] >> b) & 1 == 1 {
                     keybuf[plane / 64] |= 1u64 << (plane % 64);
-                    ctx.defects.push(core.node_of_plane(plane));
+                    ctx.defects.push(self.node_of_plane(plane));
                 }
             }
             if ctx.defects.is_empty() {
@@ -631,9 +586,12 @@ impl BulkDecoder {
                     f
                 }
                 None => {
-                    let (f, exact) = core.heavy_flip_defects(&mut ctx, &mut local);
+                    let (f, exact) = ctx.solve(&core.graph);
                     if exact {
+                        local.matchings += 1;
                         memo.insert(keybuf.clone().into_boxed_slice(), f);
+                    } else {
+                        local.degraded += 1;
                     }
                     f
                 }
@@ -644,32 +602,52 @@ impl BulkDecoder {
         out
     }
 
+    /// The memo-or-solve pass ([`SolveContext::answer`]) over `out`'s raw
+    /// readouts: each flip is XORed into its shot, and a miss is solved
+    /// under `ctx`'s budget with its defects fed stab-major.
+    fn answer(
+        &self,
+        core: &SolveContext<bool>,
+        out: &mut [bool],
+        key_of: impl FnMut(usize, &mut bool) -> Option<u128>,
+        ctx: &mut Ctx,
+        local: &mut LocalStats,
+    ) {
+        let solve = |key: u128| {
+            ctx.defects.clear();
+            let mut k = key;
+            while k != 0 {
+                let plane = k.trailing_zeros() as usize;
+                k &= k - 1;
+                ctx.defects.push(self.node_of_plane(plane));
+            }
+            ctx.solve(&core.graph)
+        };
+        core.answer(out, key_of, |raw, flip| *raw ^= flip, local, solve);
+    }
+
     /// Decode one record against `core` (the per-shot path shared by the
     /// unmasked and masked entry points): a group of one.
-    fn decode_in(&self, shot: &ShotRecord, core: &SolveCore) -> bool {
-        if core.planes > 128 {
+    fn decode_in(&self, shot: &ShotRecord, core: &SolveContext<bool>) -> bool {
+        if self.planes > 128 {
             // Wider than the u128 key (P > 64 primary stabilizers): a
             // one-shot batch through the wide path.
             let batch = ShotBatch::from_records(std::slice::from_ref(shot));
             let planes = self.defect_planes(&batch);
             return self.decode_planes_wide(&planes, batch.row(self.readout_cbit), 1, core)[0];
         }
-        let raw = shot.get(self.readout_cbit);
         let key = self.key_of_record(shot);
-        let mut local = LocalStats { shots: 1, ..Default::default() };
-        let v = if key == 0 {
-            local.trivial += 1;
-            raw
-        } else {
-            raw ^ core.flip_of_group(key, 1, &mut core.budget_ctx(1), &mut local)
-        };
+        let mut out = [shot.get(self.readout_cbit)];
+        let mut local = LocalStats { shots: 1, trivial: u64::from(key == 0), ..Default::default() };
+        let key_of = |_: usize, _: &mut bool| (key != 0).then_some(key);
+        self.answer(core, &mut out, key_of, &mut self.budget_ctx(1), &mut local);
         self.stats.flush(local);
-        v
+        out[0]
     }
 
     /// Decode a batch against `core` — one `stage.decode_ns` span around
     /// plane extraction and the solve pass (see [`Self::decode_batch`]).
-    fn decode_batch_in(&self, batch: &ShotBatch, core: &SolveCore) -> Vec<bool> {
+    fn decode_batch_in(&self, batch: &ShotBatch, core: &SolveContext<bool>) -> Vec<bool> {
         let _span = SpanTimer::start(&self.stats.decode_ns);
         let planes = self.defect_planes(batch);
         self.decode_planes(&planes, batch.row(self.readout_cbit), batch.shots(), core)
@@ -679,7 +657,7 @@ impl BulkDecoder {
     /// row `2i` = round-1 syndrome of primary stabilizer `i`, row `2i+1`
     /// = its round-1/round-2 XOR.
     fn defect_planes(&self, batch: &ShotBatch) -> Vec<u64> {
-        let mut planes = Vec::with_capacity(self.core.planes * batch.words());
+        let mut planes = Vec::with_capacity(self.planes * batch.words());
         for (&c1, &c2) in self.cbits_round1.iter().zip(&self.cbits_round2) {
             let (r1, r2) = (batch.row(c1), batch.row(c2));
             planes.extend_from_slice(r1);
@@ -690,74 +668,43 @@ impl BulkDecoder {
 
     /// The solve pass over interleaved defect planes (see
     /// [`Self::defect_planes`]) and the raw readout row — the pipeline
-    /// behind both batch entry points and the event-row entry. Each
-    /// non-trivial shot probes the memo inline; the misses are collected
-    /// as `(key, shot)` pairs, sorted, and each distinct key is answered
-    /// once by `flip_of_group` (which probes again: a concurrent chunk
-    /// may have solved it since), its flip scattered to the whole group.
+    /// behind both batch entry points and the event-row entry. Every shot
+    /// starts as its raw readout; the non-trivial ones go through one
+    /// memo-or-solve pass (`answer`). Words whose planes are all zero
+    /// skip key extraction.
     fn decode_planes(
         &self,
         planes: &[u64],
         readout: &[u64],
         shots: usize,
-        core: &SolveCore,
+        core: &SolveContext<bool>,
     ) -> Vec<bool> {
-        if core.planes > 128 {
+        if self.planes > 128 {
             return self.decode_planes_wide(planes, readout, shots, core);
         }
         let words = shots.div_ceil(64);
-        // `union` flags words with any defect so all-trivial word spans
-        // skip per-shot work entirely.
+        // `union` flags words with any defect.
         let mut union = vec![0u64; words];
         for plane in planes.chunks_exact(words) {
             union.iter_mut().zip(plane).for_each(|(u, &d)| *u |= d);
         }
-        let mut out = Vec::with_capacity(shots);
+        let mut out: Vec<bool> =
+            (0..shots).map(|s| (readout[s / 64] >> (s % 64)) & 1 == 1).collect();
         let mut local = LocalStats { shots: shots as u64, ..Default::default() };
-        let mut misses: Vec<(u128, u32)> = Vec::new();
-        for w in 0..words {
-            let in_word = (shots - w * 64).min(64);
-            let raw_word = readout[w];
-            if union[w] == 0 {
-                // Entire word of trivial syndromes: readout passes through.
-                for b in 0..in_word {
-                    out.push((raw_word >> b) & 1 == 1);
-                }
-                local.trivial += in_word as u64;
-                continue;
-            }
-            for b in 0..in_word {
-                let mut key = 0u128;
-                for plane in 0..core.planes {
+        let mut trivial = 0;
+        let key_of = |s: usize, _: &mut bool| {
+            let (w, b) = (s / 64, s % 64);
+            let mut key = 0u128;
+            if union[w] != 0 {
+                for plane in 0..self.planes {
                     key |= (((planes[plane * words + w] >> b) & 1) as u128) << plane;
                 }
-                let raw = (raw_word >> b) & 1 == 1;
-                if key == 0 {
-                    local.trivial += 1;
-                    out.push(raw);
-                    continue;
-                }
-                match core.cache.get(key) {
-                    Some(flip) => {
-                        local.cache_hits += 1;
-                        out.push(raw ^ flip);
-                    }
-                    None => {
-                        misses.push((key, out.len() as u32));
-                        out.push(raw);
-                    }
-                }
             }
-        }
-        misses.sort_unstable();
-        let mut ctx = core.budget_ctx(shots);
-        for group in misses.chunk_by(|a, b| a.0 == b.0) {
-            if core.flip_of_group(group[0].0, group.len() as u64, &mut ctx, &mut local) {
-                for &(_, shot) in group {
-                    out[shot as usize] ^= true;
-                }
-            }
-        }
+            trivial += u64::from(key == 0);
+            (key != 0).then_some(key)
+        };
+        self.answer(core, &mut out, key_of, &mut self.budget_ctx(shots), &mut local);
+        local.trivial = trivial;
         self.stats.flush(local);
         out
     }

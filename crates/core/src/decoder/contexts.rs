@@ -1,11 +1,10 @@
 //! The one interned solve-context table behind both matching decoders.
 //!
-//! A solve context (a possibly mask-reweighted detector graph plus its
-//! outcome cache: the bulk decoder's syndrome LUT or sharded cache, or a
-//! window's outcome memo) is a pure function of its key: a layout part
-//! `L` (`()` for the bulk decoder, the window's `(layers, commit layers)`
-//! for the space-time decoder) and a mask's quantised weight key (`None`
-//! = unmasked).
+//! A solve context (a `memo::SolveContext`: a possibly mask-reweighted
+//! detector graph plus its outcome memo) is a pure function of its key: a
+//! layout part `L` (`()` for the bulk decoder, the window's `(layers,
+//! commit layers)` for the space-time decoder) and a mask's quantised
+//! weight key (`None` = unmasked).
 //! Eviction therefore never changes a decode: an evicted context's `Arc`
 //! keeps in-flight work alive, and re-interning rebuilds the same function.
 

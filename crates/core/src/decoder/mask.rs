@@ -76,21 +76,8 @@ impl DecoderMask {
     /// stabilizer's weight in CXs plus its measurement. The compounding
     /// exponents come straight from the code structure — no tuning knob.
     pub fn project(mask: &StrikeMask, code: &CodeCircuit, layout: &Layout) -> Self {
-        let exposure = |p: f64, gates: usize| 1.0 - (1.0 - p).powi(gates.max(1) as i32);
-        let data_probs = code
-            .data_qubits
-            .iter()
-            .map(|&d| {
-                let gates = code.stabilizers.iter().filter(|s| s.support.contains(&d)).count();
-                exposure(mask.prob(layout.physical(d)), gates)
-            })
-            .collect();
-        let stab_probs = code
-            .primary_stabilizers()
-            .iter()
-            .map(|s| exposure(mask.prob(layout.physical(s.ancilla)), s.support.len() + 1))
-            .collect();
-        DecoderMask { data_probs, stab_probs }
+        let stabs: Vec<_> = code.stabilizers.iter().map(|s| (s.ancilla, &s.support[..])).collect();
+        Self::exposed(mask, layout, code.data_qubits.iter().copied(), &stabs, code.primary_count)
     }
 
     /// [`DecoderMask::project`] for a memory experiment: same per-round
@@ -98,19 +85,30 @@ impl DecoderMask {
     /// assembled [`MemoryCircuit`] (whose stabilizer list is what the
     /// space-time decoder's graph is built from).
     pub fn project_memory(mask: &StrikeMask, memory: &MemoryCircuit, layout: &Layout) -> Self {
-        let exposure = |p: f64, gates: usize| 1.0 - (1.0 - p).powi(gates.max(1) as i32);
-        let data_probs = (0..memory.n_data)
-            .map(|d| {
-                let gates = memory.stabilizers.iter().filter(|s| s.support.contains(&d)).count();
-                exposure(mask.prob(layout.physical(d)), gates)
-            })
+        let stabs: Vec<_> =
+            memory.stabilizers.iter().map(|s| (s.ancilla, &s.support[..])).collect();
+        Self::exposed(mask, layout, 0..memory.n_data, &stabs, memory.primary_count)
+    }
+
+    /// The exposure compounding of [`DecoderMask::project`] over a code's
+    /// logical data qubits and its `(ancilla, support)` stabilizers, the
+    /// first `primary` of them primary.
+    fn exposed(
+        mask: &StrikeMask,
+        layout: &Layout,
+        data_qubits: impl Iterator<Item = u32>,
+        stabs: &[(u32, &[u32])],
+        primary: usize,
+    ) -> Self {
+        let exposure = |q: u32, gates: usize| {
+            1.0 - (1.0 - mask.prob(layout.physical(q))).powi(gates.max(1) as i32)
+        };
+        let data_probs = data_qubits
+            .map(|d| exposure(d, stabs.iter().filter(|s| s.1.contains(&d)).count()))
             .collect();
-        let stab_probs = memory
-            .primary_stabilizers()
-            .iter()
-            .map(|s| exposure(mask.prob(layout.physical(s.ancilla)), s.support.len() + 1))
-            .collect();
-        DecoderMask { data_probs, stab_probs }
+        let stab_probs =
+            stabs[..primary].iter().map(|&(ancilla, support)| exposure(ancilla, support.len() + 1));
+        DecoderMask { data_probs, stab_probs: stab_probs.collect() }
     }
 
     /// Build directly from per-data-qubit / per-primary-stabilizer
@@ -149,9 +147,9 @@ impl DecoderMask {
 
     /// The integer weight assignment `(per data qubit, per stabilizer)` —
     /// the masked graph is a pure function of this key, which is also what
-    /// the bulk decoder's mask-keyed cache dimension hashes on: two
-    /// masks that quantise to the same weights share one reweighted graph
-    /// and one syndrome cache.
+    /// both decoders' mask-keyed contexts hash on: two masks that quantise
+    /// to the same weights share one reweighted graph and one outcome
+    /// memo.
     pub fn weight_key(&self) -> (Vec<u32>, Vec<u32>) {
         (
             self.data_probs.iter().map(|&p| weight_of_prob(p)).collect(),
@@ -161,7 +159,7 @@ impl DecoderMask {
 
     /// Whether the mask quantises to the uniform weight assignment —
     /// masked decoding with a no-op mask is *defined* to take the unaware
-    /// path (same tiers, same caches, bit-identical output). Tested on
+    /// path (same tiers, same memos, bit-identical output). Tested on
     /// the quantised weights, not the raw probabilities, so a mask whose
     /// every probability rounds to the base weight (e.g. one decay step
     /// above background) is recognised as the no-op it encodes.

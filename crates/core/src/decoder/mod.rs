@@ -19,8 +19,8 @@
 //! classical record, so they work identically on logical and transpiled
 //! circuits. Memory streams are decoded by the sliding-window
 //! [`SpaceTimeDecoder`] over multi-layer graphs of the same kind, with
-//! the same exact matcher behind one outcome memo per window context
-//! (see its module docs).
+//! the same exact matcher behind the same memo-or-solve pass (see its
+//! module docs and "One solve context" below).
 //!
 //! # Memo, then one exact solve per distinct miss ([`BulkDecoder`])
 //!
@@ -35,13 +35,10 @@
 //!    words are skipped at once when no defect plane has a bit set.
 //! 2. **Memo** — every other shot probes an engine-lifetime memo from
 //!    pattern to `flip`, shared across batches, rayon chunks and temporal
-//!    samples of a campaign. Its storage follows from the key width alone:
-//!    codes with `2P ≤ 16` detector bits (repetition `d ≤ 9`, XXZZ up to
-//!    (3,5)/(5,3)) get a direct-indexed, lazily filled, exhaustive table
-//!    (64 KiB at worst); wider codes a sharded, approximately-LRU map.
+//!    samples of a campaign (storage: "One solve context" below).
 //! 3. **One exact solve per distinct miss** — the misses are collected as
-//!    `(pattern, shot)` pairs and sorted, and each distinct pattern runs
-//!    the exact matcher once, through the same
+//!    `(pattern, shot)` pairs and sorted, and each distinct pattern that
+//!    the memo still misses runs the exact matcher once, through the same
 //!    [`matching_flip`](MwpmDecoder) core `MwpmDecoder` uses, with a
 //!    scratch arena ([`radqec_matching::MatchingArena`]) so repeated
 //!    solves stop allocating. Its flip is scattered to every shot of the
@@ -50,12 +47,8 @@
 //! The arena solves small defect sets (up to a dozen) by subset DP and the
 //! rest, or any tied optimum, by blossom; a unique optimum is the same
 //! whichever solver finds it, so a solve returns blossom's answer either
-//! way. That DP also covers what a closed form for one or two defects
-//! would: one defect has a single matching (to the boundary), and two have
-//! exactly two (pair up, or both to the boundary). The DP settles either
-//! in well under a microsecond when one is strictly cheaper, and hands an
-//! exact tie to blossom, so a separate 1–2-defect path would save little
-//! and answer nothing differently.
+//! way. The DP settles one or two defects (one or two candidate
+//! matchings) in well under a microsecond, so they need no closed form.
 //!
 //! # Decode deadlines and graceful degradation
 //!
@@ -68,9 +61,8 @@
 //! (cheapest strictly-pair-beats-boundary partner, else boundary — exact
 //! for ≤ 2 untied defects, approximate beyond) and their shots counted in
 //! [`DecoderStats::degraded`]. Degraded answers are **never** written to
-//! the LUT, the cross-batch cache, or a batch memo, so exactness of every
-//! cached value — and therefore of every future non-degraded decode — is
-//! preserved; the only cost is a possibly suboptimal correction on the
+//! a memo, so exactness of every memoised value — and therefore of every
+//! future non-degraded decode — is preserved; the only cost is a possibly suboptimal correction on the
 //! degraded shots themselves (a logical-error-rate cost bounded by the
 //! fraction `degraded / shots`, which is 0 at the default deadline in
 //! every workload this repo runs). `deadline: None` restores the
@@ -98,27 +90,37 @@
 //! making struck-region paths cheap (erasure-style, after the Google
 //! cosmic-ray line of work). [`BulkDecoder::decode_batch_masked`] runs the
 //! very same solve pass against a per-mask interned context (reweighted
-//! graph + private syndrome LUT/cache — the mask-keyed cache dimension),
+//! graph + private syndrome memo — the mask-keyed context dimension),
 //! and [`MwpmDecoder::masked`] is the per-shot reference it is validated
 //! against (`tests/strike_aware_decoding.rs`): the exactness argument
 //! above is weight-agnostic, so it covers every masked context unchanged.
 //! A no-op mask (zero radius, decayed to background) hands off to the
 //! unaware path bit-identically.
 //!
-//! # One context table
+//! # One solve context
 //!
-//! The bulk decoder's per-mask cores and the space-time decoder's
-//! per-`(window layers, commit layers, mask)` contexts are interned in
-//! one LRU table type (`contexts::ContextTable`, capped at
-//! [`TierConfig::mask_capacity`]).
-//! The bulk decoder's unmasked core is a plain field, so its unaware
-//! per-shot and batch paths take no lock.
+//! Both decoders solve through one context type, `memo::SolveContext`: a
+//! detector graph plus one outcome memo (flips of `2P`-bit syndromes for
+//! the bulk decoder; committed flip and survivors of `layers · P`-bit
+//! keys for a window). The key width alone picks the storage: a
+//! lock-free direct table up to 16 bits (repetition `d ≤ 9`, XXZZ up to
+//! (3,5)/(5,3) for the bulk decoder), else a 16-shard map capped at
+//! [`TierConfig::cache_capacity`] that clears a full shard. Both answer
+//! their keys through one memo-or-solve pass (`SolveContext::answer`):
+//! probe, group the misses by key, re-probe each group, solve each
+//! distinct miss once, store exact answers, scatter each answer to its
+//! group. Only the solve differs: the bulk decoder feeds the matcher
+//! stab-major under the deadline, a window node-major with its commit
+//! rule. Per-mask and per-`(window layers, commit layers, mask)`
+//! contexts are interned in one LRU table type (`contexts::ContextTable`,
+//! capped at [`TierConfig::mask_capacity`]); the bulk decoder's unmasked
+//! context is a plain field, so its unaware paths take no table lock.
 
 mod bulk;
-mod cache;
 mod contexts;
 mod graph;
 mod mask;
+mod memo;
 mod mwpm;
 mod spacetime;
 mod stream;

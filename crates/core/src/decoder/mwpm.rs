@@ -140,7 +140,7 @@ fn boundary_weight(g: &DetectorGraph, a: usize) -> i64 {
 /// Readout-flip parity the minimum-weight matching of `defects` implies —
 /// the exact core of [`MwpmDecoder::decode`], factored out so
 /// [`BulkDecoder`](crate::decoder::BulkDecoder) provably computes the
-/// same function (every value its lookup table or cache holds comes from
+/// same function (every value its memo holds comes from
 /// this very routine).
 ///
 /// Matches on the canonically perturbed weights ([`match_weights`]), so

@@ -58,29 +58,33 @@
 //!
 //! Every window solve, mid-stream (`W` layers, commit `C`) or final (the
 //! remaining `R − base` layers, commit all), is one grouped pass over
-//! the chunk. Its context is a window graph
-//! ([`DetectorGraph::space_time`], reweighted by the mask active at solve
-//! time) plus a memo of outcomes (committed flip and survivors) by defect
-//! key, interned per `(layers, commit layers, mask)`. The commit belongs
-//! in the key: when `R − base = W`, the final and the mid-stream windows
-//! share a graph, but one key commits differently under the two. A
-//! masked context reweights the unmasked context's graph
-//! ([`DetectorGraph::reweighted`]) instead of building the geometry
-//! again, and every graph carries its table of perturbed match weights.
+//! the chunk. Its context is a [`SolveContext`], the type the bulk
+//! decoder uses too: a window graph ([`DetectorGraph::space_time`],
+//! reweighted by the mask active at solve time) plus a memo of outcomes
+//! (committed flip and survivors) by defect key, interned per
+//! `(layers, commit layers, mask)`. The commit belongs in the key: when
+//! `R − base = W`, the final and the mid-stream windows share a graph,
+//! but one key commits differently under the two. A masked context
+//! reweights the unmasked context's graph ([`DetectorGraph::reweighted`])
+//! instead of building the geometry again, and every graph carries its
+//! table of perturbed match weights.
 //!
 //! A pass shifts every key with no defect in the commit region (it
-//! commits nothing), answers repeats from the memo and solves each
-//! distinct miss once with [`commit_matching`]. The bulk decoder's
-//! syndrome memo (lookup table or sharded cache) is not used, and neither
-//! is its decode deadline: the window bounds a matching at `W · P` nodes.
-//! Contexts are interned in the same [`ContextTable`] type the bulk
-//! decoder keys its mask contexts by, so masked window contexts are
-//! LRU-capped at [`TierConfig::mask_capacity`] (the one [`TierConfig`]
-//! field this decoder reads) and counted as `decode.mask_hits` the same
-//! way.
+//! commits nothing) while it collects the keys, and answers the rest
+//! through the memo-or-solve pass both decoders share
+//! ([`SolveContext::answer`]): repeats come from the memo, and each
+//! distinct miss is solved once with [`commit_matching`]. The bulk
+//! decoder's decode deadline is not used: the window bounds a matching at
+//! `W · P` nodes. Contexts are interned in the same [`ContextTable`] type
+//! the bulk decoder keys its mask contexts by, so masked window contexts
+//! are LRU-capped at [`TierConfig::mask_capacity`] and counted as
+//! `decode.mask_hits` the same way, and every memo is capped at
+//! [`TierConfig::cache_capacity`].
 //!
 //! [`BulkDecoder`]: crate::decoder::BulkDecoder
 //! [`ContextTable`]: super::contexts::ContextTable
+//! [`SolveContext`]: super::memo::SolveContext
+//! [`SolveContext::answer`]: super::memo::SolveContext::answer
 //! [`MatchingArena`]: radqec_matching::MatchingArena
 //! [`MatchingArena::match_defects`]: radqec_matching::MatchingArena::match_defects
 //! [`commit_matching`]: super::mwpm::commit_matching
@@ -89,19 +93,14 @@ use super::bulk::{LocalStats, StatCells};
 use super::contexts::ContextTable;
 use super::graph::DetectorGraph;
 use super::mask::DecoderMask;
+use super::memo::{MemoValue, SolveContext};
 use super::mwpm::commit_matching;
-use super::TierConfig;
+use super::{TierConfig, TierError};
 use crate::codes::MemoryCircuit;
 use radqec_matching::MatchingArena;
 use radqec_telemetry::MetricsRegistry;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Ceiling on memoised window outcomes per context; reaching it clears
-/// the memo (epoch reset — entries are recomputable).
-const WINDOW_MEMO_CAP: usize = 1 << 16;
+use std::sync::Arc;
 
 /// Sliding-window geometry: solve on `window` layers, commit the oldest
 /// `commit` (see the module docs for the commit/discard contract).
@@ -160,8 +159,8 @@ pub enum SpaceTimeError {
     },
     /// The window geometry itself is invalid.
     Window(WindowConfigError),
-    /// `mask_capacity` is zero: no masked window context could be kept.
-    ZeroMaskCapacity,
+    /// The [`TierConfig`] fails [`TierConfig::validate`].
+    Tier(TierError),
 }
 
 impl fmt::Display for SpaceTimeError {
@@ -176,9 +175,7 @@ impl fmt::Display for SpaceTimeError {
                 write!(f, "window of {bits} detector bits exceeds the 128-bit defect key")
             }
             SpaceTimeError::Window(e) => write!(f, "invalid window config: {e}"),
-            SpaceTimeError::ZeroMaskCapacity => {
-                write!(f, "tier config: mask_capacity must be at least 1")
-            }
+            SpaceTimeError::Tier(e) => write!(f, "{e}"),
         }
     }
 }
@@ -225,47 +222,25 @@ impl Default for WindowConfig {
 }
 
 /// Outcome of one window solve (memoised per defect pattern).
-#[derive(Debug, Clone, Copy)]
-struct WindowOutcome {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct WindowOutcome {
     /// Crossing parity of every finalized match.
-    flip: bool,
+    pub(super) flip: bool,
     /// Window-node bitmask of tentative defects carried forward.
-    survivors: u128,
+    pub(super) survivors: u128,
 }
 
-/// Hashes a `u128` window key with one folded multiply of its halves. The
-/// memo is private to the decoder, so SipHash's resistance to chosen keys
-/// buys nothing, and its cost showed on every probe.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
+/// A direct-table slot packs the flip below the survivors, which are a
+/// subset of a key of at most `LUT_MAX_BITS` (16) bits.
+impl MemoValue for WindowOutcome {
+    fn pack(self) -> u32 {
+        debug_assert!(self.survivors >> 16 == 0, "survivors exceed a direct-table key");
+        u32::from(self.flip) | (self.survivors as u32) << 1
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
+    fn unpack(bits: u32) -> Self {
+        WindowOutcome { flip: bits & 1 == 1, survivors: u128::from(bits >> 1) }
     }
-
-    fn write_u128(&mut self, key: u128) {
-        let product = u128::from(key as u64 ^ 0x243F_6A88_85A3_08D3)
-            * u128::from((key >> 64) as u64 ^ 0x1319_8A2E_0370_7344);
-        self.0 = product as u64 ^ (product >> 64) as u64;
-    }
-}
-
-/// Window outcomes by defect key.
-type WindowMemo = HashMap<u128, WindowOutcome, BuildHasherDefault<KeyHasher>>;
-
-/// One interned `(layers, commit layers, mask)` solve context: the window
-/// graph plus its outcome memo (module docs: one outcome memo per window
-/// context).
-struct WindowContext {
-    graph: DetectorGraph,
-    memo: Mutex<WindowMemo>,
 }
 
 /// One replica's share of a chunk's window state.
@@ -294,10 +269,6 @@ pub struct WindowState {
     defects: Vec<usize>,
     /// Batched counters, flushed by `finish`.
     local: LocalStats,
-    /// Scratch of one solve pass: the memo misses as `(key, replica)`,
-    /// then the distinct keys' outcomes.
-    misses: Vec<(u128, u32)>,
-    solved: Vec<(u128, WindowOutcome)>,
 }
 
 impl WindowState {
@@ -323,8 +294,10 @@ pub struct SpaceTimeDecoder {
     primary_count: usize,
     detector_rounds: usize,
     cfg: WindowConfig,
+    /// Entry cap of each context's memo ([`TierConfig::cache_capacity`]).
+    cache_capacity: usize,
     /// Solve contexts keyed by `((window layers, commit layers), mask)`.
-    contexts: ContextTable<(usize, usize), WindowContext>,
+    contexts: ContextTable<(usize, usize), SolveContext<WindowOutcome>>,
     stats: StatCells,
 }
 
@@ -333,13 +306,12 @@ impl SpaceTimeDecoder {
     /// syndrome layers plus the terminal detector layer the projected
     /// data readout induces (`detector_rounds = rounds + 1`), or the
     /// reason the stream cannot be decoded: no final data readout, an
-    /// invalid window, a window wider than the 128-bit defect key, or a
-    /// zero `mask_capacity`.
+    /// invalid window, `tiers` failing [`TierConfig::validate`], or a
+    /// window wider than the 128-bit defect key.
     ///
-    /// Of `tiers`, only [`TierConfig::mask_capacity`] applies: window
-    /// solves run the exact matcher behind a per-context outcome memo,
-    /// without the bulk decoder's syndrome memo or its decode deadline
-    /// (module docs).
+    /// `tiers` caps each context's memo at [`TierConfig::cache_capacity`]
+    /// and the masked contexts at [`TierConfig::mask_capacity`]; window
+    /// solves ignore the decode deadline (module docs).
     pub fn try_for_memory(
         memory: &MemoryCircuit,
         cfg: WindowConfig,
@@ -348,9 +320,7 @@ impl SpaceTimeDecoder {
     ) -> Result<Self, SpaceTimeError> {
         let readout = memory.final_readout.as_ref().ok_or(SpaceTimeError::NoFinalReadout)?;
         WindowConfig::try_new(cfg.window, cfg.commit).map_err(SpaceTimeError::Window)?;
-        if tiers.mask_capacity == 0 {
-            return Err(SpaceTimeError::ZeroMaskCapacity);
-        }
+        tiers.validate().map_err(SpaceTimeError::Tier)?;
         let supports: Vec<Vec<u32>> =
             memory.primary_stabilizers().iter().map(|s| s.support.clone()).collect();
         let primary_count = supports.len();
@@ -367,6 +337,7 @@ impl SpaceTimeDecoder {
             primary_count,
             detector_rounds,
             cfg,
+            cache_capacity: tiers.cache_capacity,
             contexts: ContextTable::new(tiers.mask_capacity, Arc::clone(&stats.mask_hits)),
             stats,
         })
@@ -391,8 +362,6 @@ impl SpaceTimeDecoder {
             arena: MatchingArena::default(),
             defects: Vec::new(),
             local: LocalStats::default(),
-            misses: Vec::new(),
-            solved: Vec::new(),
         }
     }
 
@@ -473,13 +442,10 @@ impl SpaceTimeDecoder {
     /// and one solve pass), both counted from the window's first layer,
     /// key bit 0. An empty chunk commits nothing and fetches no context.
     ///
-    /// The memo is visited twice per call, not twice per replica: one
-    /// locked pass shifts every key with no defect in the commit region,
-    /// answers every other key the memo holds and collects the misses;
-    /// the misses are sorted so each distinct key is solved once, outside
-    /// the lock (a repeat counts as a memo hit, as it would have been had
-    /// the first copy been inserted before it was probed); a second locked
-    /// pass inserts the new outcomes.
+    /// The key collection of the memo-or-solve pass visits each replica
+    /// once and shifts a key with no defect in the commit region on the
+    /// spot, so only keys that commit something are probed or solved. A
+    /// solve feeds the matcher the key's defects in ascending node order.
     fn solve(
         &self,
         state: &mut WindowState,
@@ -498,55 +464,26 @@ impl SpaceTimeDecoder {
             rep.flip ^= outcome.flip;
             rep.pending = outcome.survivors.checked_shr(commit_nodes as u32).unwrap_or(0);
         };
-        let wctx = self.context(layers, commit, mask);
-        let WindowState { replicas, arena, defects, local, misses, solved, .. } = state;
-        misses.clear();
-        {
-            let memo = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner);
-            for (i, rep) in replicas.iter_mut().enumerate().filter(|(_, rep)| rep.pending != 0) {
-                if rep.pending & commit_region == 0 {
-                    apply(rep, WindowOutcome { flip: false, survivors: rep.pending });
-                    continue;
-                }
-                match memo.get(&rep.pending) {
-                    Some(&hit) => {
-                        local.cache_hits += 1;
-                        apply(rep, hit);
-                    }
-                    None => misses.push((rep.pending, i as u32)),
-                }
+        let key_of = |_: usize, rep: &mut Replica| {
+            if rep.pending & commit_region == 0 {
+                apply(rep, WindowOutcome { flip: false, survivors: rep.pending });
+                return None;
             }
-        }
-        misses.sort_unstable();
-        solved.clear();
-        for group in misses.chunk_by(|a, b| a.0 == b.0) {
-            let key = group[0].0;
-            // The exact matcher, fed the key's defects in ascending node
-            // order.
+            Some(rep.pending)
+        };
+        let wctx = self.context(layers, commit, mask);
+        let WindowState { replicas, arena, defects, local, .. } = state;
+        let solve = |key: u128| {
             defects.clear();
             let mut bits = key;
             while bits != 0 {
                 defects.push(bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
-            local.matchings += 1;
-            local.cache_hits += group.len() as u64 - 1;
             let (flip, survivors) = commit_matching(&wctx.graph, defects, arena, commit_nodes);
-            let outcome = WindowOutcome { flip, survivors };
-            for &(_, i) in group {
-                apply(&mut replicas[i as usize], outcome);
-            }
-            solved.push((key, outcome));
-        }
-        if !solved.is_empty() {
-            let mut memo = wctx.memo.lock().unwrap_or_else(PoisonError::into_inner);
-            for &(key, outcome) in solved.iter() {
-                if memo.len() >= WINDOW_MEMO_CAP {
-                    memo.clear();
-                }
-                memo.insert(key, outcome);
-            }
-        }
+            (WindowOutcome { flip, survivors }, true)
+        };
+        wctx.answer(replicas, key_of, &apply, local, solve);
     }
 
     /// Intern (or fetch) the solve context of `(layers, commit, mask)`.
@@ -562,7 +499,7 @@ impl SpaceTimeDecoder {
         layers: usize,
         commit: usize,
         mask: Option<&DecoderMask>,
-    ) -> Arc<WindowContext> {
+    ) -> Arc<SolveContext<WindowOutcome>> {
         let mask = mask.filter(|m| !m.is_noop());
         self.contexts.intern((layers, commit), mask.map(DecoderMask::weight_key), || {
             let graph = match mask {
@@ -574,7 +511,7 @@ impl SpaceTimeDecoder {
                     layers,
                 ),
             };
-            WindowContext { graph, memo: Mutex::new(WindowMemo::default()) }
+            SolveContext::new(graph, self.cache_capacity)
         })
     }
 
@@ -650,13 +587,25 @@ mod tests {
         assert_eq!(err, SpaceTimeError::NoFinalReadout);
         assert!(err.to_string().contains("readout-terminated"));
         let rep5 = RepetitionCode::bit_flip(5).build_memory_readout(9);
-        let zero_mask = TierConfig { mask_capacity: 0, ..tiers };
-        let err =
-            SpaceTimeDecoder::try_for_memory(&rep5, WindowConfig::default(), zero_mask, &metrics)
-                .err()
-                .unwrap();
-        assert_eq!(err, SpaceTimeError::ZeroMaskCapacity);
-        assert!(err.to_string().contains("mask_capacity"));
+        for (zero, field, reason) in [
+            (
+                TierConfig { mask_capacity: 0, ..tiers },
+                "mask_capacity",
+                TierError::ZeroMaskCapacity,
+            ),
+            (
+                TierConfig { cache_capacity: 0, ..tiers },
+                "cache_capacity",
+                TierError::ZeroCacheCapacity,
+            ),
+        ] {
+            let err =
+                SpaceTimeDecoder::try_for_memory(&rep5, WindowConfig::default(), zero, &metrics)
+                    .err()
+                    .unwrap();
+            assert_eq!(err, SpaceTimeError::Tier(reason));
+            assert!(err.to_string().contains(field));
+        }
     }
 
     #[test]

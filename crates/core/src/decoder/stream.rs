@@ -185,9 +185,9 @@ impl<'e> StreamDecoder<'e> {
     /// decoder cannot be built: the engine's memory carries no final data
     /// readout (build it with [`StreamEngineBuilder::final_readout`]),
     /// the window is invalid or wider than the 128-bit defect key, or
-    /// `tiers.mask_capacity` is zero (see
-    /// [`SpaceTimeDecoder::try_for_memory`], which also says why no other
-    /// `tiers` field applies).
+    /// `tiers` fails [`TierConfig::validate`] (see
+    /// [`SpaceTimeDecoder::try_for_memory`], which also says which `tiers`
+    /// fields the window decoder reads).
     ///
     /// [`StreamEngineBuilder::final_readout`]: crate::streaming::StreamEngineBuilder::final_readout
     pub fn try_new(
