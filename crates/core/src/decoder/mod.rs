@@ -44,7 +44,7 @@
 //!    solves stop allocating. Its flip is scattered to every shot of the
 //!    group and stored in the memo. A per-shot decode is a group of one.
 //!
-//! The arena solves small defect sets (up to a dozen) by subset DP and the
+//! The arena solves small defect sets (up to 15) by subset DP and the
 //! rest, or any tied optimum, by blossom; a unique optimum is the same
 //! whichever solver finds it, so a solve returns blossom's answer either
 //! way. The DP settles one or two defects (one or two candidate

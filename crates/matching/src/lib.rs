@@ -19,7 +19,7 @@
 //!
 //! Decoders call [`MatchingArena::match_defects`] mostly on a handful of
 //! defects, where blossom's `2k`-vertex reduction costs far more than the
-//! problem needs. Up to a dozen defects the arena first runs an exact
+//! problem needs. Up to 15 defects the arena first runs an exact
 //! subset DP: the minimum weight `f(S)` of a defect set `S` is the best of
 //! sending its lowest defect `i` to the boundary, `b(i) + f(S∖i)`, or
 //! pairing it with some `j ∈ S`, `w(i, j) + f(S∖{i, j})`. The DP also

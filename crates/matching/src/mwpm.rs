@@ -2,6 +2,7 @@
 //! including the virtual-boundary reduction used by surface-code decoders.
 
 use crate::blossom::{matching_size, max_weight_matching_in, BlossomScratch, WeightedEdge};
+use std::sync::OnceLock;
 
 /// Minimum-weight perfect matching via weight reflection.
 ///
@@ -109,7 +110,7 @@ impl MatchingArena {
     /// whichever solver runs: the weights fill a dense `k × k` table (the
     /// boundary weights on its diagonal), and the blossom edge list is
     /// built from that table only when blossom runs. Up to
-    /// `DP_MAX_DEFECTS` (12) defects, a subset DP (see the crate docs)
+    /// `DP_MAX_DEFECTS` (15) defects, a subset DP (see the crate docs)
     /// solves straight from the table first. Every perfect matching of the
     /// blossom reduction restricts to a defect-level matching of the same
     /// weight, and only that restriction is returned. So when exactly one
@@ -171,13 +172,21 @@ impl MatchingArena {
 }
 
 /// Largest defect set [`MatchingArena::match_defects`] solves by subset DP
-/// before the blossom reduction. Measured on a 2-vCPU x86-64 VM with
-/// weights shaped like the decoders' (distances × 2²⁰ plus a sub-unit
-/// perturbation), the DP costs 0.06/0.19/1.3/3.8/42 µs at 3/6/10/12/16
-/// defects against blossom's 2.6/9.8/29/45/79 µs, and the DP's
-/// `O(2ᵏ·k)` table overtakes blossom near 17 defects. Stopping at 12 keeps
-/// the DP tables at 36 KiB; larger sets go to blossom.
-const DP_MAX_DEFECTS: usize = 12;
+/// before the blossom reduction. Timed in situ on the radbench `paper_d5`
+/// workload (XXZZ-(5,5) strikes, seed 1, 20 s, 2-vCPU x86-64 VM), both
+/// solvers on every 13–16-defect set, the mean call costs:
+///
+/// | defects | 13 | 14 | 15 | 16 |
+/// |---|---|---|---|---|
+/// | subset DP | 10.8 µs | 22.5 µs | 52.7 µs | 158 µs |
+/// | blossom | 82.4 µs | 78.3 µs | 107 µs | 95.5 µs |
+///
+/// The DP's cost more than doubles with each defect while blossom's stays
+/// nearly flat, and at 16 defects the DP also grows a 512 KiB `cost` table in
+/// the fresh arena each decode call builds, so the DP loses there.
+/// Stopping at 15 keeps the tables at 256 KiB of `cost` and 32 KiB of
+/// `choice`; larger sets go to blossom.
+const DP_MAX_DEFECTS: usize = 15;
 
 /// Subset-DP state for `k ≤ DP_MAX_DEFECTS` defects, reused across calls.
 ///
@@ -195,8 +204,22 @@ struct SubsetDp {
     weight: Vec<i64>,
     cost: Vec<i64>,
     choice: Vec<u8>,
-    /// `reachable[k]`: the states a `k`-defect solve can reach, ascending.
-    reachable: Vec<Vec<u16>>,
+}
+
+/// The states a `k`-defect solve can reach, ascending, ending at the full
+/// set. From the full set, each step removes a state's lowest defect and
+/// at most one other, so a state whose lowest defect is `i` has lost at
+/// most `i` of the defects above `i`. A list depends on `k` alone, so
+/// every arena shares it; each is built on first use.
+fn reachable(k: usize) -> &'static [u16] {
+    static LISTS: [OnceLock<Vec<u16>>; DP_MAX_DEFECTS + 1] =
+        [const { OnceLock::new() }; DP_MAX_DEFECTS + 1];
+    LISTS[k].get_or_init(|| {
+        (1..1u32 << k)
+            .filter(|&s| s.count_ones() as usize + 2 * s.trailing_zeros() as usize >= k)
+            .map(|s| s as u16)
+            .collect()
+    })
 }
 
 impl SubsetDp {
@@ -222,25 +245,13 @@ impl SubsetDp {
     /// is tied or a sum overflows `i64`.
     fn solve_table(&mut self, k: usize, out: &mut Vec<DefectMatch>) -> bool {
         let full = (1usize << k) - 1;
-        if self.reachable.len() <= k {
-            self.reachable.resize_with(k + 1, Vec::new);
-        }
-        if self.reachable[k].is_empty() {
-            // From `full`, each step removes a state's lowest defect and
-            // at most one other, so a state whose lowest defect is `i` has
-            // lost at most `i` of the defects above `i`.
-            self.reachable[k] = (1..=full)
-                .filter(|&s| s.count_ones() as usize + 2 * s.trailing_zeros() as usize >= k)
-                .map(|s| s as u16)
-                .collect();
-        }
-        let SubsetDp { weight, cost, choice, reachable } = self;
+        let SubsetDp { weight, cost, choice } = self;
         cost.resize(full + 1, 0);
         choice.resize(full + 1, 0);
         cost[0] = 0;
         // Removing choice `j` from `s` (lowest defect `i`) leaves
         // `s & (s - 1) & !(1 << j)`; for `j = i` that is `s & (s - 1)`.
-        for &s in &reachable[k] {
+        for &s in reachable(k) {
             let s = s as usize;
             let i = s.trailing_zeros() as usize;
             let rest = s & (s - 1);
@@ -374,6 +385,27 @@ mod tests {
         let mut out = Vec::new();
         assert!(SubsetDp::default().solve(3, &edges, &mut out));
         assert_eq!(out, [DefectMatch::Peer(1), DefectMatch::Peer(0), DefectMatch::Boundary]);
+    }
+
+    #[test]
+    fn reachable_lists_hold_every_state_a_solve_visits() {
+        for k in 1..=DP_MAX_DEFECTS {
+            let list = reachable(k);
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "k = {k}: not strictly ascending");
+            let full = ((1u32 << k) - 1) as u16;
+            assert!(list.binary_search(&full).is_ok(), "k = {k}: full set missing");
+            // The boundary choice leaves `rest`; pairing with `j` leaves
+            // `rest & !(1 << j)`.
+            let listed = |t: u16| t == 0 || list.binary_search(&t).is_ok();
+            for &s in list {
+                let rest = s & (s - 1);
+                assert!(listed(rest), "k = {k}: {s:#b} steps to unlisted {rest:#b}");
+                for j in 0..k {
+                    let next = rest & !(1 << j);
+                    assert!(listed(next), "k = {k}: {s:#b} steps to unlisted {next:#b}");
+                }
+            }
+        }
     }
 
     #[test]

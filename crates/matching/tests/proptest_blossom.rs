@@ -98,15 +98,15 @@ fn defect_instance(
     weights: std::ops::RangeInclusive<i64>,
 ) -> impl Strategy<Value = (usize, Vec<i64>, Vec<i64>)> {
     (
-        0usize..=14,
-        proptest::collection::vec(weights.clone(), 196),
-        proptest::collection::vec(weights, 14),
+        0usize..=18,
+        proptest::collection::vec(weights.clone(), 18 * 18),
+        proptest::collection::vec(weights, 18),
     )
 }
 
-/// Symmetric pair weight from a 14 × 14 table.
+/// Symmetric pair weight from an 18 × 18 table.
 fn sym(table: &[i64], a: usize, b: usize) -> i64 {
-    table[a.min(b) * 14 + a.max(b)]
+    table[a.min(b) * 18 + a.max(b)]
 }
 
 proptest! {
@@ -186,8 +186,8 @@ proptest! {
     /// Arena `match_defects` equals the free function after arbitrary reuse.
     #[test]
     fn arena_match_defects_is_bit_identical(
-        d1 in 0usize..7,
-        d2 in 0usize..7,
+        d1 in 0usize..19,
+        d2 in 0usize..19,
         weights in proptest::collection::vec(1i64..40, 64),
         boundary in proptest::collection::vec(1i64..40, 8),
     ) {

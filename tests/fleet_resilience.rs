@@ -199,11 +199,11 @@ fn oversized_masks_clip_to_the_device_and_bad_roots_are_typed() {
 #[test]
 fn cache_eviction_holds_the_ceiling_without_changing_the_physics() {
     // rep-(11,1) pair-decode has 20 detector planes — past the direct-LUT
-    // width, so the sharded LRU cache carries the campaign. A long
+    // width, so the sharded memo carries the campaign. A long
     // multi-strike run populates far more distinct syndromes than a tiny
-    // ceiling holds, so the tight run must evict constantly — and still
-    // decode every window to the same answer, because the cache stores a
-    // pure function of the syndrome.
+    // ceiling holds, so the tight run must clear full shards constantly —
+    // and still decode every window to the same answer, because the memo
+    // stores a pure function of the syndrome.
     let mut roomy_cfg = small_fleet(400);
     roomy_cfg.code = RepetitionCode::bit_flip(11).into();
     roomy_cfg.shots = 16;
