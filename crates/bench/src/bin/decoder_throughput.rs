@@ -148,12 +148,8 @@ fn main() -> ExitCode {
         // per-batch decode-latency percentiles for the steady state.
         let warm_registry = Arc::new(MetricsRegistry::new());
         let tiered_warm = time_decode(&batches, reps, false, || {
-            BulkDecoder::try_with_tiers_metrics(
-                &code,
-                TierConfig::default(),
-                Arc::clone(&warm_registry),
-            )
-            .expect("default tiers are valid")
+            BulkDecoder::try_new(&code, TierConfig::default(), Arc::clone(&warm_registry))
+                .expect("default tiers are valid")
         });
         let warm_snap = warm_registry.snapshot();
         bench.merge(&warm_snap);

@@ -9,6 +9,7 @@
 //! record.
 
 use crate::codes::CodeSpec;
+use crate::decoder::DecoderError;
 use radqec_circuit::{Backend, Circuit, Qubit, ShotBatch, ShotRecord};
 use radqec_noise::{
     run_noisy_shot_segmented, ActiveFault, NoiseSpec, WorkspacePool, WorkspaceStats,
@@ -186,6 +187,8 @@ pub enum EngineBuildError {
     NoShots,
     /// A frame-batch chunk of zero shots.
     ZeroFrameChunk,
+    /// The engine's decoder cannot be built for the code.
+    Decoder(DecoderError),
 }
 
 impl std::fmt::Display for EngineBuildError {
@@ -203,6 +206,7 @@ impl std::fmt::Display for EngineBuildError {
             }
             EngineBuildError::NoShots => write!(f, "need at least one shot"),
             EngineBuildError::ZeroFrameChunk => write!(f, "frame chunk must be positive"),
+            EngineBuildError::Decoder(e) => write!(f, "{e}"),
         }
     }
 }

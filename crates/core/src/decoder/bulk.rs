@@ -26,12 +26,12 @@ use crate::codes::CodeCircuit;
 use crate::decoder::contexts::ContextTable;
 use crate::decoder::graph::DetectorGraph;
 use crate::decoder::mask::DecoderMask;
-use crate::decoder::memo::{SolveContext, DEFAULT_CACHE_CAPACITY};
+use crate::decoder::memo::{check_key_width, SolveContext, DEFAULT_CACHE_CAPACITY};
 use crate::decoder::mwpm::{matching_flip, weight_of};
+use crate::decoder::spacetime::WindowConfigError;
 use radqec_circuit::{ShotBatch, ShotRecord};
 use radqec_matching::MatchingArena;
 use radqec_telemetry::{names, Counter, Histogram, MetricsRegistry, SpanTimer};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,7 +55,8 @@ pub const DEFAULT_MASK_CAPACITY: usize = 64;
 /// direct-indexed table, wider ones the sharded map. Only `deadline` can
 /// change a decode: a spent budget swaps the exact matcher for the greedy
 /// fallback (see [`DecoderStats::degraded`]), which may differ on
-/// syndromes of three or more defects, or of two tied ones.
+/// syndromes of three or more defects, or of two tied ones. A zero
+/// capacity fails both decoders' builds with a [`DecoderError`].
 ///
 /// [`SpaceTimeDecoder`]: crate::decoder::SpaceTimeDecoder
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,43 +98,64 @@ impl Default for TierConfig {
 impl TierConfig {
     /// Whether a decoder can be built from this config: both capacities
     /// must be at least 1. Both decoders' fallible constructors call it.
-    pub fn validate(&self) -> Result<(), TierError> {
+    pub fn validate(&self) -> Result<(), DecoderError> {
         if self.cache_capacity == 0 {
-            return Err(TierError::ZeroCacheCapacity);
+            return Err(DecoderError::ZeroCacheCapacity);
         }
         if self.mask_capacity == 0 {
-            return Err(TierError::ZeroMaskCapacity);
+            return Err(DecoderError::ZeroMaskCapacity);
         }
         Ok(())
     }
 }
 
-/// A [`TierConfig`] a decoder cannot be built from (see
-/// [`TierConfig::validate`]).
+/// Why a matching decoder cannot be built, as every fallible decoder
+/// constructor and [`TierConfig::validate`] report it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierError {
+pub enum DecoderError {
     /// `cache_capacity` is zero — a sharded memo needs room for at least
     /// one entry per shard to make progress.
     ZeroCacheCapacity,
     /// `mask_capacity` is zero — every masked decode would rebuild its
     /// context from scratch, silently disabling the mask-keyed contexts.
     ZeroMaskCapacity,
+    /// A syndrome spans more detector bits than the 128-bit defect key:
+    /// more than 64 primary stabilizers over two rounds, or a window of
+    /// `min(W, R) · P > 128` bits (xxzz-(7,7) at the default `W = 6`).
+    KeyTooWide {
+        /// Detector bits of the widest syndrome.
+        bits: usize,
+    },
+    /// The memory circuit was assembled without a final data readout, so
+    /// there is no terminal detector layer and no logical frame to score.
+    NoFinalReadout,
+    /// The window geometry itself is invalid.
+    Window(WindowConfigError),
 }
 
-impl fmt::Display for TierError {
+impl fmt::Display for DecoderError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TierError::ZeroCacheCapacity => {
+            DecoderError::ZeroCacheCapacity => {
                 write!(f, "tier config: cache_capacity must be at least 1")
             }
-            TierError::ZeroMaskCapacity => {
+            DecoderError::ZeroMaskCapacity => {
                 write!(f, "tier config: mask_capacity must be at least 1")
             }
+            DecoderError::KeyTooWide { bits } => {
+                write!(f, "syndrome of {bits} detector bits exceeds the 128-bit defect key")
+            }
+            DecoderError::NoFinalReadout => write!(
+                f,
+                "space-time decoding needs a readout-terminated memory \
+                 (build the stream with `final_readout()`)"
+            ),
+            DecoderError::Window(e) => write!(f, "invalid window config: {e}"),
         }
     }
 }
 
-impl std::error::Error for TierError {}
+impl std::error::Error for DecoderError {}
 
 /// Counters describing where decode work went (snapshot of a
 /// [`BulkDecoder`]'s atomics; see [`BulkDecoder::decode_stats`]). Every
@@ -313,8 +335,8 @@ pub struct BulkDecoder {
     /// its engine-lifetime syndrome memo, shared by every batch / rayon
     /// chunk / temporal sample through `&self`.
     core: SolveContext<bool>,
-    /// Detector-bit count `2P`; key bit `2i + r` is stabilizer `i` in
-    /// round `r` (see `node_of_plane`).
+    /// Detector-bit count `2P` (at most 128, `try_new`); key bit
+    /// `2i + r` is stabilizer `i` in round `r` (see `node_of_plane`).
     planes: usize,
     tiers: TierConfig,
     cbits_round1: Vec<u32>,
@@ -325,57 +347,50 @@ pub struct BulkDecoder {
     /// bounded by [`TierConfig::mask_capacity`].
     masked: ContextTable<(), SolveContext<bool>>,
     /// Per-decoder metrics registry (the `decode.*` family), shareable
-    /// via [`Self::try_with_tiers_metrics`].
+    /// via [`Self::try_new`].
     metrics: Arc<MetricsRegistry>,
     stats: StatCells,
 }
 
 impl BulkDecoder {
     /// Build the bulk decoder for `code` with the default [`TierConfig`].
+    ///
+    /// # Panics
+    /// Panics where [`Self::try_new`] returns an error.
     pub fn new(code: &CodeCircuit) -> Self {
-        Self::with_metrics(code, Arc::new(MetricsRegistry::new()))
+        Self::with_tiers(code, TierConfig::default())
     }
 
-    /// Build with the default [`TierConfig`], recording its `decode.*`
-    /// counters and `stage.decode_ns` spans into `metrics` (the injection
-    /// engine passes its own registry so one snapshot covers the
-    /// pipeline).
-    pub fn with_metrics(code: &CodeCircuit, metrics: Arc<MetricsRegistry>) -> Self {
-        Self::build(code, TierConfig::default(), metrics)
-    }
-
-    /// Build with an explicit [`TierConfig`]. Panics on an invalid config;
-    /// [`Self::try_with_tiers`] is the non-panicking form.
+    /// Build with an explicit [`TierConfig`] and a private registry.
+    ///
+    /// # Panics
+    /// Panics where [`Self::try_new`] returns an error.
     pub fn with_tiers(code: &CodeCircuit, tiers: TierConfig) -> Self {
-        Self::try_with_tiers(code, tiers).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(code, tiers, Arc::new(MetricsRegistry::new()))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Build with an explicit [`TierConfig`], rejecting configurations the
-    /// decoder cannot honour ([`TierConfig::validate`]). Any *valid*
-    /// config with `deadline: None` yields results identical to the
-    /// default; a finite deadline may degrade missed syndromes (see
+    /// Build the decoder for `code`, recording its `decode.*` counters and
+    /// `stage.decode_ns` spans into `metrics` (the injection engine passes
+    /// its own registry so one snapshot covers the pipeline), or the
+    /// reason it cannot be built: `tiers` fails [`TierConfig::validate`],
+    /// or the code's `2P`-bit syndrome is wider than the 128-bit defect
+    /// key (more than 64 primary stabilizers). Any valid config with
+    /// `deadline: None` yields results identical to the default; a finite
+    /// deadline may degrade missed syndromes (see
     /// [`DecoderStats::degraded`]).
-    pub fn try_with_tiers(code: &CodeCircuit, tiers: TierConfig) -> Result<Self, TierError> {
-        Self::try_with_tiers_metrics(code, tiers, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// [`Self::try_with_tiers`] recording into a shared registry instead
-    /// of a private one (fleet campaigns aggregate patch decoders this
-    /// way).
-    pub fn try_with_tiers_metrics(
+    pub fn try_new(
         code: &CodeCircuit,
         tiers: TierConfig,
         metrics: Arc<MetricsRegistry>,
-    ) -> Result<Self, TierError> {
+    ) -> Result<Self, DecoderError> {
         tiers.validate()?;
-        Ok(Self::build(code, tiers, metrics))
-    }
-
-    fn build(code: &CodeCircuit, tiers: TierConfig, metrics: Arc<MetricsRegistry>) -> Self {
-        let stats = StatCells::new(&metrics);
         let graph = DetectorGraph::new(code);
-        BulkDecoder {
-            planes: graph.layers() * graph.primary_count(),
+        let planes = graph.layers() * graph.primary_count();
+        check_key_width(planes)?;
+        let stats = StatCells::new(&metrics);
+        Ok(BulkDecoder {
+            planes,
             core: SolveContext::new(graph, tiers.cache_capacity),
             tiers,
             cbits_round1: code.primary_stabilizers().iter().map(|s| s.cbit_round1).collect(),
@@ -384,7 +399,7 @@ impl BulkDecoder {
             masked: ContextTable::new(tiers.mask_capacity, Arc::clone(&stats.mask_hits)),
             stats,
             metrics,
-        }
+        })
     }
 
     /// This decoder's metrics registry.
@@ -446,15 +461,9 @@ impl BulkDecoder {
 
     /// Decode one record into the corrected logical readout value (`true`
     /// = logical |1⟩, the expected outcome of every experiment circuit in
-    /// the paper).
-    ///
-    /// Never inlined, on purpose: inlined into the tableau shot loop, the
-    /// decode path once cost that loop about 7 % at ~55 µs per shot
-    /// (radbench `paper_d3`, 2-vCPU VM; not re-measured since shots became
-    /// ~4× cheaper).
-    #[inline(never)]
+    /// the paper): the batch pipeline over a batch of one.
     pub fn decode(&self, shot: &ShotRecord) -> bool {
-        self.decode_in(shot, &self.core)
+        self.decode_record(shot, &self.core)
     }
 
     /// Decode every shot of a batch. Bit-plane defect extraction (64
@@ -464,8 +473,7 @@ impl BulkDecoder {
     /// scattered to every shot of its group (see `decode_planes`). A cold
     /// radiation-impact batch repeats the same heavy syndromes across many
     /// shots, so its matcher work is one solve per *distinct* syndrome per
-    /// batch. Codes wider than the 128-bit key walk the same planes shot
-    /// by shot with a per-batch syndrome-keyed memo.
+    /// batch.
     pub fn decode_batch(&self, batch: &ShotBatch) -> Vec<bool> {
         self.decode_batch_in(batch, &self.core)
     }
@@ -473,7 +481,7 @@ impl BulkDecoder {
     /// Strike-aware per-shot decode against `mask`'s interned reweighted
     /// context (no-op masks take the unaware path).
     pub fn decode_masked(&self, shot: &ShotRecord, mask: &DecoderMask) -> bool {
-        self.decode_in(shot, self.masked_core(mask).as_deref().unwrap_or(&self.core))
+        self.decode_record(shot, self.masked_core(mask).as_deref().unwrap_or(&self.core))
     }
 
     /// Strike-aware batch decode — the same bit-plane pipeline as
@@ -530,78 +538,6 @@ impl BulkDecoder {
         self.decode_planes(&planes, &vec![0; words], shots, &self.core)
     }
 
-    /// Defect bit pattern of a single record: bit `2i` = round-1 syndrome
-    /// of primary stabilizer `i`, bit `2i+1` = round-1/round-2 difference.
-    #[inline]
-    fn key_of_record(&self, shot: &ShotRecord) -> u128 {
-        let mut key = 0u128;
-        for i in 0..self.core.graph.primary_count() {
-            let s1 = shot.get(self.cbits_round1[i]);
-            let s2 = shot.get(self.cbits_round2[i]);
-            key |= (s1 as u128) << (2 * i);
-            key |= ((s1 != s2) as u128) << (2 * i + 1);
-        }
-        key
-    }
-
-    /// Decode path for codes wider than the 128-bit defect key (P > 64
-    /// primary stabilizers), over the same defect planes as the narrow
-    /// path: each shot's defect list is read off the planes in ascending
-    /// plane order (the canonical `MwpmDecoder::defects` order), with a
-    /// per-call memo keyed by the *defect pattern* words — shots sharing
-    /// a syndrome share one matching — and exact accounting (memo hits
-    /// count as cache hits).
-    fn decode_planes_wide(
-        &self,
-        planes: &[u64],
-        readout: &[u64],
-        shots: usize,
-        core: &SolveContext<bool>,
-    ) -> Vec<bool> {
-        let words = shots.div_ceil(64);
-        let mut out = Vec::with_capacity(shots);
-        let mut memo: HashMap<Box<[u64]>, bool> = Default::default();
-        let mut keybuf = vec![0u64; self.planes.div_ceil(64)];
-        let mut ctx = self.budget_ctx(shots);
-        let mut local = LocalStats { shots: shots as u64, ..Default::default() };
-        for s in 0..shots {
-            let (w, b) = (s / 64, s % 64);
-            let raw = (readout[w] >> b) & 1 == 1;
-            keybuf.iter_mut().for_each(|k| *k = 0);
-            ctx.defects.clear();
-            for plane in 0..self.planes {
-                if (planes[plane * words + w] >> b) & 1 == 1 {
-                    keybuf[plane / 64] |= 1u64 << (plane % 64);
-                    ctx.defects.push(self.node_of_plane(plane));
-                }
-            }
-            if ctx.defects.is_empty() {
-                local.trivial += 1;
-                out.push(raw);
-                continue;
-            }
-            let flip = match memo.get(keybuf.as_slice()) {
-                Some(&f) => {
-                    local.cache_hits += 1;
-                    f
-                }
-                None => {
-                    let (f, exact) = ctx.solve(&core.graph);
-                    if exact {
-                        local.matchings += 1;
-                        memo.insert(keybuf.clone().into_boxed_slice(), f);
-                    } else {
-                        local.degraded += 1;
-                    }
-                    f
-                }
-            };
-            out.push(raw ^ flip);
-        }
-        self.stats.flush(local);
-        out
-    }
-
     /// The memo-or-solve pass ([`SolveContext::answer`]) over `out`'s raw
     /// readouts: each flip is XORed into its shot, and a miss is solved
     /// under `ctx`'s budget with its defects fed stab-major.
@@ -626,23 +562,17 @@ impl BulkDecoder {
         core.answer(out, key_of, |raw, flip| *raw ^= flip, local, solve);
     }
 
-    /// Decode one record against `core` (the per-shot path shared by the
-    /// unmasked and masked entry points): a group of one.
-    fn decode_in(&self, shot: &ShotRecord, core: &SolveContext<bool>) -> bool {
-        if self.planes > 128 {
-            // Wider than the u128 key (P > 64 primary stabilizers): a
-            // one-shot batch through the wide path.
-            let batch = ShotBatch::from_records(std::slice::from_ref(shot));
-            let planes = self.defect_planes(&batch);
-            return self.decode_planes_wide(&planes, batch.row(self.readout_cbit), 1, core)[0];
+    /// Decode one record against `core` (the per-shot entry points): its
+    /// `2P` one-word defect planes (laid out as [`Self::defect_planes`]
+    /// lays out a batch's) through [`Self::decode_planes`], a batch of one.
+    fn decode_record(&self, shot: &ShotRecord, core: &SolveContext<bool>) -> bool {
+        let mut planes = [0u64; u128::BITS as usize];
+        for (i, (&c1, &c2)) in self.cbits_round1.iter().zip(&self.cbits_round2).enumerate() {
+            planes[2 * i] = u64::from(shot.get(c1));
+            planes[2 * i + 1] = planes[2 * i] ^ u64::from(shot.get(c2));
         }
-        let key = self.key_of_record(shot);
-        let mut out = [shot.get(self.readout_cbit)];
-        let mut local = LocalStats { shots: 1, trivial: u64::from(key == 0), ..Default::default() };
-        let key_of = |_: usize, _: &mut bool| (key != 0).then_some(key);
-        self.answer(core, &mut out, key_of, &mut self.budget_ctx(1), &mut local);
-        self.stats.flush(local);
-        out[0]
+        let readout = [u64::from(shot.get(self.readout_cbit))];
+        self.decode_planes(&planes[..self.planes], &readout, 1, core)[0]
     }
 
     /// Decode a batch against `core` — one `stage.decode_ns` span around
@@ -668,10 +598,9 @@ impl BulkDecoder {
 
     /// The solve pass over interleaved defect planes (see
     /// [`Self::defect_planes`]) and the raw readout row — the pipeline
-    /// behind both batch entry points and the event-row entry. Every shot
-    /// starts as its raw readout; the non-trivial ones go through one
-    /// memo-or-solve pass (`answer`). Words whose planes are all zero
-    /// skip key extraction.
+    /// behind every entry point. Every shot starts as its raw readout; the
+    /// non-trivial ones go through one memo-or-solve pass (`answer`).
+    /// Words whose planes are all zero skip key extraction.
     fn decode_planes(
         &self,
         planes: &[u64],
@@ -679,9 +608,6 @@ impl BulkDecoder {
         shots: usize,
         core: &SolveContext<bool>,
     ) -> Vec<bool> {
-        if self.planes > 128 {
-            return self.decode_planes_wide(planes, readout, shots, core);
-        }
         let words = shots.div_ceil(64);
         // `union` flags words with any defect.
         let mut union = vec![0u64; words];
@@ -779,6 +705,7 @@ mod tests {
     fn prefill_makes_every_syndrome_a_cache_hit() {
         let code = RepetitionCode::bit_flip(3).build();
         let bulk = BulkDecoder::new(&code);
+        let mwpm = MwpmDecoder::new(&code);
         bulk.prefill_lut();
         let baseline = bulk.decode_stats();
         let mut rng = StdRng::seed_from_u64(14);
@@ -786,7 +713,7 @@ mod tests {
         for _ in 0..50 {
             let shot = random_record(code.circuit.num_clbits(), &mut rng);
             let _ = bulk.decode(&shot);
-            if bulk.key_of_record(&shot) != 0 {
+            if !mwpm.defects(&shot).is_empty() {
                 n_nontrivial += 1;
             }
         }
@@ -846,41 +773,17 @@ mod tests {
     }
 
     #[test]
-    fn wide_code_batch_memoises_by_syndrome_with_exact_stats() {
+    fn try_new_rejects_a_syndrome_wider_than_the_key() {
         // rep-(67,1): 66 primary stabilizers → 132 detector bits > 128.
         let code = RepetitionCode::bit_flip(67).build();
-        let bulk = BulkDecoder::new(&code);
-        let mwpm = MwpmDecoder::new(&code);
-        let nc = code.circuit.num_clbits();
-        let mut batch = ShotBatch::new(nc, 90);
-        // Three distinct syndromes (one trivial), repeated; shots 1 mod 3
-        // additionally dirty the readout bit, which must not split the memo.
-        for s in 0..90 {
-            match s % 3 {
-                0 => {}
-                1 => {
-                    batch.flip(code.stabilizers[5].cbit_round1, s);
-                    batch.flip(code.readout_cbit, s);
-                }
-                _ => {
-                    batch.flip(code.stabilizers[9].cbit_round1, s);
-                    batch.flip(code.stabilizers[9].cbit_round2, s);
-                }
-            }
-        }
-        let got = bulk.decode_batch(&batch);
-        for (s, &v) in got.iter().enumerate() {
-            assert_eq!(v, mwpm.decode(&batch.record(s)), "shot {s}");
-        }
-        let stats = bulk.decode_stats();
-        assert_eq!(stats.shots, 90);
-        assert_eq!(stats.trivial, 30);
-        assert_eq!(stats.matchings, 2, "two distinct non-trivial syndromes");
-        assert_eq!(stats.cache_hits, 58);
-        assert_eq!(
-            stats.shots,
-            stats.trivial + stats.cache_hits + stats.matchings + stats.degraded
-        );
+        let metrics = Arc::new(MetricsRegistry::new());
+        let err = BulkDecoder::try_new(&code, TierConfig::default(), metrics).err();
+        assert_eq!(err, Some(DecoderError::KeyTooWide { bits: 132 }));
+        assert!(err.unwrap().to_string().contains("exceeds the 128-bit defect key"));
+        // rep-(65,1) is the widest repetition code that fits: 128 bits.
+        let code = RepetitionCode::bit_flip(65).build();
+        let metrics = Arc::new(MetricsRegistry::new());
+        assert!(BulkDecoder::try_new(&code, TierConfig::default(), metrics).is_ok());
     }
 
     #[test]
@@ -958,16 +861,14 @@ mod tests {
     #[test]
     fn try_with_tiers_rejects_zero_capacities() {
         let code = RepetitionCode::bit_flip(5).build();
+        let try_new = |tiers| BulkDecoder::try_new(&code, tiers, Arc::new(MetricsRegistry::new()));
         let zero_cache = TierConfig { cache_capacity: 0, ..Default::default() };
-        assert_eq!(
-            BulkDecoder::try_with_tiers(&code, zero_cache).err(),
-            Some(TierError::ZeroCacheCapacity)
-        );
+        assert_eq!(try_new(zero_cache).err(), Some(DecoderError::ZeroCacheCapacity));
         let zero_mask = TierConfig { mask_capacity: 0, ..Default::default() };
-        let err = BulkDecoder::try_with_tiers(&code, zero_mask).err().unwrap();
-        assert_eq!(err, TierError::ZeroMaskCapacity);
+        let err = try_new(zero_mask).err().unwrap();
+        assert_eq!(err, DecoderError::ZeroMaskCapacity);
         assert!(err.to_string().contains("mask_capacity"));
-        assert!(BulkDecoder::try_with_tiers(&code, TierConfig::default()).is_ok());
+        assert!(try_new(TierConfig::default()).is_ok());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! neither its storage nor its eviction can change a decode; they only
 //! decide how often the matcher runs.
 //!
-//! Storage follows from the key width alone:
+//! A key is a `u128`, one bit per detector node of the context's graph
+//! ([`check_key_width`]). Storage follows from the key width alone:
 //!
 //! * **Direct** (≤ [`LUT_MAX_BITS`] bits): one atomic word per possible
 //!   key, holding a presence bit and the packed value ([`MemoValue`]).
@@ -21,7 +22,7 @@
 //!   A shard that is full when a new entry arrives is cleared, and the
 //!   cleared entries count as evictions.
 
-use super::bulk::LocalStats;
+use super::bulk::{DecoderError, LocalStats};
 use super::graph::DetectorGraph;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -38,6 +39,15 @@ pub(crate) const LUT_MAX_BITS: usize = 16;
 pub(crate) const DEFAULT_CACHE_CAPACITY: usize = 1 << 18;
 
 const SHARDS: usize = 16;
+
+/// Whether syndromes of `bits` detector bits fit the `u128` defect key;
+/// both decoders' constructors check their widest syndrome with it.
+pub(crate) fn check_key_width(bits: usize) -> Result<(), DecoderError> {
+    if bits > u128::BITS as usize {
+        return Err(DecoderError::KeyTooWide { bits });
+    }
+    Ok(())
+}
 
 /// A memoised outcome. Values of keys that fit the direct table pack into
 /// the 31 bits above a direct slot's presence bit.

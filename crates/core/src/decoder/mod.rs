@@ -42,7 +42,8 @@
 //!    [`matching_flip`](MwpmDecoder) core `MwpmDecoder` uses, with a
 //!    scratch arena ([`radqec_matching::MatchingArena`]) so repeated
 //!    solves stop allocating. Its flip is scattered to every shot of the
-//!    group and stored in the memo. A per-shot decode is a group of one.
+//!    group and stored in the memo. A per-shot decode runs the same pass
+//!    over a batch of one.
 //!
 //! The arena solves small defect sets (up to 15) by subset DP and the
 //! rest, or any tied optimum, by blossom; a unique optimum is the same
@@ -102,7 +103,10 @@
 //! Both decoders solve through one context type, `memo::SolveContext`: a
 //! detector graph plus one outcome memo (flips of `2P`-bit syndromes for
 //! the bulk decoder; committed flip and survivors of `layers · P`-bit
-//! keys for a window). The key width alone picks the storage: a
+//! keys for a window). Every key is one `u128`, so both decoders reject,
+//! when they are built, a syndrome wider than 128 detector bits
+//! ([`DecoderError::KeyTooWide`]; the reference [`MwpmDecoder`] has no
+//! such limit). The key width alone picks the storage: a
 //! lock-free direct table up to 16 bits (repetition `d ≤ 9`, XXZZ up to
 //! (3,5)/(5,3) for the bulk decoder), else a 16-shard map capped at
 //! [`TierConfig::cache_capacity`] that clears a full shard. Both answer
@@ -126,13 +130,11 @@ mod spacetime;
 mod stream;
 
 pub use bulk::{
-    BulkDecoder, DecoderStats, TierConfig, TierError, DEFAULT_DECODE_DEADLINE,
+    BulkDecoder, DecoderError, DecoderStats, TierConfig, DEFAULT_DECODE_DEADLINE,
     DEFAULT_MASK_CAPACITY,
 };
 pub use graph::{DetectorGraph, DetectorNode, EdgeKind};
 pub use mask::{DecoderMask, MASK_BASE_WEIGHT, MASK_REF_PROB};
 pub use mwpm::MwpmDecoder;
-pub use spacetime::{
-    SpaceTimeDecoder, SpaceTimeError, WindowConfig, WindowConfigError, WindowState,
-};
+pub use spacetime::{SpaceTimeDecoder, WindowConfig, WindowConfigError, WindowState};
 pub use stream::{StreamDecodeReport, StreamDecoder, StreamDecoderConfig};

@@ -93,9 +93,9 @@ use super::bulk::{LocalStats, StatCells};
 use super::contexts::ContextTable;
 use super::graph::DetectorGraph;
 use super::mask::DecoderMask;
-use super::memo::{MemoValue, SolveContext};
+use super::memo::{check_key_width, MemoValue, SolveContext};
 use super::mwpm::commit_matching;
-use super::{TierConfig, TierError};
+use super::{DecoderError, TierConfig};
 use crate::codes::MemoryCircuit;
 use radqec_matching::MatchingArena;
 use radqec_telemetry::MetricsRegistry;
@@ -141,46 +141,6 @@ impl fmt::Display for WindowConfigError {
 }
 
 impl std::error::Error for WindowConfigError {}
-
-/// Why [`SpaceTimeDecoder::try_for_memory`] (or
-/// [`StreamDecoder::try_new`](crate::decoder::StreamDecoder::try_new))
-/// cannot decode a memory stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpaceTimeError {
-    /// The memory circuit was assembled without a final data readout, so
-    /// there is no terminal detector layer and no logical frame to score.
-    NoFinalReadout,
-    /// A window spans more detector bits (`min(W, R) · P`) than the
-    /// 128-bit defect key holds — e.g. xxzz-(7,7) at the default `W = 6`
-    /// (6 · 24 = 144); a narrower window fits.
-    KeyTooWide {
-        /// Detector bits of the widest window.
-        bits: usize,
-    },
-    /// The window geometry itself is invalid.
-    Window(WindowConfigError),
-    /// The [`TierConfig`] fails [`TierConfig::validate`].
-    Tier(TierError),
-}
-
-impl fmt::Display for SpaceTimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpaceTimeError::NoFinalReadout => write!(
-                f,
-                "space-time decoding needs a readout-terminated memory \
-                 (build the stream with `final_readout()`)"
-            ),
-            SpaceTimeError::KeyTooWide { bits } => {
-                write!(f, "window of {bits} detector bits exceeds the 128-bit defect key")
-            }
-            SpaceTimeError::Window(e) => write!(f, "invalid window config: {e}"),
-            SpaceTimeError::Tier(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SpaceTimeError {}
 
 impl WindowConfig {
     /// A `(window, commit)` configuration.
@@ -305,7 +265,7 @@ impl SpaceTimeDecoder {
     /// Build a decoder for a readout-terminated memory stream: `rounds`
     /// syndrome layers plus the terminal detector layer the projected
     /// data readout induces (`detector_rounds = rounds + 1`), or the
-    /// reason the stream cannot be decoded: no final data readout, an
+    /// [`DecoderError`] saying why it cannot: no final data readout, an
     /// invalid window, `tiers` failing [`TierConfig::validate`], or a
     /// window wider than the 128-bit defect key.
     ///
@@ -317,18 +277,15 @@ impl SpaceTimeDecoder {
         cfg: WindowConfig,
         tiers: TierConfig,
         metrics: &MetricsRegistry,
-    ) -> Result<Self, SpaceTimeError> {
-        let readout = memory.final_readout.as_ref().ok_or(SpaceTimeError::NoFinalReadout)?;
-        WindowConfig::try_new(cfg.window, cfg.commit).map_err(SpaceTimeError::Window)?;
-        tiers.validate().map_err(SpaceTimeError::Tier)?;
+    ) -> Result<Self, DecoderError> {
+        let readout = memory.final_readout.as_ref().ok_or(DecoderError::NoFinalReadout)?;
+        WindowConfig::try_new(cfg.window, cfg.commit).map_err(DecoderError::Window)?;
+        tiers.validate()?;
         let supports: Vec<Vec<u32>> =
             memory.primary_stabilizers().iter().map(|s| s.support.clone()).collect();
         let primary_count = supports.len();
         let detector_rounds = memory.rounds + 1;
-        let bits = cfg.window.min(detector_rounds) * primary_count;
-        if bits > 128 {
-            return Err(SpaceTimeError::KeyTooWide { bits });
-        }
+        check_key_width(cfg.window.min(detector_rounds) * primary_count)?;
         let stats = StatCells::new(metrics);
         Ok(SpaceTimeDecoder {
             data_qubits: (0..memory.n_data).collect(),
@@ -580,30 +537,30 @@ mod tests {
         // xxzz-(7,7): P = 24, so the default W = 6 needs 144 key bits.
         let d7 = XxzzCode::new(7, 7).build_memory_readout(9);
         let err = build(&d7, WindowConfig::default()).err();
-        assert_eq!(err, Some(SpaceTimeError::KeyTooWide { bits: 144 }));
+        assert_eq!(err, Some(DecoderError::KeyTooWide { bits: 144 }));
         assert_eq!(build(&d7, WindowConfig::new(5, 2)).unwrap().primary_count(), 24);
         let bare = RepetitionCode::bit_flip(5).build_memory(9);
         let err = build(&bare, WindowConfig::new(5, 2)).err().unwrap();
-        assert_eq!(err, SpaceTimeError::NoFinalReadout);
+        assert_eq!(err, DecoderError::NoFinalReadout);
         assert!(err.to_string().contains("readout-terminated"));
         let rep5 = RepetitionCode::bit_flip(5).build_memory_readout(9);
         for (zero, field, reason) in [
             (
                 TierConfig { mask_capacity: 0, ..tiers },
                 "mask_capacity",
-                TierError::ZeroMaskCapacity,
+                DecoderError::ZeroMaskCapacity,
             ),
             (
                 TierConfig { cache_capacity: 0, ..tiers },
                 "cache_capacity",
-                TierError::ZeroCacheCapacity,
+                DecoderError::ZeroCacheCapacity,
             ),
         ] {
             let err =
                 SpaceTimeDecoder::try_for_memory(&rep5, WindowConfig::default(), zero, &metrics)
                     .err()
                     .unwrap();
-            assert_eq!(err, SpaceTimeError::Tier(reason));
+            assert_eq!(err, reason);
             assert!(err.to_string().contains(field));
         }
     }

@@ -48,8 +48,8 @@
 //! [`MemoryReadout::expected`]: crate::codes::MemoryReadout::expected
 
 use super::mask::DecoderMask;
-use super::spacetime::{SpaceTimeDecoder, SpaceTimeError, WindowConfig, WindowState};
-use super::TierConfig;
+use super::spacetime::{SpaceTimeDecoder, WindowConfig, WindowState};
+use super::{DecoderError, TierConfig};
 use crate::streaming::{RoundSlice, StreamEngine, StreamFault};
 use radqec_detect::{
     CountDetectorState, CusumDetector, EventAccumulator, Localizer, OnlineDetector, StrikeMask,
@@ -181,24 +181,24 @@ impl<'e> StreamDecoder<'e> {
         Self::try_new(engine, cfg, tiers).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Build the sink over `engine`'s stream, or the reason its window
-    /// decoder cannot be built: the engine's memory carries no final data
-    /// readout (build it with [`StreamEngineBuilder::final_readout`]),
-    /// the window is invalid or wider than the 128-bit defect key, or
-    /// `tiers` fails [`TierConfig::validate`] (see
-    /// [`SpaceTimeDecoder::try_for_memory`], which also says which `tiers`
-    /// fields the window decoder reads).
+    /// Build the sink over `engine`'s stream, or the [`DecoderError`]
+    /// saying why its window decoder cannot be built: the engine's memory
+    /// carries no final data readout (build it with
+    /// [`StreamEngineBuilder::final_readout`]), the window is invalid or
+    /// wider than the 128-bit defect key, or `tiers` fails
+    /// [`TierConfig::validate`] (see [`SpaceTimeDecoder::try_for_memory`],
+    /// which also says which `tiers` fields the window decoder reads).
     ///
     /// [`StreamEngineBuilder::final_readout`]: crate::streaming::StreamEngineBuilder::final_readout
     pub fn try_new(
         engine: &'e StreamEngine,
         cfg: StreamDecoderConfig,
         tiers: TierConfig,
-    ) -> Result<Self, SpaceTimeError> {
+    ) -> Result<Self, DecoderError> {
         let memory = engine.memory();
         let decoder =
             SpaceTimeDecoder::try_for_memory(memory, cfg.window, tiers, engine.metrics())?;
-        let readout = memory.final_readout.as_ref().ok_or(SpaceTimeError::NoFinalReadout)?;
+        let readout = memory.final_readout.as_ref().ok_or(DecoderError::NoFinalReadout)?;
         let localizer = Localizer::with_defaults(engine.stream_spec(), engine.topology());
         Ok(StreamDecoder {
             engine,
@@ -430,6 +430,6 @@ mod tests {
             StreamEngine::builder(RepetitionCode::bit_flip(3).into(), 4).shots(64).native().build();
         let cfg = StreamDecoderConfig::default();
         let built = StreamDecoder::try_new(&engine, cfg, TierConfig::default());
-        assert!(matches!(built, Err(SpaceTimeError::NoFinalReadout)));
+        assert!(matches!(built, Err(DecoderError::NoFinalReadout)));
     }
 }

@@ -12,7 +12,7 @@
 pub use crate::campaign::{default_frame_chunk, SamplerKind, TableauSampler};
 use crate::campaign::{Campaign, EngineBuildError, EngineBuilder, Host};
 use crate::codes::{CodeCircuit, CodeSpec};
-use crate::decoder::{BulkDecoder, DecoderMask, DecoderStats};
+use crate::decoder::{BulkDecoder, DecoderMask, DecoderStats, TierConfig};
 use radqec_circuit::ShotBatch;
 pub use radqec_noise::WorkspaceStats;
 use radqec_noise::{ActiveFault, FaultSpec, NoiseSpec, ResetBasis};
@@ -39,15 +39,18 @@ impl InjectionEngineBuilder {
     }
 
     /// Fallible [`Self::build`]: `Err` on zero shots, a zero frame chunk, a
+    /// code the decoder rejects (a syndrome wider than its 128-bit key), a
     /// topology smaller than the code or an invalid or too short initial
-    /// layout.
+    /// layout. The decoder is built before the transpiler runs.
     pub fn try_build(self) -> Result<InjectionEngine, EngineBuildError> {
         // The decoder records into the engine's registry, so one snapshot
         // covers workspace gauges and the whole `decode.*` family.
         let campaign = self.campaign(Arc::new(MetricsRegistry::new()))?;
         let code = self.spec.build();
+        let metrics = Arc::clone(&campaign.metrics);
+        let decoder = BulkDecoder::try_new(&code, TierConfig::default(), metrics)
+            .map_err(EngineBuildError::Decoder)?;
         let host = Host::place(&code.circuit, &code.name, self.placement)?;
-        let decoder = BulkDecoder::with_metrics(&code, Arc::clone(&campaign.metrics));
         Ok(InjectionEngine { code, host, decoder, campaign })
     }
 }
@@ -171,26 +174,13 @@ impl InjectionEngine {
         let active = fault.activate(&self.host.topology, sample).with_basis(basis);
         let shots = self.shots();
         let seed = |shot: usize| mix_seed(self.campaign.seed, sample as u64, shot as u64);
-        let errors = match (self.campaign.sampler, mask) {
-            (SamplerKind::FrameBatch, _) => self.frame_errors(&active, noise, sample, mask),
-            // Per-shot tableau path: one CHP replay per shot on the
-            // circuit's used qubits, each decoded as it lands.
-            (SamplerKind::Tableau, None) => self
-                .host
-                .tableau()
-                .map_shots(shots, noise, &[(0, &active)], seed, |record| {
-                    usize::from(!self.decoder.decode(&record))
-                })
-                .into_iter()
-                .sum(),
-            // Replay per shot, decode as one batch: the masked batch path
-            // resolves the mask's solve context once per call (per-shot
-            // `decode_masked` would take the mask-map lock per shot across
-            // every rayon worker, and the batch tiers are bit-identical to
-            // per-shot decoding anyway).
-            (SamplerKind::Tableau, Some(mask)) => {
+        let errors = match self.campaign.sampler {
+            SamplerKind::FrameBatch => self.frame_errors(&active, noise, sample, mask),
+            // One CHP replay per shot on the circuit's used qubits
+            // (shot-parallel), decoded as one batch.
+            SamplerKind::Tableau => {
                 let batch = self.host.tableau().batch(shots, noise, &[(0, &active)], seed);
-                count_errors(self.decoder.decode_batch_masked(&batch, mask))
+                self.batch_errors(&batch, mask)
             }
         };
         errors as f64 / shots as f64
@@ -210,12 +200,18 @@ impl InjectionEngine {
             .into_par_iter()
             .map(|chunk| {
                 let batch = self.frame_batch_chunk(&reference, active, noise, sample, chunk);
-                count_errors(match mask {
-                    Some(mask) => self.decoder.decode_batch_masked(&batch, mask),
-                    None => self.decoder.decode_batch(&batch),
-                })
+                self.batch_errors(&batch, mask)
             })
             .sum()
+    }
+
+    /// Decoding failures in `batch`, decoded with `mask` when given.
+    fn batch_errors(&self, batch: &ShotBatch, mask: Option<&DecoderMask>) -> usize {
+        let ok = match mask {
+            Some(mask) => self.decoder.decode_batch_masked(batch, mask),
+            None => self.decoder.decode_batch(batch),
+        };
+        ok.into_iter().filter(|&ok| !ok).count()
     }
 
     /// Workspace-pool counters over the engine's lifetime, mirrored into
@@ -289,11 +285,6 @@ impl InjectionEngine {
             .collect();
         InjectionOutcome { per_sample, shots_per_sample: self.shots() }
     }
-}
-
-/// Decoding failures in one batch's per-shot success flags.
-fn count_errors(ok: Vec<bool>) -> usize {
-    ok.into_iter().filter(|&ok| !ok).count()
 }
 
 /// Aggregated result of an injection campaign.
@@ -510,6 +501,21 @@ mod tests {
         assert_eq!(masked, unaware, "no-op mask must be bit-identical to unaware decoding");
         let stats = engine.decoder_stats().unwrap();
         assert_eq!(stats.mask_contexts, 0, "no-op masks must not intern a context");
+    }
+
+    #[test]
+    fn try_build_rejects_a_syndrome_wider_than_the_key_before_transpiling() {
+        use crate::decoder::DecoderError;
+        // rep-(67,1) has 132 detector bits. The 5-qubit line is too small
+        // for its 133 qubits, so the decoder error shows the decoder is
+        // built before the host step places and transpiles the circuit.
+        let err = InjectionEngine::builder(RepetitionCode::bit_flip(67).into())
+            .topology(radqec_topology::generators::linear(5))
+            .try_build()
+            .err();
+        let want = EngineBuildError::Decoder(DecoderError::KeyTooWide { bits: 132 });
+        assert_eq!(err, Some(want.clone()));
+        assert_eq!(want.to_string(), DecoderError::KeyTooWide { bits: 132 }.to_string());
     }
 
     #[test]

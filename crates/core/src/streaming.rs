@@ -968,7 +968,17 @@ impl StreamEngine {
         let skipped = AtomicU64::new(0);
         let retries: Mutex<Vec<RetryRecord>> = Mutex::new(Vec::new());
         let failures: Mutex<Vec<ChunkFailure>> = Mutex::new(Vec::new());
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(chunks);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = cores.min(chunks);
+        // A tableau chunk replays its shots through rayon, which would
+        // otherwise start `cores` more threads under every worker. Each
+        // worker caps its share at `cores / workers`, so a campaign runs
+        // about `cores` threads; the replay collects in shot order with
+        // per-shot seeds, so the cap changes no record.
+        let shot_pool = rayon::ThreadPoolBuilder::new()
+            .num_threads((cores / workers.max(1)).max(1))
+            .build()
+            .expect("the worker cap is infallible");
         // A workspace abandoned by a caught panic is dropped, never
         // pooled, so the pool only ever holds clean entries.
         let pool = &self.campaign.pool;
@@ -1041,10 +1051,10 @@ impl StreamEngine {
         // The calling thread is worker 0; the rest are spawned.
         std::thread::scope(|scope| {
             for worker in 1..workers {
-                let run_worker = &run_worker;
-                scope.spawn(move || run_worker(worker));
+                let (run_worker, shot_pool) = (&run_worker, &shot_pool);
+                scope.spawn(move || shot_pool.install(|| run_worker(worker)));
             }
-            run_worker(0);
+            shot_pool.install(|| run_worker(0));
         });
         let mut failures = failures.into_inner().unwrap_or_else(PoisonError::into_inner);
         failures.sort_by_key(|f| f.chunk);

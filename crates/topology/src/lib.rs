@@ -10,7 +10,7 @@
 //! * [`devices`] — named IBM device graphs used in the paper's
 //!   architecture analysis (Almaden, Johannesburg, Cairo, Cambridge,
 //!   Brooklyn);
-//! * [`subgraph`] — connected-subgraph enumeration and sampling for the
+//! * [`subgraph`] — connected-subgraph sampling for the
 //!   multi-qubit erasure experiments (paper Fig. 6/7).
 //!
 //! ```

@@ -3,111 +3,13 @@
 //! The paper's Fig. 6/7 methodology: "We selected a subset of connected
 //! subgraphs in the lattice, then treated each subgraph as a hypernode
 //! inside of which each qubit would undergo the same fault event", grouping
-//! results by subgraph size. This module provides exhaustive enumeration
-//! (for small sizes) and random sampling (for large ones) of connected
-//! induced subgraphs of a given size.
+//! results by subgraph size. This module samples connected induced
+//! subgraphs of a given size at random, and checks that a node set
+//! induces a connected subgraph.
 
 use crate::graph::Topology;
 use rand::seq::SliceRandom;
 use rand::Rng;
-
-/// Enumerate connected induced subgraphs with exactly `size` nodes, stopping
-/// after `limit` results. Each subgraph is returned as a sorted node list.
-///
-/// Uses the standard recursive extension algorithm (each subgraph is
-/// generated exactly once by only extending with nodes larger than the
-/// subgraph's root that are not neighbours of earlier excluded nodes).
-pub fn enumerate_connected_subgraphs(topo: &Topology, size: usize, limit: usize) -> Vec<Vec<u32>> {
-    let n = topo.num_qubits() as usize;
-    let mut results = Vec::new();
-    if size == 0 || size > n || limit == 0 {
-        return results;
-    }
-    // For each root v, enumerate connected subgraphs whose minimum node is v.
-    for root in 0..n as u32 {
-        if results.len() >= limit {
-            break;
-        }
-        let mut current = vec![root];
-        let mut in_current = vec![false; n];
-        in_current[root as usize] = true;
-        // Frontier: neighbours > root not yet chosen/banned, in discovery order.
-        let frontier: Vec<u32> =
-            topo.neighbors(root).iter().copied().filter(|&u| u > root).collect();
-        let mut banned = vec![false; n];
-        extend(
-            topo,
-            root,
-            &mut current,
-            &mut in_current,
-            frontier,
-            &mut banned,
-            size,
-            limit,
-            &mut results,
-        );
-    }
-    results
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend(
-    topo: &Topology,
-    root: u32,
-    current: &mut Vec<u32>,
-    in_current: &mut [bool],
-    frontier: Vec<u32>,
-    banned: &mut [bool],
-    size: usize,
-    limit: usize,
-    results: &mut Vec<Vec<u32>>,
-) {
-    if results.len() >= limit {
-        return;
-    }
-    if current.len() == size {
-        let mut s = current.clone();
-        s.sort_unstable();
-        results.push(s);
-        return;
-    }
-    // Choose each frontier node in turn; after trying one, ban it for the
-    // remaining branches so each subgraph is produced exactly once.
-    let mut newly_banned: Vec<u32> = Vec::new();
-    for (i, &v) in frontier.iter().enumerate() {
-        if banned[v as usize] || in_current[v as usize] {
-            continue;
-        }
-        current.push(v);
-        in_current[v as usize] = true;
-        // New frontier: remaining current frontier + v's unseen neighbours.
-        let mut next_frontier: Vec<u32> = frontier[i + 1..]
-            .iter()
-            .copied()
-            .filter(|&u| !banned[u as usize] && !in_current[u as usize])
-            .collect();
-        for &u in topo.neighbors(v) {
-            if u > root
-                && !banned[u as usize]
-                && !in_current[u as usize]
-                && !next_frontier.contains(&u)
-            {
-                next_frontier.push(u);
-            }
-        }
-        extend(topo, root, current, in_current, next_frontier, banned, size, limit, results);
-        in_current[v as usize] = false;
-        current.pop();
-        banned[v as usize] = true;
-        newly_banned.push(v);
-        if results.len() >= limit {
-            break;
-        }
-    }
-    for v in newly_banned {
-        banned[v as usize] = false;
-    }
-}
 
 /// Randomly sample up to `count` connected induced subgraphs of `size` nodes
 /// by randomised BFS growth (duplicates are removed; the sampler is not
@@ -185,53 +87,6 @@ mod tests {
     use crate::generators::{linear, mesh};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn path_subgraphs_are_intervals() {
-        let t = linear(5);
-        let subs = enumerate_connected_subgraphs(&t, 3, 100);
-        // On a path, connected 3-subsets are exactly the 3 intervals.
-        assert_eq!(subs.len(), 3);
-        assert!(subs.contains(&vec![0, 1, 2]));
-        assert!(subs.contains(&vec![1, 2, 3]));
-        assert!(subs.contains(&vec![2, 3, 4]));
-    }
-
-    #[test]
-    fn enumeration_has_no_duplicates() {
-        let t = mesh(3, 3);
-        let subs = enumerate_connected_subgraphs(&t, 4, 10_000);
-        let set: std::collections::HashSet<_> = subs.iter().cloned().collect();
-        assert_eq!(set.len(), subs.len());
-        for s in &subs {
-            assert!(is_connected_subset(&t, s), "{s:?} not connected");
-            assert_eq!(s.len(), 4);
-        }
-    }
-
-    #[test]
-    fn enumeration_count_on_triangle_free_grid() {
-        // 2x2 mesh (a 4-cycle): connected 2-subsets = 4 edges,
-        // connected 3-subsets = 4 paths.
-        let t = mesh(2, 2);
-        assert_eq!(enumerate_connected_subgraphs(&t, 2, 100).len(), 4);
-        assert_eq!(enumerate_connected_subgraphs(&t, 3, 100).len(), 4);
-        assert_eq!(enumerate_connected_subgraphs(&t, 4, 100).len(), 1);
-    }
-
-    #[test]
-    fn enumeration_respects_limit() {
-        let t = mesh(4, 4);
-        let subs = enumerate_connected_subgraphs(&t, 5, 7);
-        assert_eq!(subs.len(), 7);
-    }
-
-    #[test]
-    fn size_one_gives_every_node() {
-        let t = mesh(2, 3);
-        let subs = enumerate_connected_subgraphs(&t, 1, 100);
-        assert_eq!(subs.len(), 6);
-    }
 
     #[test]
     fn sampling_yields_valid_connected_sets() {
